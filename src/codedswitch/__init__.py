@@ -45,6 +45,7 @@ from .ensemble import (
     ExperimentSpec,
     reproduce_figure,
     run_ensemble,
+    whp_from_counts,
     whp_l_star,
 )
 from .model import (
@@ -63,6 +64,7 @@ from .placement import (
     PlacementRng,
     build_lexicographic_packing,
     build_projective_plane,
+    cyclic_class_keys,
     draw_cyclic,
     draw_design,
     draw_uniform,

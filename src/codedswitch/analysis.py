@@ -17,16 +17,22 @@ Closed forms and bounds:
 * ``p_full_throughput_exact``  Pr(L* = L) itself, by enumerating the
   placement support with an optimal solver, or Monte Carlo beyond the cap.
 
+Cyclic start tuples are enumerated up to rotation and order: the first
+start is pinned at 0 and the others are taken as a multiset weighted by
+its number of orderings, and ``cyclic_l_stars`` solves one instance per
+rotation class.
+
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, sqrt
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
@@ -36,7 +42,7 @@ from .placement import (
     BlockDesign,
     PlacementRng,
     _as_generator,
-    draw_cyclic,
+    cyclic_class_keys,
     draw_design,
     draw_uniform,
     instance_from_starts,
@@ -46,6 +52,9 @@ from .placement import (
 ENUMERATION_CAP = 10**8
 SOLVE_ENUMERATION_CAP = 10**6
 MC_DEFAULT_SAMPLES = 10**6
+# rows of arc starts drawn per call on the Monte-Carlo paths; the stream is
+# the same for any chunking, this only bounds memory
+DRAW_CHUNK = 4096
 
 CLOSED_FORM = "closed_form"
 EXACT_ENUMERATION = "exact_enumeration"
@@ -182,14 +191,56 @@ def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
 # cyclic coverage probability
 # ---------------------------------------------------------------------------
 
-def _arc_coverage_count(starts, N: int, n: int) -> int:
-    """|union of arcs| via sorted gaps: each start covers min(gap, n) points."""
-    ss = sorted(starts)
-    total = 0
-    for a, b in zip(ss, ss[1:]):
-        total += min(b - a, n)
-    total += min(ss[0] + N - ss[-1], n)
-    return total
+def cyclic_support(N: int, L: int) -> tuple:
+    """Start tuples of L arcs up to rotation and order, with their weights.
+
+    The first start is pinned at 0 (rotation invariance) and the other L-1
+    form a sorted multiset, weighted by its number of orderings
+    (L-1)!/prod(m_i!).  Returns an (M, L) start array and the weights as
+    Python ints; the weights sum to N^(L-1).
+    """
+    rests = list(combinations_with_replacement(range(N), L - 1))
+    weights = [
+        factorial(L - 1) // prod(factorial(m) for m in Counter(rest).values())
+        for rest in rests
+    ]
+    starts = np.zeros((len(rests), L), dtype=np.int64)
+    starts[:, 1:] = np.array(rests, dtype=np.int64)
+    return starts, weights
+
+
+def cyclic_l_stars(starts, N: int, n: int, k: int, solve, cache: dict) -> np.ndarray:
+    """L* of every row of a (B, L) array of arc starts, one solve per rotation class.
+
+    ``solve`` maps an Instance to its L* and must give equal values on
+    instances that differ by a rotation of the MUs and a reordering of the
+    packets (true of ``solve_cyclic`` and of every exact solver).  ``cache``
+    maps class keys to L*; it is filled in place and may be shared across
+    calls with the same (N, n, k, L).
+    """
+    keys, first, inverse = np.unique(
+        cyclic_class_keys(starts, N), return_index=True, return_inverse=True
+    )
+    ls = np.empty(len(keys), dtype=np.int64)
+    for j, (key, row) in enumerate(zip(keys.tolist(), first.tolist())):
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = solve(instance_from_starts(N, n, starts[row], k=k))
+        ls[j] = hit
+    return ls[inverse]
+
+
+def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
+    """|union of arcs| for each row of starts, via sorted gaps: each start
+    covers min(gap to the next start, n) points."""
+    ss = np.sort(starts, axis=1)
+    gaps = np.diff(ss, axis=1)
+    wrap = ss[:, 0] + N - ss[:, -1]
+    return np.minimum(gaps, n).sum(axis=1) + np.minimum(wrap, n)
+
+
+def _weighted_hits(weights, hits) -> int:
+    return sum(w for w, hit in zip(weights, hits.tolist()) if hit)
 
 
 def p_cover_cyclic(
@@ -204,7 +255,7 @@ def p_cover_cyclic(
     """Pr(L uniform arcs of length n cover at least kL of N circle points).
 
     Exact enumeration over the N^L start tuples when that fits the cap
-    (exploiting rotation invariance by pinning the first start), otherwise
+    (walked up to rotation and order, see ``cyclic_support``), otherwise
     Monte Carlo with a normal-approximation stderr.
     """
     if k * L > N:
@@ -213,21 +264,15 @@ def p_cover_cyclic(
         raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
     need = k * L
     if N**L <= cap:
-        good = 0
-        for rest in product(range(N), repeat=L - 1):
-            if _arc_coverage_count((0,) + rest, N, n) >= need:
-                good += 1
+        starts, weights = cyclic_support(N, L)
+        good = _weighted_hits(weights, _arc_coverage(starts, N, n) >= need)
         return ProbabilityEstimate(
             value=float(Fraction(good, N ** (L - 1))),
             method=EXACT_ENUMERATION,
             stderr=0.0,
         )
     gen = _as_generator(rng if rng is not None else PlacementRng(0, 0))
-    starts = gen.integers(0, N, size=(samples, L))
-    starts.sort(axis=1)
-    gaps = np.diff(starts, axis=1)
-    wrap = starts[:, 0] + N - starts[:, -1]
-    covered = np.minimum(gaps, n).sum(axis=1) + np.minimum(wrap, n)
+    covered = _arc_coverage(gen.integers(0, N, size=(samples, L)), N, n)
     p = float(np.mean(covered >= need))
     return ProbabilityEstimate(
         value=p, method=MONTE_CARLO, stderr=sqrt(max(p * (1 - p), 1e-300) / samples)
@@ -293,11 +338,9 @@ def p_full_throughput_exact(
     if policy == "cyclic":
         support = N**L
         if support <= cap * N:  # first start pinned by rotation invariance
-            good = 0
-            for rest in product(range(N), repeat=L - 1):
-                inst = instance_from_starts(N, n, (0,) + rest, k=k)
-                if solver(inst).l_star == L:
-                    good += 1
+            starts, weights = cyclic_support(N, L)
+            ls = cyclic_l_stars(starts, N, n, k, lambda inst: solver(inst).l_star, {})
+            good = _weighted_hits(weights, ls == L)
             return ProbabilityEstimate(
                 float(Fraction(good, N ** (L - 1))), EXACT_ENUMERATION, 0.0
             )
@@ -337,15 +380,21 @@ def p_full_throughput_exact(
 
     gen = PlacementRng(seed, 0).generator()
     good = 0
-    for _ in range(samples):
-        if policy == "cyclic":
-            inst = with_k(draw_cyclic(N, n, L, gen), k)
-        elif policy == "design":
-            inst = with_k(draw_design(design, L, gen), k)
-        else:
-            inst = with_k(draw_uniform(N, n, L, gen), k)
-        if solver(inst).l_star == L:
-            good += 1
+    if policy == "cyclic":
+        # one (rows, L) draw yields the same stream as per-instance draws
+        cache: dict = {}
+        for lo in range(0, samples, DRAW_CHUNK):
+            starts = gen.integers(0, N, size=(min(DRAW_CHUNK, samples - lo), L))
+            ls = cyclic_l_stars(starts, N, n, k, lambda inst: solver(inst).l_star, cache)
+            good += int(np.count_nonzero(ls == L))
+    else:
+        for _ in range(samples):
+            if policy == "design":
+                inst = with_k(draw_design(design, L, gen), k)
+            else:
+                inst = with_k(draw_uniform(N, n, L, gen), k)
+            if solver(inst).l_star == L:
+                good += 1
     p = good / samples
     return ProbabilityEstimate(
         p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import secrets
 import sys
 import time
@@ -482,9 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", default="report.csv")
     m.add_argument("--seed", type=int, default=None,
                    help="override the seed in the experiment file")
-    m.add_argument("--threads", type=int,
-                   default=int(os.environ.get("CODEDSWITCH_THREADS", "1")),
-                   help="accepted for interface compatibility; results do not depend on it")
     m.set_defaults(func=_cmd_simulate)
 
     r = sub.add_parser("reproduce", help="write one experiment family's CSV+SVG artifacts")
@@ -492,8 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", required=True)
     r.add_argument("--trials", type=int, default=None)
     r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--threads", type=int,
-                   default=int(os.environ.get("CODEDSWITCH_THREADS", "1")))
     r.set_defaults(func=_cmd_reproduce)
 
     k = sub.add_parser("codec", help="erasure codec demos and chunk file tools")

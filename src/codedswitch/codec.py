@@ -24,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import BadConfig, DecodeFailure, NotABurst, TooFewChunks
+from .errors import BadConfig, DecodeFailure, MalformedFile, NotABurst, TooFewChunks
 from .model import Instance, Solution
 
 # -- GF(256) arithmetic, x^8 + x^4 + x^3 + x^2 + 1 --------------------------
@@ -462,6 +462,8 @@ def write_chunk_file(path, cfg: CodecConfig, index: int, payload: bytes) -> None
 def read_chunk_file(path) -> tuple:
     """Returns (k, n, B, index, payload)."""
     raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise MalformedFile(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
     magic, k, n, B, index, _ = _HEADER.unpack(raw[: _HEADER.size])
     if magic != CHUNK_MAGIC:
         raise BadConfig(f"{path}: bad chunk magic {magic!r}")

@@ -9,7 +9,13 @@ A read cycle is modelled as a fresh instance draw; an experiment draws
 
 each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
-a fixed ExperimentSpec regardless of execution order or thread count.
+a fixed ExperimentSpec regardless of execution order.
+
+Cyclic cells with a deterministic solver draw each batch's arc starts in
+one call and solve one instance per rotation class (``analysis.
+cyclic_l_stars``): L* does not change when the MUs are rotated or the
+packets reordered, and the batched draw yields the same stream as
+per-instance draws, so reports are the same as solving every draw.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -140,21 +146,24 @@ class EnsembleReport:
         Path(path).write_text(self.to_csv_string())
 
 
+def whp_from_counts(counts, confidence: float = 0.95) -> int:
+    """Largest v with empirical Pr(L* >= v) >= confidence (0 if none), where
+    ``counts[v]`` samples took the value v."""
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    if total == 0:
+        raise EmptySamples("no L* samples")
+    tail = 0
+    for v in range(len(counts) - 1, -1, -1):
+        tail += counts[v]
+        if tail / total >= confidence:
+            return v
+    return 0
+
+
 def whp_l_star(samples, confidence: float = 0.95) -> int:
     """Largest v with empirical Pr(L* >= v) >= confidence (0 if none)."""
-    samples = list(samples)
-    if not samples:
-        raise EmptySamples("no L* samples")
-    total = len(samples)
-    counts = np.bincount(np.asarray(samples, dtype=np.int64))
-    tail = 0
-    best = 0
-    for v in range(len(counts) - 1, -1, -1):
-        tail += int(counts[v])
-        if tail / total >= confidence:
-            best = v
-            break
-    return best
+    return whp_from_counts(np.bincount(np.asarray(list(samples), dtype=np.int64)), confidence)
 
 
 def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
@@ -208,10 +217,9 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
     rows = []
     for L in spec.L_range:
         solver, label = _resolve_solver(spec, L, design)
-        deterministic = spec.solver not in ("greedy",) and not label.startswith("greedy")
+        deterministic = not label.startswith("greedy")
+        canonical = deterministic and spec.policy == "cyclic"
         cache: dict = {}
-        sum_l = 0
-        sum_l2 = 0
         counts = np.zeros(L + 1, dtype=np.int64)
         done = 0
         batch_idx = 0
@@ -226,35 +234,35 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
             draw_ss, solve_ss = ss.spawn(2)
             draw_gen = np.random.Generator(np.random.PCG64(draw_ss))
             solve_gen = np.random.Generator(np.random.PCG64(solve_ss))
-            for _ in range(size):
-                inst = _draw(spec, L, draw_gen, design)
-                if deterministic:
-                    key = inst.packets
-                    ls = cache.get(key)
-                    if ls is None:
-                        ls = solver(inst, solve_gen).l_star
-                        cache[key] = ls
-                else:
-                    ls = solver(inst, solve_gen).l_star
-                sum_l += ls
-                sum_l2 += ls * ls
-                counts[ls] += 1
+            if canonical:
+                starts = draw_gen.integers(0, spec.N, size=(size, L))
+                ls = analysis.cyclic_l_stars(
+                    starts, spec.N, spec.n, spec.k,
+                    lambda inst: solver(inst, solve_gen).l_star, cache,
+                )
+            else:
+                ls = []
+                for _ in range(size):
+                    inst = _draw(spec, L, draw_gen, design)
+                    if deterministic:
+                        hit = cache.get(inst.packets)
+                        if hit is None:
+                            hit = cache[inst.packets] = solver(inst, solve_gen).l_star
+                        ls.append(hit)
+                    else:
+                        ls.append(solver(inst, solve_gen).l_star)
+            counts += np.bincount(ls, minlength=L + 1)
             done += size
             batch_idx += 1
 
         T = spec.trials
+        sum_l = sum(v * c for v, c in enumerate(counts.tolist()))
+        sum_l2 = sum(v * v * c for v, c in enumerate(counts.tolist()))
         mean = sum_l / T
         var = (sum_l2 - sum_l * sum_l / T) / (T - 1) if T > 1 else 0.0
         scale = spec.k / spec.N
-        full = int(counts[L])
-        p_full = full / T
-        tail = 0
-        whp = 0
-        for v in range(L, -1, -1):
-            tail += int(counts[v])
-            if tail / T >= 0.95:
-                whp = v
-                break
+        p_full = int(counts[L]) / T
+        whp = whp_from_counts(counts)
         rows.append(
             EnsembleRow(
                 L=L,

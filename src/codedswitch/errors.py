@@ -18,6 +18,10 @@ class ValidationError(CodedSwitchError):
     """An instance, solution or design violates one of its invariants."""
 
 
+class MalformedFile(CodedSwitchError):
+    """An instance, solution, design or chunk file cannot be parsed."""
+
+
 # -- instance validation ----------------------------------------------------
 
 class CardinalityMismatch(ValidationError):

@@ -25,6 +25,7 @@ from .errors import (
     CardinalityMismatch,
     DuplicateIndex,
     IndexOutOfRange,
+    MalformedFile,
     NotCyclicArc,
     NotSubset,
     Overlap,
@@ -85,14 +86,17 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
-        obj = json.loads(text)
-        return cls(
-            N=int(obj["N"]),
-            k=int(obj["k"]),
-            n=int(obj["n"]),
-            packets=tuple(muset(p) for p in obj["packets"]),
-            placement=str(obj.get("placement", "custom")),
-        )
+        try:
+            obj = json.loads(text)
+            return cls(
+                N=int(obj["N"]),
+                k=int(obj["k"]),
+                n=int(obj["n"]),
+                packets=tuple(muset(p) for p in obj["packets"]),
+                placement=str(obj.get("placement", "custom")),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise MalformedFile(f"malformed instance JSON ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -128,26 +132,29 @@ class Solution:
 
     @classmethod
     def from_json(cls, text: str) -> "Solution":
-        obj = json.loads(text)
-        sol = cls(
-            assignments=tuple(
-                None if a is None else muset(a) for a in obj["assignments"]
+        try:
+            obj = json.loads(text)
+            sol = cls(
+                assignments=tuple(
+                    None if a is None else muset(a) for a in obj["assignments"]
+                )
             )
-        )
-        # Optional declared statistics are cross-checked on load.
-        if "l_star" in obj and int(obj["l_star"]) != sol.l_star:
-            raise RhoMismatch(
-                f"declared l_star {obj['l_star']} != derived {sol.l_star}"
-            )
-        if "rho" in obj:
-            declared = float(obj["rho"])
-            k = obj.get("k")
-            N = obj.get("N")
-            if k is not None and N is not None:
-                actual = sol.l_star * int(k) / int(N)
-                if abs(declared - actual) > 1e-12:
-                    raise RhoMismatch(f"declared rho {declared} != {actual}")
-        return sol
+            # Optional declared statistics are cross-checked on load.
+            if "l_star" in obj and int(obj["l_star"]) != sol.l_star:
+                raise RhoMismatch(
+                    f"declared l_star {obj['l_star']} != derived {sol.l_star}"
+                )
+            if "rho" in obj:
+                declared = float(obj["rho"])
+                k = obj.get("k")
+                N = obj.get("N")
+                if k is not None and N is not None:
+                    actual = sol.l_star * int(k) / int(N)
+                    if abs(declared - actual) > 1e-12:
+                        raise RhoMismatch(f"declared rho {declared} != {actual}")
+            return sol
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise MalformedFile(f"malformed solution JSON ({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .errors import (
     CoverageGap,
     EmptyDesign,
     IntersectionTooLarge,
+    MalformedFile,
     NotPrime,
     WrongCardinality,
 )
@@ -90,8 +91,11 @@ class BlockDesign:
     def load(cls, path) -> "BlockDesign":
         rows = Path(path).read_text().split("\n")
         rows = [r for r in rows if r.strip()]
-        N, n, t = (int(x) for x in rows[0].split())
-        blocks = tuple(muset(int(x) for x in r.split()) for r in rows[1:])
+        try:
+            N, n, t = (int(x) for x in rows[0].split())
+            blocks = tuple(muset(int(x) for x in r.split()) for r in rows[1:])
+        except (IndexError, ValueError) as exc:
+            raise MalformedFile(f"{path}: malformed block design ({exc})") from exc
         return cls(N=N, n=n, t=t, blocks=blocks, source="file")
 
 
@@ -122,6 +126,25 @@ def instance_from_starts(N: int, n: int, starts, k: int | None = None) -> Instan
     """Cyclic instance from explicit arc starts (helper for enumeration)."""
     packets = tuple(tuple(sorted((int(s) + r) % N for r in range(n))) for s in starts)
     return Instance(N=N, k=n if k is None else k, n=n, packets=packets, placement="cyclic")
+
+
+def cyclic_class_keys(starts, N: int) -> np.ndarray:
+    """Rotation- and order-invariant key of each row of a (B, L) array of arc starts.
+
+    A row's key is the smallest, over its starts a, of the sorted tuple
+    ((s - a) mod N for s in the row), read as a base-N integer.  Two rows get
+    the same key iff one is a rotation of the MUs and a reordering of the
+    packets of the other, so instances with equal keys have equal L*.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    L = starts.shape[1]
+    # keys stay below N**L; past int64 they are kept exact as Python ints
+    dtype = np.int64 if N ** L < 2**63 else object
+    rel = starts[:, None, :] - starts[:, :, None]  # (B, anchor, L)
+    rel %= N
+    rel.sort(axis=2)
+    weights = np.array([N ** (L - 1 - j) for j in range(L)], dtype=dtype)
+    return (rel.astype(dtype, copy=False) @ weights).min(axis=1)
 
 
 def with_k(inst: Instance, k: int) -> Instance:

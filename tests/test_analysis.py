@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, floor
@@ -9,15 +10,17 @@ import pytest
 
 from codedswitch import (
     PlacementRng,
+    instance_from_starts,
     p_cover_cyclic,
     p_cover_uniform,
     p_full_throughput_exact,
     p_pair_cyclic,
     p_pair_design,
+    solve_cyclic,
     t_max,
     union_model_matrix,
 )
-from codedswitch.analysis import union_cardinality_distribution
+from codedswitch.analysis import cyclic_support, union_cardinality_distribution
 from codedswitch.errors import BadParams, TooLarge
 
 
@@ -220,6 +223,25 @@ def test_full_tp_uncoded_cyclic_equals_coverage():
     est = p_full_throughput_exact("cyclic", 9, 3, 3, 2)
     cov = p_cover_cyclic(9, 3, 3, 2)
     assert est.value == pytest.approx(cov.value, abs=1e-15)
+
+
+@pytest.mark.parametrize("N,L", [(5, 1), (5, 3), (4, 5), (9, 2)])
+def test_cyclic_support_weights_count_ordered_tuples(N, L):
+    starts, weights = cyclic_support(N, L)
+    assert (starts[:, 0] == 0).all()
+    ordered = Counter(tuple(sorted(rest)) for rest in product(range(N), repeat=L - 1))
+    assert {tuple(r[1:]): w for r, w in zip(starts.tolist(), weights)} == ordered
+
+
+@pytest.mark.parametrize("N,n,k,L", [(7, 3, 2, 3), (8, 3, 2, 4), (6, 4, 3, 2), (9, 2, 1, 5)])
+def test_full_tp_cyclic_equals_ordered_enumeration(N, n, k, L):
+    # reference: solve every ordered start tuple with the first start pinned
+    good = sum(
+        solve_cyclic(instance_from_starts(N, n, (0,) + rest, k=k)).l_star == L
+        for rest in product(range(N), repeat=L - 1)
+    )
+    est = p_full_throughput_exact("cyclic", N, n, k, L)
+    assert (est.value, est.method) == (float(Fraction(good, N ** (L - 1))), "exact_enumeration")
 
 
 def test_full_tp_single_packet():

@@ -166,3 +166,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--algo", "nonsense", "--in", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,name,text", [
+    (["solve", "--algo", "oracle", "--in", "{bad}", "--out", "{out}"], "bad.json", '{"N":5}'),
+    (["check", "--in", "{ok}", "--solution", "{bad}"], "bad.json", '{"assignments": 3}'),
+    (["design", "verify", "--in", "{bad}"], "bad.blocks", "7 3\n0 1 2\n"),
+    (["codec", "decode", "--family", "mds", "--in-dir", "{dir}", "--out", "{out}"],
+     "chunk_000.bin", "CSWC"),
+])
+def test_malformed_input_files_exit_1(tmp_path, capsys, argv, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    ok = tmp_path / "ok.json"
+    ok.write_text(Instance(N=5, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    subs = {"{bad}": bad, "{ok}": ok, "{out}": tmp_path / "out", "{dir}": tmp_path}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and err.count("\n") == 1

@@ -35,7 +35,7 @@ from codedswitch.codec import (
     _poly_mod,
     _poly_mul,
 )
-from codedswitch.errors import BadConfig, DecodeFailure, NotABurst, TooFewChunks
+from codedswitch.errors import BadConfig, DecodeFailure, MalformedFile, NotABurst, TooFewChunks
 
 
 def _payload(k, B, seed=0):
@@ -237,3 +237,10 @@ def test_chunk_file_roundtrip(tmp_path):
     assert data == payload
     assert p.read_bytes()[:4] == b"CSWC"
     assert len(p.read_bytes()) == 16 + 16  # fixed header plus payload
+
+
+def test_chunk_file_shorter_than_header_is_typed(tmp_path):
+    p = tmp_path / "chunk_000.bin"
+    p.write_bytes(b"CSWC\x02\x00")
+    with pytest.raises(MalformedFile):
+        read_chunk_file(p)

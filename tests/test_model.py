@@ -24,6 +24,7 @@ from codedswitch.errors import (
     NotCyclicArc,
     NotSubset,
     Overlap,
+    MalformedFile,
     RhoMismatch,
     WrongCardinality,
 )
@@ -158,6 +159,20 @@ def test_solution_json_roundtrip():
 def test_solution_json_declared_l_star_checked():
     with pytest.raises(RhoMismatch):
         Solution.from_json('{"assignments": [[0,1], null], "l_star": 2}')
+
+
+@pytest.mark.parametrize("text", ['{"N":5}', "[1, 2]", '{"N":5,"k":2,"n":3,"packets":7}',
+                                  '{"N":"x","k":2,"n":3,"packets":[]}', "{not json"])
+def test_instance_json_malformed_is_typed(text):
+    with pytest.raises(MalformedFile):
+        Instance.from_json(text)
+
+
+@pytest.mark.parametrize("text", ["{}", '{"assignments": 3}', '{"assignments": [], "l_star": "x"}',
+                                  "[null]", ""])
+def test_solution_json_malformed_is_typed(text):
+    with pytest.raises(MalformedFile):
+        Solution.from_json(text)
 
 
 def test_bipartite_view_edges(contention_instance):

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedswitch import (
     BlockDesign,
     PlacementRng,
     build_lexicographic_packing,
     build_projective_plane,
+    cyclic_class_keys,
     draw_cyclic,
     draw_design,
     draw_uniform,
+    instance_from_starts,
     validate_instance,
     verify_packing,
 )
@@ -22,6 +26,7 @@ from codedswitch.errors import (
     CoverageGap,
     EmptyDesign,
     IntersectionTooLarge,
+    MalformedFile,
     NotPrime,
 )
 
@@ -110,6 +115,48 @@ def test_cyclic_instances_validate():
 def test_cyclic_bad_params():
     with pytest.raises(BadParams):
         draw_cyclic(5, 5, 1, PlacementRng(0).generator())
+
+
+@pytest.mark.parametrize("N,n,L", [(12, 3, 1), (12, 4, 4), (12, 5, 6), (13, 4, 5), (7, 3, 3)])
+def test_batched_cyclic_draws_match_per_instance_draws(N, n, L):
+    # the ensemble draws a batch of starts in one call; its reports depend on
+    # this being the stream that per-instance draws consume
+    batched = PlacementRng(21, L).generator().integers(0, N, size=(4096, L))
+    gen = PlacementRng(21, L).generator()
+    for row in batched:
+        assert draw_cyclic(N, n, L, gen).packets == instance_from_starts(N, n, row).packets
+
+
+# -- rotation classes of cyclic start tuples -----------------------------------------
+
+@st.composite
+def _start_rows(draw):
+    N = draw(st.one_of(st.integers(2, 30), st.just(10**7)))  # 10**7: keys beyond int64
+    L = draw(st.integers(1, 6))
+    row = draw(st.lists(st.integers(0, N - 1), min_size=L, max_size=L))
+    return N, row, draw(st.integers(0, N - 1)), draw(st.permutations(range(L)))
+
+
+@given(_start_rows())
+@settings(max_examples=300, deadline=None)
+def test_class_key_invariant_under_rotation_and_order(case):
+    N, row, shift, perm = case
+    moved = [(row[i] + shift) % N for i in perm]
+    a, b = cyclic_class_keys([row, moved], N).tolist()
+    assert a == b
+
+
+def test_class_keys_separate_classes():
+    # all start tuples of 3 arcs on 7 MUs: the keys split them into exactly
+    # the orbits of rotation and reordering
+    rows = list(product(range(7), repeat=3))
+    keys = cyclic_class_keys(rows, 7).tolist()
+    orbit = {r: min(tuple(sorted((s + a) % 7 for s in r)) for a in range(7)) for r in rows}
+    assert len(set(keys)) == len(set(orbit.values()))
+    by_key = {}
+    for r, key in zip(rows, keys):
+        by_key.setdefault(key, set()).add(orbit[r])
+    assert all(len(orbits) == 1 for orbits in by_key.values())
 
 
 # -- projective planes ------------------------------------------------------------
@@ -246,3 +293,11 @@ def test_design_file_roundtrip(tmp_path, fano):
     assert (again.N, again.n, again.t) == (fano.N, fano.n, fano.t)
     header = path.read_text().splitlines()[0]
     assert header == "7 3 2"
+
+
+@pytest.mark.parametrize("text", ["7 3\n0 1 2\n", "", "7 3 2\n0 1 x\n"])
+def test_design_file_malformed_is_typed(tmp_path, text):
+    path = tmp_path / "bad.blocks"
+    path.write_text(text)
+    with pytest.raises(MalformedFile):
+        BlockDesign.load(path)
