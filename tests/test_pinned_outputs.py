@@ -1,10 +1,13 @@
-"""Byte-identity gate: report hashes and probability values pinned on the
-pre-canonical-engine code.
+"""Byte-identity gate: report and figure hashes, generated instances and
+probability values, pinned before refactors of the draw, solve, aggregation
+and figure paths.
 
-Every ``simulate`` report below must keep its SHA-256, and every exact or
-Monte-Carlo probability its float, across refactors of the draw, solve and
-aggregation paths.  The cells cover each policy with each kind of solver,
-including an oracle-cap fallback and trials spanning more than one batch.
+Every ``simulate`` report and ``reproduce`` artifact below must keep its
+SHA-256, every ``generate`` instance its JSON, and every exact or
+Monte-Carlo probability its float.  The report cells cover each policy with
+each kind of solver, including an oracle-cap fallback and trials spanning
+more than one batch; the design probability cells include points where the
+design solver falls back to the oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ import hashlib
 
 import pytest
 
-from codedswitch import ExperimentSpec, analysis, build_projective_plane, run_ensemble
+from codedswitch import (
+    ExperimentSpec,
+    analysis,
+    build_projective_plane,
+    reproduce_figure,
+    run_ensemble,
+)
+from codedswitch.cli import main
 from codedswitch.placement import PlacementRng
 
 REPORT_CELLS = {
@@ -88,4 +98,105 @@ def test_full_tp_cyclic_pinned(args, kw, value, method):
 @pytest.mark.parametrize("args,kw,value,method", COVER_CYCLIC)
 def test_cover_cyclic_pinned(args, kw, value, method):
     est = analysis.p_cover_cyclic(*args, **kw)
+    assert (est.value, est.method) == (value, method)
+
+
+# figure -> (trials, {artifact file name: SHA-256}), all at seed 5
+FIGURE_ARTIFACTS = {
+    4: (200, {
+        "figure4_full_throughput_bounds.csv": "efa08af878ecfaf0c4ea8736644d90f1b5b91388804475e1f5040ec6938d73bd",
+        "figure4_full_throughput_bounds.svg": "f76a282bdbe50589c0de8f98703fe75a568208accccff819b914fe232ffbd498",
+    }),
+    5: (60, {
+        "figure5_rho_bar_n3.csv": "4c22418b53fc72f8c86d1c395e4a7af09fb63ea5a9001507c7a85c08bebe7423",
+        "figure5_rho_bar_n3.svg": "627b74bd516b2d2eb50956ceade7080f5704ffaa1c7096db55e61095806cc533",
+        "figure5_rho_bar_n4.csv": "bbdd8ff3627afd7bd70ec9cb48311687bcd9a6e68efff5e5aba16945a50d51ec",
+        "figure5_rho_bar_n4.svg": "06c2b38801217020a02272c466fa0feb835b90dc9edcb3e408b4b475d36ec0c4",
+        "figure5_rho_bar_n5.csv": "e00bb57b2177bce58784236a352ae37ffa5da2eee23459295b8f4fa5f129bafa",
+        "figure5_rho_bar_n5.svg": "389743cdd9255de7c7e9f6353ca73cf35fa30c985e9df815cfcc5d24c1d9045c",
+        "figure5_rho_bar_n6.csv": "693a01c4d07ba3171f8aa91f14393db0b4804622f507a94ae5dc1109a1ad0ecc",
+        "figure5_rho_bar_n6.svg": "8c5a01f7225c13455e30a0bd1c15a55030a6467ba40b2885487e2a4b40cbeea3",
+    }),
+    6: (60, {
+        "figure6_full_tp_n3.csv": "30223387356c3aac085c28806e7e27e0030db57a395d0d7f85acd89130f8e233",
+        "figure6_full_tp_n3.svg": "7a4ce17699f752feb4e3d4eac6bf8765db9d0a146923b28cdc53dcd11e665fed",
+        "figure6_full_tp_n4.csv": "575ea5ec822b54ec10b7dfa08cd7a97e3c5cce2208033ea61bbc53f69837bf90",
+        "figure6_full_tp_n4.svg": "605d85ba69170cc75f09fa1100651822568d47e28fa2d87e72b6d80f3daafcda",
+        "figure6_full_tp_n5.csv": "bd3865fc8dab668e04df984447f3c56bfe8b4169b537d59aad4d0731f18bcbf2",
+        "figure6_full_tp_n5.svg": "31384fa55dbc9fa98434afca815aa4935c40d98083bbe97b608a0d2274782c98",
+        "figure6_full_tp_n6.csv": "bbe608c722514f105e3b70ff8e6a3f1b7b6d5392001cf7a78df27f6942e23fbe",
+        "figure6_full_tp_n6.svg": "5942a6453704af46dbfdcadec848696c6ef0d0d144915943435e88eae6e898d9",
+    }),
+    7: (60, {
+        "figure7_whp_lstar_n3.csv": "1b37898f8f9dc20f70aed7515453b4f35551e1f6aa6f4ab5a2f782bfd0d5a816",
+        "figure7_whp_lstar_n3.svg": "c54351381632069fa4a67f37f6731c920937a9166c74eadc208c61395d507f07",
+        "figure7_whp_lstar_n4.csv": "ae912bfe0dd0a1ca277690c4a876023663896be4eba4a1774d71c4f4df6bc13e",
+        "figure7_whp_lstar_n4.svg": "8aaa3405f77cbe26f9a07fadbb1e124840b6502a46cf78f1379782b9f550780e",
+        "figure7_whp_lstar_n5.csv": "d62106fcd71615485381b170dd48e69c12c1a91f6d3ed96873136f68ad3b7366",
+        "figure7_whp_lstar_n5.svg": "14f157bbbfbea34015eb5e1388224d1dff6d1e16e3d0ad60a9ec08ee2fa71c00",
+        "figure7_whp_lstar_n6.csv": "677ef75a679b307bfbda15511ab32a4dec2e2ce6157af55a1983a3b4d0d65b1c",
+        "figure7_whp_lstar_n6.svg": "490b2f3ed8d9eaa852adbf05a8abb2c80bc36c48b9b6a54fcf3e8b79fe35b237",
+    }),
+    8: (200, {
+        "figure8_full_tp_vs_N.csv": "4c4efcc924e6a4b12e55e557fa454e09ba18b5a44ae42d4f6c722c930d351026",
+        "figure8_full_tp_vs_N.svg": "43a7e6f067f824ee666739f96542d18d2a17dad40e8f0247c6b209666f985907",
+    }),
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_ARTIFACTS))
+def test_figure_artifacts_pinned(fig, tmp_path):
+    trials, digests = FIGURE_ARTIFACTS[fig]
+    paths = reproduce_figure(fig, tmp_path, trials=trials, seed=5)
+    assert [p.name for p in paths] == list(digests)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == digests
+
+
+# ``generate --N 7 --n 3 --L 5 --k 2 --seed 9`` per policy (Fano plane for design)
+GENERATED = {
+    "uniform": '{"N":7,"k":2,"n":3,"packets":[[2,5,6],[3,4,5],[4,5,6],[0,4,6],[2,3,6]],'
+               '"placement":"uniform"}\n',
+    "cyclic": '{"N":7,"k":2,"n":3,"packets":[[2,3,4],[0,1,6],[0,1,6],[2,3,4],[0,1,2]],'
+              '"placement":"cyclic"}\n',
+    "design": '{"N":7,"k":2,"n":3,"packets":[[0,3,5],[4,5,6],[4,5,6],[0,3,5],[0,1,4]],'
+              '"placement":"design"}\n',
+}
+
+
+@pytest.mark.parametrize("policy", sorted(GENERATED))
+def test_generate_pinned(policy, tmp_path):
+    out = tmp_path / "instance.json"
+    argv = ["generate", "--policy", policy, "--N", "7", "--n", "3", "--L", "5", "--k", "2",
+            "--seed", "9", "--out", str(out)]
+    if policy == "design":
+        plane = tmp_path / "fano.blocks"
+        build_projective_plane(2).save(plane)
+        argv += ["--design", str(plane)]
+    assert main(argv) == 0
+    assert out.read_text() == GENERATED[policy]
+
+
+# (policy, plane order q for design or None, arguments, keyword arguments, value, method);
+# (7, 3, 2, 4) and (13, 4, 3, 4) include points where the design solver
+# falls back to the oracle
+FULL_TP_DESIGN_UNIFORM = (
+    ("design", 2, (7, 3, 2, 3), {}, 0.6122448979591837, "exact_enumeration"),
+    ("design", 2, (7, 3, 2, 4), {}, 0.0, "exact_enumeration"),
+    ("design", 3, (13, 4, 3, 3), {}, 0.7810650887573964, "exact_enumeration"),
+    ("design", 3, (13, 4, 2, 3), {}, 0.9940828402366864, "exact_enumeration"),
+    ("design", 3, (13, 4, 3, 4), dict(cap=100, samples=2000, seed=6), 0.013, "monte_carlo"),
+    ("design", 2, (7, 3, 1, 5), dict(cap=100, samples=2000, seed=7), 0.9895, "monte_carlo"),
+    ("uniform", None, (6, 3, 2, 3), {}, 0.36, "exact_enumeration"),
+    ("uniform", None, (5, 2, 1, 3), {}, 0.99, "exact_enumeration"),
+    ("uniform", None, (6, 2, 2, 3), {}, 0.02666666666666667, "exact_enumeration"),
+    ("uniform", None, (9, 3, 2, 3), dict(cap=1000, samples=2000, seed=8), 0.8155, "monte_carlo"),
+    ("uniform", None, (12, 4, 3, 4), dict(cap=1000, samples=1000, seed=8), 0.026, "monte_carlo"),
+)
+
+
+@pytest.mark.parametrize("policy,q,args,kw,value,method", FULL_TP_DESIGN_UNIFORM)
+def test_full_tp_design_uniform_pinned(policy, q, args, kw, value, method):
+    if q is not None:
+        kw = dict(kw, design=build_projective_plane(q))
+    est = analysis.p_full_throughput_exact(policy, *args, **kw)
     assert (est.value, est.method) == (value, method)
