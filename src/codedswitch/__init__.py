@@ -65,6 +65,7 @@ from .placement import (
     build_lexicographic_packing,
     build_projective_plane,
     cyclic_class_keys,
+    draw,
     draw_cyclic,
     draw_design,
     draw_uniform,

@@ -36,17 +36,17 @@ from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
-from .errors import BadParams, TooLarge
+from .errors import BadParams, ConditionViolated, TooLarge
 from .model import Instance
 from .placement import (
+    POLICIES,
     BlockDesign,
     PlacementRng,
     _as_generator,
+    check_design,
     cyclic_class_keys,
-    draw_design,
-    draw_uniform,
+    draw,
     instance_from_starts,
-    with_k,
 )
 
 ENUMERATION_CAP = 10**8
@@ -283,28 +283,27 @@ def p_cover_cyclic(
 # exact full-throughput probability
 # ---------------------------------------------------------------------------
 
-def _policy_solver(policy: str, design: BlockDesign | None):
-    # imported here to avoid a cycle at module load
-    from .errors import ConditionViolated
-    from .solvers import solve_cyclic, solve_design, solve_oracle
+def _optimal_solver(policy: str):
+    """The policy's exact solver, as solve(inst, design, gen).
 
-    if policy == "cyclic":
-        return lambda inst: solve_cyclic(inst)
-    if policy == "design":
-        if design is None:
-            raise BadParams("design policy needs a BlockDesign")
+    Outside its guarantee the design solver falls back to the oracle: the
+    question is still well defined there.
+    """
+    # ensemble imports this module, so its solver table is imported here
+    from .ensemble import OPTIMAL, SOLVERS
 
-        def solve(inst):
-            try:
-                return solve_design(inst, design)
-            except ConditionViolated:
-                # parameter regime outside the guarantee; still well defined
-                return solve_oracle(inst)
-
+    solve = SOLVERS[OPTIMAL[policy]]
+    if policy != "design":
         return solve
-    if policy == "uniform":
-        return lambda inst: solve_oracle(inst)
-    raise BadParams(f"unknown policy {policy!r}")
+    oracle = SOLVERS["oracle"]
+
+    def solve_or_fall_back(inst, design, gen):
+        try:
+            return solve(inst, design, gen)
+        except ConditionViolated:
+            return oracle(inst, design, gen)
+
+    return solve_or_fall_back
 
 
 def p_full_throughput_exact(
@@ -328,52 +327,35 @@ def p_full_throughput_exact(
     """
     if not (1 <= k <= n <= N) or L < 1:
         raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
-    if policy == "design" and design is not None:
-        if design.N != N or design.n != n:
-            raise BadParams(
-                f"design is on (N={design.N}, n={design.n}), asked for (N={N}, n={n})"
-            )
-    solver = _policy_solver(policy, design)
+    if policy not in POLICIES:
+        raise BadParams(f"unknown policy {policy!r}")
+    if policy == "design":
+        check_design(design, N, n)
+    solve = _optimal_solver(policy)
+
+    def l_star(inst) -> int:
+        return solve(inst, design, None).l_star
 
     if policy == "cyclic":
-        support = N**L
-        if support <= cap * N:  # first start pinned by rotation invariance
+        if N**L <= cap * N:  # first start pinned by rotation invariance
             starts, weights = cyclic_support(N, L)
-            ls = cyclic_l_stars(starts, N, n, k, lambda inst: solver(inst).l_star, {})
-            good = _weighted_hits(weights, ls == L)
+            good = _weighted_hits(weights, cyclic_l_stars(starts, N, n, k, l_star, {}) == L)
             return ProbabilityEstimate(
                 float(Fraction(good, N ** (L - 1))), EXACT_ENUMERATION, 0.0
             )
-    elif policy == "design":
-        b = design.b
-        if b**L <= cap:
-            good = 0
-            total = 0
-            for idx in product(range(b), repeat=L):
-                packets = tuple(design.blocks[i] for i in idx)
-                inst = Instance(N=N, k=k, n=n, packets=packets, placement="design")
-                total += 1
-                if solver(inst).l_star == L:
-                    good += 1
-            return ProbabilityEstimate(
-                float(Fraction(good, total)), EXACT_ENUMERATION, 0.0
-            )
-    elif policy == "uniform":
-        subsets = comb(N, n)
-        if subsets**L <= cap:
-            all_subsets = list(combinations(range(N), n))
-            good = 0
-            total = 0
-            for chosen in product(all_subsets, repeat=L):
-                inst = Instance(N=N, k=k, n=n, packets=chosen, placement="uniform")
-                total += 1
-                if solver(inst).l_star == L:
-                    good += 1
-            return ProbabilityEstimate(
-                float(Fraction(good, total)), EXACT_ENUMERATION, 0.0
-            )
     else:
-        raise BadParams(f"unknown policy {policy!r}")
+        # every packet is one of the design blocks or one of the n-subsets
+        size = design.b if policy == "design" else comb(N, n)
+        if size**L <= cap:
+            support = design.blocks if policy == "design" else combinations(range(N), n)
+            good = 0
+            for packets in product(support, repeat=L):
+                inst = Instance(N=N, k=k, n=n, packets=packets, placement=policy)
+                if solve(inst, design, None).l_star == L:
+                    good += 1
+            return ProbabilityEstimate(
+                float(Fraction(good, size**L)), EXACT_ENUMERATION, 0.0
+            )
 
     if exact_only:
         raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
@@ -385,15 +367,11 @@ def p_full_throughput_exact(
         cache: dict = {}
         for lo in range(0, samples, DRAW_CHUNK):
             starts = gen.integers(0, N, size=(min(DRAW_CHUNK, samples - lo), L))
-            ls = cyclic_l_stars(starts, N, n, k, lambda inst: solver(inst).l_star, cache)
-            good += int(np.count_nonzero(ls == L))
+            good += int(np.count_nonzero(cyclic_l_stars(starts, N, n, k, l_star, cache) == L))
     else:
         for _ in range(samples):
-            if policy == "design":
-                inst = with_k(draw_design(design, L, gen), k)
-            else:
-                inst = with_k(draw_uniform(N, n, L, gen), k)
-            if solver(inst).l_star == L:
+            inst = draw(policy, N, n, k, L, gen, design)
+            if solve(inst, design, None).l_star == L:
                 good += 1
     p = good / samples
     return ProbabilityEstimate(

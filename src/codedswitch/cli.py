@@ -5,8 +5,9 @@ codec.  Every run that writes files also writes a JSON manifest next to
 them recording the command line, the seed actually used, input hashes,
 output hashes and wall time, so results can be reproduced and diffed.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error (including a solver
-applied outside its parameter domain).
+Exit codes: 0 success, 1 runtime error (including a missing, unreadable or
+malformed input file), 2 usage error (including a solver applied outside
+its parameter domain).
 """
 
 from __future__ import annotations
@@ -36,26 +37,16 @@ from .codec import (
     write_chunk_file,
 )
 from .conditions import coverage_holds, hall_full_throughput, pairwise_holds, t_max
-from .errors import CodedSwitchError, TooLarge, WrongParams
+from .errors import CodedSwitchError, MalformedFile, TooLarge, WrongParams
 from .model import Instance, Solution, throughput, validate_instance, validate_solution
 from .placement import (
+    POLICIES,
     BlockDesign,
     PlacementRng,
     build_lexicographic_packing,
     build_projective_plane,
-    draw_cyclic,
-    draw_design,
-    draw_uniform,
+    draw,
     verify_packing,
-    with_k,
-)
-from .solvers import (
-    solve_cyclic,
-    solve_design,
-    solve_greedy,
-    solve_matching_k1,
-    solve_matching_k2n2,
-    solve_oracle,
 )
 
 
@@ -112,20 +103,13 @@ def _manifest_path(first_output: Path) -> Path:
 
 def _cmd_generate(args) -> int:
     if args.policy == "design" and not args.design:
-        print("error: --policy design requires --design FILE", file=sys.stderr)
-        return 2
+        raise WrongParams("--policy design requires --design FILE")
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
     rng = PlacementRng(seed, 0).generator()
     k = args.k if args.k is not None else args.n
-    if args.policy == "uniform":
-        inst = draw_uniform(args.N, args.n, args.L, rng)
-    elif args.policy == "cyclic":
-        inst = draw_cyclic(args.N, args.n, args.L, rng)
-    else:
-        design = BlockDesign.load(args.design)
-        inst = draw_design(design, args.L, rng)
-    inst = with_k(inst, k)
+    design = BlockDesign.load(args.design) if args.policy == "design" else None
+    inst = draw(args.policy, args.N, args.n, k, args.L, rng, design)
     validate_instance(inst)
     out = Path(args.out)
     out.write_text(inst.to_json() + "\n")
@@ -169,16 +153,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-_ALGOS = {
-    "oracle": lambda inst, args, rng: solve_oracle(inst),
-    "greedy": lambda inst, args, rng: solve_greedy(inst, rng),
-    "k1": lambda inst, args, rng: solve_matching_k1(inst),
-    "k2n2": lambda inst, args, rng: solve_matching_k2n2(inst),
-    "cyclic": lambda inst, args, rng: solve_cyclic(inst),
-    "design": lambda inst, args, rng: solve_design(inst, BlockDesign.load(args.design)),
-}
-
-
 def _cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
@@ -186,8 +160,9 @@ def _cmd_solve(args) -> int:
     validate_instance(inst)
     if args.algo == "design" and not args.design:
         raise WrongParams("--algo design requires --design FILE")
+    design = BlockDesign.load(args.design) if args.algo == "design" else None
     rng = PlacementRng(seed, 1).generator()
-    sol = _ALGOS[args.algo](inst, args, rng)
+    sol = ensemble.SOLVERS[ensemble.CLI_NAMES[args.algo]](inst, design, rng)
     validate_solution(inst, sol)
     out = Path(args.out)
     out.write_text(sol.to_json() + "\n")
@@ -274,20 +249,25 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     seed_override = getattr(args, "seed", None)
     t0 = time.perf_counter()
-    obj = json.loads(Path(args.spec).read_text())
-    if seed_override is not None:
-        obj["seed"] = int(seed_override)
-    spec = ensemble.ExperimentSpec(
-        policy=obj["policy"],
-        N=int(obj["N"]),
-        k=int(obj["k"]),
-        n=int(obj["n"]),
-        L_range=tuple(obj["L_range"]),
-        trials=int(obj.get("trials", 100_000)),
-        seed=int(obj.get("seed", 0)),
-        solver=obj.get("solver", "oracle"),
-        design_source=obj.get("design_source"),
-    )
+    try:
+        obj = json.loads(Path(args.spec).read_text())
+        if seed_override is not None:
+            obj["seed"] = int(seed_override)
+        spec = ensemble.ExperimentSpec(
+            policy=obj["policy"],
+            N=int(obj["N"]),
+            k=int(obj["k"]),
+            n=int(obj["n"]),
+            L_range=tuple(obj["L_range"]),
+            trials=int(obj.get("trials", 100_000)),
+            seed=int(obj.get("seed", 0)),
+            solver=obj.get("solver", "oracle"),
+            design_source=obj.get("design_source"),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedFile(
+            f"{args.spec}: malformed experiment spec ({type(exc).__name__}: {exc})"
+        ) from exc
     report = ensemble.run_ensemble(spec)
     out = Path(args.out)
     report.to_csv(out)
@@ -421,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("generate", help="draw a random instance")
-    g.add_argument("--policy", choices=("uniform", "cyclic", "design"), required=True)
+    g.add_argument("--policy", choices=POLICIES, required=True)
     g.add_argument("--N", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--L", type=int, required=True)
@@ -439,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_check)
 
     s = sub.add_parser("solve", help="run a read algorithm")
-    s.add_argument("--algo", choices=sorted(_ALGOS), required=True)
+    s.add_argument("--algo", choices=sorted(ensemble.CLI_NAMES), required=True)
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", default="solution.json")
     s.add_argument("--design", default=None, help="design file for --algo design")
@@ -469,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--L", type=int, required=True)
     a.add_argument("--b", type=int, help="block count (pair-des)")
     a.add_argument("--t-max", dest="t_max", type=int, default=None)
-    a.add_argument("--policy", choices=("uniform", "cyclic", "design"), default="cyclic")
+    a.add_argument("--policy", choices=POLICIES, default="cyclic")
     a.add_argument("--design", default=None)
     a.add_argument("--trials", type=int, default=10**6)
     a.add_argument("--exact-only", action="store_true")
@@ -523,7 +503,7 @@ def main(argv=None) -> int:
     except WrongParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CodedSwitchError as exc:
+    except (CodedSwitchError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import partial
 from math import floor, sqrt
 from pathlib import Path
 
@@ -36,18 +37,9 @@ from . import analysis
 from ._svg import line_chart
 from .conditions import t_max
 from .errors import BadParams, EmptySamples, IncompatibleSolver, UnknownFigure
-from .model import Instance
-from .placement import (
-    BlockDesign,
-    build_lexicographic_packing,
-    draw_cyclic,
-    draw_design,
-    draw_uniform,
-    with_k,
-)
+from .placement import POLICIES, BlockDesign, build_lexicographic_packing, check_design, draw
 from .solvers import (
     DEFAULT_ORACLE_CAP,
-    SOLVER_KINDS,
     solve_cyclic,
     solve_design,
     solve_greedy,
@@ -56,9 +48,31 @@ from .solvers import (
     solve_oracle,
 )
 
-POLICIES = ("uniform", "cyclic", "design")
-_POLICY_CODE = {"uniform": 0, "cyclic": 1, "design": 2}
+_POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
 BATCH = 4096
+
+# Spec solver name -> solve(inst, design, gen).  Each entry looks its solver
+# up by name when called, so rebinding a name in this module (as a tracer
+# does) reaches every caller of the table.
+SOLVERS = {
+    "oracle": lambda inst, design, gen: solve_oracle(inst),
+    "greedy": lambda inst, design, gen: solve_greedy(inst, gen),
+    "matching_k1": lambda inst, design, gen: solve_matching_k1(inst),
+    "matching_k2n2": lambda inst, design, gen: solve_matching_k2n2(inst),
+    "cyclic_opt": lambda inst, design, gen: solve_cyclic(inst),
+    "design_opt": lambda inst, design, gen: solve_design(inst, design),
+}
+# ``solve --algo`` name -> spec solver name
+CLI_NAMES = {
+    "oracle": "oracle",
+    "greedy": "greedy",
+    "k1": "matching_k1",
+    "k2n2": "matching_k2n2",
+    "cyclic": "cyclic_opt",
+    "design": "design_opt",
+}
+# placement policy -> spec name of its exact solver
+OPTIMAL = {"uniform": "oracle", "cyclic": "cyclic_opt", "design": "design_opt"}
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ class ExperimentSpec:
         object.__setattr__(self, "L_range", tuple(int(x) for x in self.L_range))
         if self.policy not in POLICIES:
             raise BadParams(f"unknown policy {self.policy!r}")
-        if self.solver not in SOLVER_KINDS:
+        if self.solver not in SOLVERS:
             raise BadParams(f"unknown solver {self.solver!r}")
         if self.trials < 1 or any(L < 1 for L in self.L_range):
             raise BadParams("trials and every L must be >= 1")
@@ -168,52 +182,27 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
 
 def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
     """Solver callable for one (policy, L) cell, plus the label recorded in
-    the report (the oracle falls back to greedy above its enumeration cap)."""
+    the report (the oracle falls back to greedy above its enumeration cap).
+    IncompatibleSolver if the spec lies outside the solver's domain."""
     kind = spec.solver
-    if kind == "oracle":
-        if L * spec.n > DEFAULT_ORACLE_CAP:
-            return (lambda inst, gen: solve_greedy(inst, gen)), "greedy(oracle-cap-fallback)"
-        return (lambda inst, gen: solve_oracle(inst)), "oracle"
-    if kind == "greedy":
-        return (lambda inst, gen: solve_greedy(inst, gen)), "greedy"
-    if kind == "matching_k1":
-        if spec.k != 1:
-            raise IncompatibleSolver("matching_k1 requires k=1")
-        return (lambda inst, gen: solve_matching_k1(inst)), "matching_k1"
-    if kind == "matching_k2n2":
-        if not (spec.k == 2 and spec.n == 2):
-            raise IncompatibleSolver("matching_k2n2 requires k=n=2")
-        return (lambda inst, gen: solve_matching_k2n2(inst)), "matching_k2n2"
-    if kind == "cyclic_opt":
-        if spec.policy != "cyclic":
-            raise IncompatibleSolver("cyclic_opt requires the cyclic policy")
-        return (lambda inst, gen: solve_cyclic(inst)), "cyclic_opt"
-    if kind == "design_opt":
-        if spec.policy != "design" or design is None:
-            raise IncompatibleSolver("design_opt requires the design policy and a design")
-        return (lambda inst, gen: solve_design(inst, design)), "design_opt"
-    raise IncompatibleSolver(f"unknown solver {kind!r}")
-
-
-def _draw(spec: ExperimentSpec, L: int, gen, design: BlockDesign | None) -> Instance:
-    if spec.policy == "uniform":
-        return with_k(draw_uniform(spec.N, spec.n, L, gen), spec.k)
-    if spec.policy == "cyclic":
-        return with_k(draw_cyclic(spec.N, spec.n, L, gen), spec.k)
-    return with_k(draw_design(design, L, gen), spec.k)
+    if kind == "oracle" and L * spec.n > DEFAULT_ORACLE_CAP:
+        return SOLVERS["greedy"], "greedy(oracle-cap-fallback)"
+    if kind == "matching_k1" and spec.k != 1:
+        raise IncompatibleSolver("matching_k1 requires k=1")
+    if kind == "matching_k2n2" and not (spec.k == 2 and spec.n == 2):
+        raise IncompatibleSolver("matching_k2n2 requires k=n=2")
+    if kind == "cyclic_opt" and spec.policy != "cyclic":
+        raise IncompatibleSolver("cyclic_opt requires the cyclic policy")
+    if kind == "design_opt" and (spec.policy != "design" or design is None):
+        raise IncompatibleSolver("design_opt requires the design policy and a design")
+    return SOLVERS[kind], kind
 
 
 def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
     """Draw, solve and aggregate; deterministic for a fixed spec."""
     design = spec.design()
     if spec.policy == "design":
-        if design is None:
-            raise BadParams("design policy requires design_source")
-        if design.N != spec.N or design.n != spec.n:
-            raise BadParams(
-                f"design is on (N={design.N}, n={design.n}), "
-                f"spec says (N={spec.N}, n={spec.n})"
-            )
+        check_design(design, spec.N, spec.n)
     rows = []
     for L in spec.L_range:
         solver, label = _resolve_solver(spec, L, design)
@@ -238,19 +227,19 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
                 starts = draw_gen.integers(0, spec.N, size=(size, L))
                 ls = analysis.cyclic_l_stars(
                     starts, spec.N, spec.n, spec.k,
-                    lambda inst: solver(inst, solve_gen).l_star, cache,
+                    lambda inst: solver(inst, design, solve_gen).l_star, cache,
                 )
             else:
                 ls = []
                 for _ in range(size):
-                    inst = _draw(spec, L, draw_gen, design)
+                    inst = draw(spec.policy, spec.N, spec.n, spec.k, L, draw_gen, design)
                     if deterministic:
                         hit = cache.get(inst.packets)
                         if hit is None:
-                            hit = cache[inst.packets] = solver(inst, solve_gen).l_star
+                            hit = cache[inst.packets] = solver(inst, design, solve_gen).l_star
                         ls.append(hit)
                     else:
-                        ls.append(solver(inst, solve_gen).l_star)
+                        ls.append(solver(inst, design, solve_gen).l_star)
             counts += np.bincount(ls, minlength=L + 1)
             done += size
             batch_idx += 1
@@ -283,155 +272,90 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
 # figure reproduction
 # ---------------------------------------------------------------------------
 
-def _write_curves_csv(path, rows) -> None:
-    """Long-format curve table: curve, x, y, ci_lo, ci_hi, method."""
-    with open(path, "w", newline="") as fh:
+def _write_figure(out_dir: Path, stem: str, title: str, xlabel: str, ylabel: str,
+                  rows) -> list:
+    """Write ``stem``.csv and ``stem``.svg; returns their paths.
+
+    Each row is (series, curve, x, y, ci, method).  The CSV is the long
+    table curve, x, y, ci_lo, ci_hi, method in row order; the chart draws
+    one line per series, in order of first appearance.
+    """
+    csv_path = out_dir / f"{stem}.csv"
+    series: dict = {}
+    with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["curve", "x", "y", "ci_lo", "ci_hi", "method"])
-        for curve, x, y, ci, method in rows:
+        for name, curve, x, y, ci, method in rows:
             w.writerow([curve, x, f"{y:.10g}", f"{y - ci:.10g}", f"{y + ci:.10g}", method])
+            xs, ys = series.setdefault(name, ([], []))
+            xs.append(x)
+            ys.append(y)
+    svg_path = out_dir / f"{stem}.svg"
+    line_chart(svg_path, title, xlabel, ylabel,
+               [(name, xs, ys) for name, (xs, ys) in series.items()])
+    return [csv_path, svg_path]
+
+
+def _estimate_rows(x, named_estimates) -> list:
+    return [(name, name, x, est.value, 1.96 * est.stderr, est.method)
+            for name, est in named_estimates]
 
 
 def _figure4(out_dir: Path, trials: int, seed: int) -> list:
     """Full-throughput bound comparison for n=k+1, N=k^2+k+1, L=3."""
-    ks = range(2, 8)
     L = 3
     rows = []
-    series = {}
-    for k in ks:
+    for k in range(2, 8):
         N, n = k * k + k + 1, k + 1
-        b = N
-        p_des = analysis.p_pair_design(b, L)
-        p_cov_uni = analysis.p_cover_uniform(N, n, k, L)
-        t_int = floor(t_max(n, k, L))
-        p_pair_cyc = analysis.p_pair_cyclic(N, n, t_int, L)
-        p_cov_cyc = analysis.p_cover_cyclic(N, n, k, L)
-        p_cyc = analysis.p_full_throughput_exact("cyclic", N, n, k, L, seed=seed)
-        for name, est in (
-            ("design_exact", p_des),
-            ("uniform_cover_bound", p_cov_uni),
-            ("cyclic_pair_bound", p_pair_cyc),
-            ("cyclic_cover_bound", p_cov_cyc),
-            ("cyclic_full_tp", p_cyc),
-        ):
-            rows.append((name, k, est.value, 1.96 * est.stderr, est.method))
-            series.setdefault(name, ([], []))
-            series[name][0].append(k)
-            series[name][1].append(est.value)
-    csv_path = out_dir / "figure4_full_throughput_bounds.csv"
-    _write_curves_csv(csv_path, rows)
-    svg_path = out_dir / "figure4_full_throughput_bounds.svg"
-    line_chart(
-        svg_path,
-        "Full-throughput probability, n=k+1, N=k^2+k+1, L=3",
-        "k",
-        "Pr(L* = L)",
-        [(name, xs, ys) for name, (xs, ys) in series.items()],
-    )
-    return [csv_path, svg_path]
+        rows += _estimate_rows(k, (
+            ("design_exact", analysis.p_pair_design(N, L)),  # b = N blocks
+            ("uniform_cover_bound", analysis.p_cover_uniform(N, n, k, L)),
+            ("cyclic_pair_bound", analysis.p_pair_cyclic(N, n, floor(t_max(n, k, L)), L)),
+            ("cyclic_cover_bound", analysis.p_cover_cyclic(N, n, k, L)),
+            ("cyclic_full_tp", analysis.p_full_throughput_exact("cyclic", N, n, k, L, seed=seed)),
+        ))
+    return _write_figure(out_dir, "figure4_full_throughput_bounds",
+                         "Full-throughput probability, n=k+1, N=k^2+k+1, L=3",
+                         "k", "Pr(L* = L)", rows)
 
 
-def _panel_specs(policy: str, solver: str, N: int, k: int, L_range, trials: int, seed: int):
-    for n in (3, 4, 5, 6):
-        yield n, ExperimentSpec(
-            policy=policy, N=N, k=k, n=n, L_range=tuple(L_range),
-            trials=trials, seed=seed, solver=solver,
-        )
+_UNIFORM_OPT = ("uniform", "oracle", "uniform_opt")
+_CYCLIC_OPT = ("cyclic", "cyclic_opt", "cyclic_opt")
+# figure -> (file stem, loads, curves as (policy, solver, series), report
+# column plotted, its ci95 column or None, chart title, y label)
+_PANELS = {
+    # average throughput vs load
+    5: ("figure5_rho_bar", range(1, 7),
+        (_UNIFORM_OPT, ("uniform", "greedy", "uniform_greedy"), _CYCLIC_OPT),
+        "rho_bar", "rho_bar_ci95", "Average throughput", "rho_bar"),
+    # empirical Pr(L*=L) vs load
+    6: ("figure6_full_tp", range(1, 5), (_UNIFORM_OPT, _CYCLIC_OPT),
+        "pr_full_tp", "pr_full_tp_ci95", "Full-throughput probability", "Pr(L*=L)"),
+    # w.h.p. L* vs load
+    7: ("figure7_whp_lstar", range(1, 7), (_UNIFORM_OPT, _CYCLIC_OPT),
+        "whp_l_star", None, "w.h.p. L*", "L* at 95%"),
+}
 
 
-def _figure5(out_dir: Path, trials: int, seed: int) -> list:
-    """Average throughput vs load, N=12, k=3, one panel per n in 3..6."""
+def _panels(fig: int, out_dir: Path, trials: int, seed: int) -> list:
+    """One Monte-Carlo chart per n in 3..6 of a report column against load,
+    N=12, k=3 (figures 5-7, see ``_PANELS``)."""
+    stem, loads, curves, column, ci_column, title, ylabel = _PANELS[fig]
     N, k = 12, 3
-    L_range = tuple(range(1, 7))
-    paths = []
-    for n in (3, 4, 5, 6):
-        runs = []
-        for policy, solver, label in (
-            ("uniform", "oracle", "uniform_opt"),
-            ("uniform", "greedy", "uniform_greedy"),
-            ("cyclic", "cyclic_opt", "cyclic_opt"),
-        ):
-            spec = ExperimentSpec(
-                policy=policy, N=N, k=k, n=n, L_range=L_range,
-                trials=trials, seed=seed, solver=solver,
-            )
-            runs.append((label, run_ensemble(spec)))
-        rows = []
-        series = []
-        for label, rep in runs:
-            xs, ys = [], []
-            for r in rep.rows:
-                rows.append((f"{label}[{r.solver}]", r.L, r.rho_bar, r.rho_bar_ci95, "monte_carlo"))
-                xs.append(r.L)
-                ys.append(r.rho_bar)
-            series.append((label, xs, ys))
-        csv_path = out_dir / f"figure5_rho_bar_n{n}.csv"
-        _write_curves_csv(csv_path, rows)
-        svg_path = out_dir / f"figure5_rho_bar_n{n}.svg"
-        line_chart(svg_path, f"Average throughput, N={N}, k={k}, n={n}", "L", "rho_bar", series)
-        paths += [csv_path, svg_path]
-    return paths
-
-
-def _figure6(out_dir: Path, trials: int, seed: int) -> list:
-    """Empirical Pr(L*=L) vs load for uniform and cyclic, N=12, k=3."""
-    N, k = 12, 3
-    L_range = tuple(range(1, 5))
     paths = []
     for n in (3, 4, 5, 6):
         rows = []
-        series = []
-        for policy, solver, label in (
-            ("uniform", "oracle", "uniform_opt"),
-            ("cyclic", "cyclic_opt", "cyclic_opt"),
-        ):
-            spec = ExperimentSpec(
-                policy=policy, N=N, k=k, n=n, L_range=L_range,
+        for policy, solver, name in curves:
+            rep = run_ensemble(ExperimentSpec(
+                policy=policy, N=N, k=k, n=n, L_range=tuple(loads),
                 trials=trials, seed=seed, solver=solver,
-            )
-            rep = run_ensemble(spec)
-            xs, ys = [], []
+            ))
             for r in rep.rows:
-                rows.append((f"{label}[{r.solver}]", r.L, r.pr_full_tp, r.pr_full_tp_ci95, "monte_carlo"))
-                xs.append(r.L)
-                ys.append(r.pr_full_tp)
-            series.append((label, xs, ys))
-        csv_path = out_dir / f"figure6_full_tp_n{n}.csv"
-        _write_curves_csv(csv_path, rows)
-        svg_path = out_dir / f"figure6_full_tp_n{n}.svg"
-        line_chart(svg_path, f"Full-throughput probability, N={N}, k={k}, n={n}", "L", "Pr(L*=L)", series)
-        paths += [csv_path, svg_path]
-    return paths
-
-
-def _figure7(out_dir: Path, trials: int, seed: int) -> list:
-    """w.h.p. L* vs load for uniform and cyclic, N=12, k=3."""
-    N, k = 12, 3
-    L_range = tuple(range(1, 7))
-    paths = []
-    for n in (3, 4, 5, 6):
-        rows = []
-        series = []
-        for policy, solver, label in (
-            ("uniform", "oracle", "uniform_opt"),
-            ("cyclic", "cyclic_opt", "cyclic_opt"),
-        ):
-            spec = ExperimentSpec(
-                policy=policy, N=N, k=k, n=n, L_range=L_range,
-                trials=trials, seed=seed, solver=solver,
-            )
-            rep = run_ensemble(spec)
-            xs, ys = [], []
-            for r in rep.rows:
-                rows.append((f"{label}[{r.solver}]", r.L, float(r.whp_l_star), 0.0, "monte_carlo"))
-                xs.append(r.L)
-                ys.append(float(r.whp_l_star))
-            series.append((label, xs, ys))
-        csv_path = out_dir / f"figure7_whp_lstar_n{n}.csv"
-        _write_curves_csv(csv_path, rows)
-        svg_path = out_dir / f"figure7_whp_lstar_n{n}.svg"
-        line_chart(svg_path, f"w.h.p. L*, N={N}, k={k}, n={n}", "L", "L* at 95%", series)
-        paths += [csv_path, svg_path]
+                ci = getattr(r, ci_column) if ci_column else 0.0
+                rows.append((name, f"{name}[{r.solver}]", r.L, float(getattr(r, column)), ci,
+                             "monte_carlo"))
+        paths += _write_figure(out_dir, f"{stem}_n{n}", f"{title}, N={N}, k={k}, n={n}",
+                               "L", ylabel, rows)
     return paths
 
 
@@ -445,37 +369,20 @@ def _figure8(out_dir: Path, trials: int, seed: int) -> list:
     k, n, L = 3, 5, 3
     t_int = floor(t_max(n, k, L))
     rows = []
-    series: dict = {}
     for N in range(9, 18):
         packing = build_lexicographic_packing(N, n, t_int)
-        p_des = analysis.p_pair_design(packing.b, L)
-        p_cyc = analysis.p_full_throughput_exact("cyclic", N, n, k, L, seed=seed)
-        p_uni = analysis.p_full_throughput_exact(
-            "uniform", N, n, k, L, samples=trials, seed=seed
-        )
-        for name, est in (
-            ("design_exact", p_des),
-            ("cyclic_full_tp", p_cyc),
-            ("uniform_full_tp", p_uni),
-        ):
-            rows.append((name, N, est.value, 1.96 * est.stderr, est.method))
-            series.setdefault(name, ([], []))
-            series[name][0].append(N)
-            series[name][1].append(est.value)
-    csv_path = out_dir / "figure8_full_tp_vs_N.csv"
-    _write_curves_csv(csv_path, rows)
-    svg_path = out_dir / "figure8_full_tp_vs_N.svg"
-    line_chart(
-        svg_path,
-        f"Full-throughput probability, k={k}, n={n}, L={L}",
-        "N",
-        "Pr(L* = L)",
-        [(name, xs, ys) for name, (xs, ys) in series.items()],
-    )
-    return [csv_path, svg_path]
+        rows += _estimate_rows(N, (
+            ("design_exact", analysis.p_pair_design(packing.b, L)),
+            ("cyclic_full_tp", analysis.p_full_throughput_exact("cyclic", N, n, k, L, seed=seed)),
+            ("uniform_full_tp", analysis.p_full_throughput_exact(
+                "uniform", N, n, k, L, samples=trials, seed=seed)),
+        ))
+    return _write_figure(out_dir, "figure8_full_tp_vs_N",
+                         f"Full-throughput probability, k={k}, n={n}, L={L}",
+                         "N", "Pr(L* = L)", rows)
 
 
-FIGURES = {4: _figure4, 5: _figure5, 6: _figure6, 7: _figure7, 8: _figure8}
+FIGURES = {4: _figure4, **{fig: partial(_panels, fig) for fig in _PANELS}, 8: _figure8}
 FIGURE_DEFAULT_TRIALS = {4: 10_000, 5: 20_000, 6: 20_000, 7: 20_000, 8: 10_000}
 
 
@@ -486,4 +393,4 @@ def reproduce_figure(fig: int, out_dir, trials: int | None = None, seed: int = 0
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = FIGURE_DEFAULT_TRIALS[fig] if trials is None else int(trials)
-    return [Path(p) for p in FIGURES[fig](out, t, seed)]
+    return FIGURES[fig](out, t, seed)

@@ -108,7 +108,7 @@ class CoverageDuplicate(ValidationError):
 
 # -- ensembles --------------------------------------------------------------
 
-class IncompatibleSolver(CodedSwitchError):
+class IncompatibleSolver(WrongParams):
     """The requested solver cannot handle the experiment's policy/params."""
 
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .model import Instance, muset
 
-DESIGN_SOURCES = ("projective_plane", "lexicographic_packing", "file")
+POLICIES = ("uniform", "cyclic", "design")
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,33 @@ def draw_design(design: BlockDesign, L: int, rng, replace: bool = True) -> Insta
     return Instance(
         N=design.N, k=design.n, n=design.n, packets=packets, placement="design"
     )
+
+
+def check_design(design: BlockDesign | None, N: int, n: int) -> None:
+    """BadParams unless a design-policy experiment has a design on (N, n)."""
+    if design is None:
+        raise BadParams("design policy needs a block design (design_source in a spec)")
+    if design.N != N or design.n != n:
+        raise BadParams(f"design is on (N={design.N}, n={design.n}), asked for (N={N}, n={n})")
+
+
+def draw(policy: str, N: int, n: int, k: int, L: int, rng,
+         design: BlockDesign | None = None) -> Instance:
+    """L packets placed by one policy, each needing k of its n chunks.
+
+    The design policy draws from ``design``, whose (N, n) it uses.
+    """
+    if policy == "uniform":
+        inst = draw_uniform(N, n, L, rng)
+    elif policy == "cyclic":
+        inst = draw_cyclic(N, n, L, rng)
+    elif policy == "design":
+        if design is None:
+            raise BadParams("design policy needs a block design (design_source in a spec)")
+        inst = draw_design(design, L, rng)
+    else:
+        raise BadParams(f"unknown policy {policy!r}")
+    return with_k(inst, k)
 
 
 def is_prime(q: int) -> bool:

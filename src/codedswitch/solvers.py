@@ -23,6 +23,7 @@ documented tie-breaking rules make outputs reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -41,8 +42,6 @@ from .model import Instance, Solution, arc_start, empty_solution, is_cyclic_arc
 from .placement import BlockDesign, _as_generator
 
 DEFAULT_ORACLE_CAP = 24
-
-SOLVER_KINDS = ("oracle", "greedy", "matching_k1", "matching_k2n2", "cyclic_opt", "design_opt")
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +302,21 @@ def cyclic_starts(inst: Instance) -> list:
     return starts
 
 
+def _sweeps(starts: list) -> dict:
+    """Distinct arc start -> packets by start clockwise from it, ties broken
+    by index, keyed in order of first appearance.  Each order is the one
+    (start, index) sort rotated to begin at that start."""
+    order = sorted(range(len(starts)), key=lambda i: (starts[i], i))
+    sorted_starts = [starts[i] for i in order]
+    positions = {s0: bisect_left(sorted_starts, s0) for s0 in starts}
+    return {s0: order[pos:] + order[:pos] for s0, pos in positions.items()}
+
+
 def cyclic_anchor_order(inst: Instance, anchor: int) -> list:
     """Packets sorted by arc start clockwise from the anchor's start,
     ties broken by packet index."""
     starts = cyclic_starts(inst)
-    s0 = starts[anchor]
-    return sorted(range(inst.L), key=lambda i: ((starts[i] - s0) % inst.N, i))
+    return _sweeps(starts)[starts[anchor]]
 
 
 def solve_cyclic(inst: Instance) -> Solution:
@@ -317,8 +325,9 @@ def solve_cyclic(inst: Instance) -> Solution:
     For every anchor packet, sweep the packets in clockwise start order and
     serve each packet whose arc still contains k consecutive free MUs,
     taking the earliest such run (clockwise within the arc).  The best
-    anchor wins; the first anchor reaching the maximum is kept.  Runs in
-    O(L^2) sweeps.
+    anchor wins; the first anchor reaching the maximum is kept.  Anchors
+    with equal starts sweep identically, so each start is swept once.  Runs
+    in O(L^2) time after one sort.
 
     Serving consecutive runs means the n-k unread chunk positions of every
     served packet form a single cyclic burst, which is what lets cheap
@@ -332,9 +341,7 @@ def solve_cyclic(inst: Instance) -> Solution:
 
     best_count = -1
     best_assign: dict = {}
-    for j in range(L):
-        s0 = starts[j]
-        order = sorted(range(L), key=lambda i: ((starts[i] - s0) % N, i))
+    for order in _sweeps(starts).values():
         used = bytearray(N)
         assign: dict = {}
         for i in order:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from codedswitch import Instance, Solution, validate_instance
-from codedswitch.cli import main
+from codedswitch.cli import _build_parser, main
+from codedswitch.ensemble import CLI_NAMES, OPTIMAL, SOLVERS
+from codedswitch.placement import POLICIES
 
 
 def test_generate_check_solve_roundtrip(tmp_path):
@@ -57,6 +60,27 @@ def test_solve_wrong_params_exit_code(tmp_path):
     p.write_text(inst.to_json())
     rc = main(["solve", "--algo", "k1", "--in", str(p), "--out", str(tmp_path / "s.json")])
     assert rc == 2
+
+
+def test_simulate_incompatible_solver_exit_code(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"policy": "cyclic", "N": 12, "k": 3, "n": 4,
+                                "L_range": [2], "trials": 10, "solver": "matching_k1"}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 2
+
+
+def _choices(cmd: str, flag: str):
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[cmd]._actions if flag in a.option_strings).choices
+
+
+def test_solver_tables_are_consistent():
+    assert set(_choices("solve", "--algo")) == set(CLI_NAMES)
+    assert set(CLI_NAMES.values()) <= set(SOLVERS)
+    assert set(OPTIMAL.values()) <= set(SOLVERS)
+    assert set(OPTIMAL) == set(POLICIES)
+    assert tuple(_choices("generate", "--policy")) == tuple(_choices("analyze", "--policy")) == POLICIES
 
 
 def test_manifest_written_with_hashes(tmp_path):
@@ -184,3 +208,38 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, argv, name, text):
     assert main([str(subs.get(a, a)) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+
+
+_SPEC = {"policy": "cyclic", "N": 12, "k": 3, "n": 4, "L_range": [1, 2], "trials": 10}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "{missing}"],
+    ["check", "--in", "{ok}", "--solution", "{missing}"],
+    ["solve", "--algo", "oracle", "--in", "{missing}", "--out", "{out}"],
+    ["solve", "--algo", "design", "--in", "{ok}", "--design", "{missing}", "--out", "{out}"],
+    ["generate", "--policy", "design", "--design", "{missing}", "--N", "7", "--n", "3",
+     "--L", "2", "--out", "{out}"],
+    ["simulate", "--spec", "{missing}", "--out", "{out}"],
+    ["design", "verify", "--in", "{missing}"],
+    ["analyze", "--what", "full-tp", "--policy", "design", "--design", "{missing}",
+     "--N", "7", "--n", "3", "--k", "2", "--L", "2"],
+    ["codec", "encode", "--family", "mds", "--k", "2", "--n", "3", "--in", "{missing}",
+     "--out-dir", "{out}"],
+])
+def test_missing_input_file_exit_1(tmp_path, capsys, argv):
+    ok = tmp_path / "ok.json"
+    ok.write_text(Instance(N=7, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    subs = {"{missing}": tmp_path / "missing", "{ok}": ok, "{out}": tmp_path / "out"}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["policy", "N", "k", "n", "L_range"])
+def test_spec_missing_field_exit_1(tmp_path, capsys, field):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({key: v for key, v in _SPEC.items() if key != field}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and field in err and err.count("\n") == 1
