@@ -1,13 +1,14 @@
-"""Byte-identity gate: report and figure hashes, generated instances and
-probability values, pinned before refactors of the draw, solve, aggregation
-and figure paths.
+"""Byte-identity gate: report and figure hashes, generated instances,
+probability values and encoded chunks, pinned before refactors of the draw,
+solve, aggregation, figure and codec paths.
 
 Every ``simulate`` report and ``reproduce`` artifact below must keep its
 SHA-256, every ``generate`` instance its JSON, and every exact or
 Monte-Carlo probability its float.  The report cells cover each policy with
 each kind of solver, including an oracle-cap fallback and trials spanning
 more than one batch; the design probability cells include points where the
-design solver falls back to the oracle.
+design solver falls back to the oracle.  Encoded chunks of both codec
+families, and the chunk files written by ``codec encode``, keep their SHA-256.
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import hashlib
 import pytest
 
 from codedswitch import (
+    CodecConfig,
     ExperimentSpec,
     analysis,
     build_projective_plane,
+    cyclic_encode,
+    mds_encode,
     reproduce_figure,
     run_ensemble,
 )
@@ -200,3 +204,67 @@ def test_full_tp_design_uniform_pinned(policy, q, args, kw, value, method):
         kw = dict(kw, design=build_projective_plane(q))
     est = analysis.p_full_throughput_exact(policy, *args, **kw)
     assert (est.value, est.method) == (value, method)
+
+
+# (family, k, n, B) -> SHA-256 of the n encoded chunks, concatenated in
+# position order; the k data chunks are PlacementRng(1000 * k + n) bytes
+ENCODED = {
+    ("mds", 2, 4, 65536): "b91ac4b50a6c5ea60a5482f27cb209607d37cb6493471d9abcd2b91c5468a157",
+    ("mds", 2, 4, 5): "4479a3746abfe89d3c3e0d4a754fbc494035be118c8553890aecad543a28f256",
+    ("mds", 3, 4, 65536): "289868d73a9f5d0f703910600ab0171a1d642e7b6c3d53099b6fee5f0f014014",
+    ("mds", 3, 4, 5): "70fe8d0d065de43573d32eec082b2651e5e7f244692a0a9f44bdb815660e614d",
+    ("mds", 4, 7, 65536): "6cba84b1220760a169341fc483091cd3e94ed71e259acca32e3275d21158d85e",
+    ("mds", 4, 7, 5): "21c9a1cb6c48b66e54ea8a4d66de67a5728ed77e17a6b87b7477485bca61f763",
+    ("mds", 5, 15, 65536): "bd81151d0bda0e541d4849d493bf80716f7d76e6704081540b1fefb9e2fd1ded",
+    ("mds", 5, 15, 5): "8f88a84e52eb6f43044b254209247bb64d7d95125e3f253b8d325099f75c7f3a",
+    ("binary_cyclic", 2, 4, 65536): "f1325eb4bfa51135b3c738a0140b204550df80b60f0ea1fb0c49e24fc6dba76c",
+    ("binary_cyclic", 2, 4, 5): "f23fb8b32d171e7c1b78add975e7ce732cc9c39e2bcb007bd1e620c264d531b1",
+    ("binary_cyclic", 3, 4, 65536): "27e7daca2958ce5cd884eebc92e35e6f0603f4ac630c7819560f594061862011",
+    ("binary_cyclic", 3, 4, 5): "d6dea313ec15e429f8650481792a5943fb0b1288953d61178ed6d28348a314bf",
+    ("binary_cyclic", 4, 7, 65536): "e27c6c0d8482e368f66d11cc52a62e2098b9f0bf244bf527ebfa2e1b48ece17b",
+    ("binary_cyclic", 4, 7, 5): "33ec0e0f2493a84af9157bf67092fb4c44cbc730964f44f6e85b270dbcf03323",
+    ("binary_cyclic", 5, 15, 65536): "d673f730102bce2386f45a3ba622f756c432450557cc709942861e801ef47b8b",
+    ("binary_cyclic", 5, 15, 5): "d6990aca646de5817edc8c479eb79825269bcdd78be9e1f9ebf490abcca82f73",
+}
+
+
+@pytest.mark.parametrize("family,k,n,B", sorted(ENCODED))
+def test_encoded_chunks_pinned(family, k, n, B):
+    gen = PlacementRng(1000 * k + n).generator()
+    data = [gen.bytes(B) for _ in range(k)]
+    encode = mds_encode if family == "mds" else cyclic_encode
+    chunks = encode(data, CodecConfig(k=k, n=n, B=B, family=family)).chunks
+    assert hashlib.sha256(b"".join(chunks)).hexdigest() == ENCODED[(family, k, n, B)]
+
+
+# ``codec encode --family F --k K --n N`` of 1000 PlacementRng(21) bytes
+CHUNK_FILES = {
+    ("mds", 3, 5): {
+        "chunk_000.bin": "7e737d02f763c15e2d5dc5eed8cc70db12551b49422987de39bf0d95f103cf4d",
+        "chunk_001.bin": "82bd628ac638045b0e334ad7c30fe3bc74248f382cfc09e0dec52e9e2d282a9a",
+        "chunk_002.bin": "3bb9631dd7c13065ed933c4378ccc979c1ae90dff1ea157e697037e305e4e7d8",
+        "chunk_003.bin": "4373aebd651e1a12b88543669daf3073aba7b694e15cc78f39e0fc2d597e1326",
+        "chunk_004.bin": "1ec960ae66874b5c704583631ec5025d117f95b0d9ab23dfce7fd83c203513b4",
+    },
+    ("cyclic", 4, 7): {
+        "chunk_000.bin": "4256aceb12961a32053c062299091d42d8d0dd2b66b1ae4cdb2fc23a450c3b29",
+        "chunk_001.bin": "0e052d948fafdb8e2aab8f9b41fec9c41b9e2bed80a1fc413bcdc91fe97b7310",
+        "chunk_002.bin": "7473839e95c7371ff7528a6d07e0295c4639f1f8eaefcb79b900bb93edf85fa9",
+        "chunk_003.bin": "9faa13bb1cbe304dbaea84d599113dcfb9adf00d19fd8ef83f6de796cdc82006",
+        "chunk_004.bin": "6b226cd99b2532f6d9af6490d582bdc632f8015456a50ea96b6c776e3e4a9b03",
+        "chunk_005.bin": "495d3d5865f10c3be99e4332300adce3f52cb87bfcea958c6d24427b93682997",
+        "chunk_006.bin": "b3d51a625bb327ce7d6744af972bb7683c203656e9efe0c0266935066a0ecdd5",
+    },
+}
+
+
+@pytest.mark.parametrize("family,k,n", sorted(CHUNK_FILES))
+def test_codec_encode_files_pinned(family, k, n, tmp_path):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(PlacementRng(21).generator().bytes(1000))
+    out = tmp_path / "chunks"
+    assert main(["codec", "encode", "--family", family, "--k", str(k), "--n", str(n),
+                 "--in", str(src), "--out-dir", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.glob("chunk_*.bin"))}
+    assert got == CHUNK_FILES[(family, k, n)]
