@@ -92,6 +92,13 @@ def _resolve_seed(args) -> int:
     return int(seed)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _manifest_path(first_output: Path) -> Path:
     p = Path(first_output)
     if p.is_dir():
@@ -124,7 +131,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    inst = Instance.from_json(Path(args.infile).read_text())
+    inst = Instance.from_json(_read_text(args.infile))
     try:
         validate_instance(inst)
     except CodedSwitchError as exc:
@@ -133,7 +140,7 @@ def _cmd_check(args) -> int:
     print(f"instance: ok (N={inst.N}, k={inst.k}, n={inst.n}, L={inst.L}, "
           f"placement={inst.placement})")
     if args.solution:
-        sol = Solution.from_json(Path(args.solution).read_text())
+        sol = Solution.from_json(_read_text(args.solution))
         try:
             validate_solution(inst, sol)
         except CodedSwitchError as exc:
@@ -156,7 +163,7 @@ def _cmd_check(args) -> int:
 def _cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
-    inst = Instance.from_json(Path(args.infile).read_text())
+    inst = Instance.from_json(_read_text(args.infile))
     validate_instance(inst)
     if args.algo == "design" and not args.design:
         raise WrongParams("--algo design requires --design FILE")
@@ -264,7 +271,7 @@ def _cmd_simulate(args) -> int:
             solver=obj.get("solver", "oracle"),
             design_source=obj.get("design_source"),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise MalformedFile(
             f"{args.spec}: malformed experiment spec ({type(exc).__name__}: {exc})"
         ) from exc
@@ -294,14 +301,13 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _codec_cfg(args) -> CodecConfig:
-    family = BINARY_CYCLIC if args.family == "cyclic" else MDS
-    return CodecConfig(k=args.k, n=args.n, B=args.B, family=family)
+def _codec_cfg(args, k: int, n: int, B: int) -> CodecConfig:
+    return CodecConfig(k=k, n=n, B=B, family=BINARY_CYCLIC if args.family == "cyclic" else MDS)
 
 
 def _cmd_codec(args) -> int:
     if args.codec_cmd == "demo":
-        cfg = _codec_cfg(args)
+        cfg = _codec_cfg(args, args.k, args.n, args.B)
         if cfg.family == BINARY_CYCLIC:
             words = sorted(cyclic_codebook(cfg))
             print(f"[{cfg.n},{cfg.k}] binary cyclic code, generator {cfg.generator:#b}")
@@ -338,12 +344,11 @@ def _cmd_codec(args) -> int:
         t0 = time.perf_counter()
         payload = Path(args.infile).read_bytes()
         k = args.k
-        B = args.B if args.B is not None else max(1, -(-len(payload) // k))
-        family = BINARY_CYCLIC if args.family == "cyclic" else MDS
-        cfg = CodecConfig(k=k, n=args.n, B=B, family=family)
+        B = args.B if args.B is not None else max(1, -(-len(payload) // max(k, 1)))
+        cfg = _codec_cfg(args, k, args.n, B)
         padded = payload.ljust(k * B, b"\0")
         data = [padded[i * B : (i + 1) * B] for i in range(k)]
-        cs = cyclic_encode(data, cfg) if family == BINARY_CYCLIC else mds_encode(data, cfg)
+        cs = cyclic_encode(data, cfg) if cfg.family == BINARY_CYCLIC else mds_encode(data, cfg)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         man = RunManifest(argv=sys.argv[1:], seed=None)
@@ -364,20 +369,20 @@ def _cmd_codec(args) -> int:
     meta = None
     for p in sorted(in_dir.glob("chunk_*.bin")):
         k, n, B, index, payload = read_chunk_file(p)
+        if meta not in (None, (k, n, B)):
+            raise MalformedFile(f"{p}: header (k, n, B) = {(k, n, B)}, other chunks have {meta}")
+        if index >= n:
+            raise MalformedFile(f"{p}: chunk index {index} >= n = {n}")
+        if index in slots:
+            raise MalformedFile(f"{p}: chunk index {index} appears in more than one file")
         meta = (k, n, B)
         slots[index] = payload
     if meta is None:
         print("no chunk files found", file=sys.stderr)
         return 1
-    k, n, B = meta
-    family = BINARY_CYCLIC if args.family == "cyclic" else MDS
-    cfg = CodecConfig(k=k, n=n, B=B, family=family)
-    chunks = ChunkSet(chunks=tuple(slots.get(i) for i in range(n)))
-    data = (
-        cyclic_decode_burst(chunks, cfg)
-        if family == BINARY_CYCLIC
-        else mds_decode(chunks, cfg)
-    )
+    cfg = _codec_cfg(args, *meta)
+    decode = cyclic_decode_burst if cfg.family == BINARY_CYCLIC else mds_decode
+    data = decode(ChunkSet(chunks=tuple(slots.get(i) for i in range(cfg.n))), cfg)
     out = Path(args.out)
     out.write_bytes(b"".join(data))
     man = RunManifest(argv=sys.argv[1:], seed=None)

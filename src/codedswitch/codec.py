@@ -1,19 +1,32 @@
 """Chunk-level erasure codecs wired to solver outputs.
 
 A packet of k data chunks (B bytes each) is encoded into n coded chunks
-stored on n distinct MUs.  Two families:
+stored on n distinct MUs.  Both families are one GF(256) linear map: a
+systematic k x n generator matrix, built once per code, whose column j holds
+the coefficients of coded chunk j over the k data chunks.
 
-* ``mds``: systematic Reed-Solomon style code over GF(256).  The chunks
-  are evaluations of a degree < k polynomial, so any k of the n chunks
-  reconstruct the data.
+* ``mds``: Reed-Solomon style code.  Chunk j is the evaluation at x = j of
+  the degree < k polynomial through the data chunks at x = 0..k-1, so any k
+  of the n chunks reconstruct the data.
 * ``binary_cyclic``: systematic binary cyclic code from a generator
-  polynomial g(x) of degree n-k dividing x^n - 1 over GF(2).  Much cheaper
-  than MDS (XOR only) and still recovers any cyclic burst of up to n-k
-  erasures, which is exactly the erasure shape the cyclic read algorithm
-  produces.
+  polynomial g(x) of degree n-k dividing x^n - 1 over GF(2).  GF(2) is a
+  subfield of GF(256) and the matrix has only 0/1 entries, so this family is
+  XOR only, and much cheaper than MDS.  It still recovers any cyclic burst
+  of up to n-k erasures, which is exactly the erasure shape the cyclic read
+  algorithm produces.
 
-Chunks are whole-byte buffers; the binary code applies the same GF(2)
-combination to every bit of a chunk, so chunk XOR implements it.
+Encoding combines the data chunks by each column.  Decoding returns the
+data chunks as they are when all of them are present; otherwise it inverts
+the k x k submatrix of k independent present columns by Gauss-Jordan over
+GF(256), once per code and erasure pattern, and combines the present chunks
+by each row of the inverse.  ``_combine`` is the only routine that touches
+chunk bytes: coefficient 0 skips a chunk, 1 is a whole-buffer XOR, and any
+other coefficient first maps the chunk through its GF(256) multiplication
+table with ``bytes.translate``.
+
+Errors: a chunk whose length is not B raises BadConfig; fewer than k
+present chunks raise TooFewChunks; a cyclic erasure pattern that is not one
+burst of length <= n-k raises NotABurst.
 """
 
 from __future__ import annotations
@@ -60,18 +73,24 @@ def _mul_row(c: int) -> bytes:
     return bytes(gf_mul(c, b) for b in range(256))
 
 
-def _scale_xor(acc: bytearray, coeff: int, chunk: bytes) -> None:
-    if coeff == 0:
-        return
-    row = _mul_row(coeff)
-    for i, b in enumerate(chunk):
-        acc[i] ^= row[b]
+def _combine(coeffs: Sequence[int], chunks: Sequence[bytes]) -> bytes:
+    """The GF(256) combination sum_i coeffs[i] * chunks[i] of equal-length chunks."""
+    acc = 0
+    for c, chunk in zip(coeffs, chunks):
+        if c == 0:
+            continue
+        if c != 1:
+            chunk = chunk.translate(_mul_row(c))
+        acc ^= int.from_bytes(chunk, "little")
+    return acc.to_bytes(len(chunks[0]), "little")
 
 
 # -- configuration and chunk container ---------------------------------------
 
 MDS = "mds"
 BINARY_CYCLIC = "binary_cyclic"
+# x^n - 1 is factored by trial division, which takes up to 2^(n/2) steps
+CYCLIC_MAX_N = 32
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,8 @@ class CodecConfig:
             if self.n > 255:
                 raise BadConfig(f"GF(256) codes support n <= 255, got n={self.n}")
         elif self.family == BINARY_CYCLIC:
+            if self.n > CYCLIC_MAX_N:
+                raise BadConfig(f"binary cyclic codes support n <= {CYCLIC_MAX_N}, got n={self.n}")
             g = self.generator
             if g is None:
                 g = default_generator(self.n, self.n - self.k)
@@ -103,8 +124,9 @@ class CodecConfig:
             raise BadConfig(f"unknown family {self.family!r}")
 
     @property
-    def W(self) -> int:
-        return self.k * self.B
+    def code(self) -> tuple:
+        """(k, n, family, generator): what the linear map depends on, not B."""
+        return self.k, self.n, self.family, self.generator
 
 
 @dataclass(frozen=True)
@@ -123,13 +145,6 @@ class ChunkSet:
     @property
     def n(self) -> int:
         return len(self.chunks)
-
-    @property
-    def present(self) -> tuple:
-        return tuple(c is not None for c in self.chunks)
-
-    def present_count(self) -> int:
-        return sum(1 for c in self.chunks if c is not None)
 
     def mask(self, keep: Sequence[int]) -> "ChunkSet":
         keep_set = set(keep)
@@ -156,11 +171,18 @@ def _poly_deg(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _poly_mod(a: int, m: int) -> int:
+def _poly_divmod(a: int, m: int) -> tuple:
     dm = _poly_deg(m)
-    while _poly_deg(a) >= dm and a:
-        a ^= m << (_poly_deg(a) - dm)
-    return a
+    q = 0
+    while a and _poly_deg(a) >= dm:
+        shift = _poly_deg(a) - dm
+        q ^= 1 << shift
+        a ^= m << shift
+    return q, a
+
+
+def _poly_mod(a: int, m: int) -> int:
+    return _poly_divmod(a, m)[1]
 
 
 def _poly_mul(a: int, b: int) -> int:
@@ -173,37 +195,25 @@ def _poly_mul(a: int, b: int) -> int:
     return out
 
 
-def _irreducibles(max_deg: int) -> list:
-    """All irreducible GF(2) polynomials of degree 1..max_deg, ascending."""
-    out = []
-    for p in range(2, 1 << (max_deg + 1)):
-        d = _poly_deg(p)
-        if d < 1:
-            continue
-        if all(_poly_mod(p, q) != 0 for q in out if _poly_deg(q) <= d // 2):
-            out.append(p)
-    return out
-
-
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(n: int) -> tuple:
-    """Irreducible factorisation of x^n - 1 over GF(2), with multiplicity."""
+    """Irreducible factorisation of x^n - 1 over GF(2), with multiplicity, ascending.
+
+    Trial division in increasing order: the smallest divisor left is
+    irreducible, and so is the rest once nothing up to half its degree divides it.
+    """
     target = (1 << n) ^ 1
     factors = []
-    for q in _irreducibles(n):
-        while _poly_mod(target, q) == 0:
+    q = 2
+    while 2 * _poly_deg(q) <= _poly_deg(target):
+        quotient, rem = _poly_divmod(target, q)
+        if rem:
+            q += 1
+        else:
             factors.append(q)
-            # divide target by q
-            quotient = 0
-            rem = target
-            dq = _poly_deg(q)
-            while _poly_deg(rem) >= dq and rem:
-                shift = _poly_deg(rem) - dq
-                quotient ^= 1 << shift
-                rem ^= q << shift
             target = quotient
-        if target == 1:
-            break
+    if target != 1:
+        factors.append(target)
     return tuple(factors)
 
 
@@ -231,97 +241,123 @@ def default_generator(n: int, r: int) -> int:
 
 def is_cyclic_burst_mask(absent: Sequence[int], n: int, max_len: int) -> bool:
     """True iff the absent positions form one cyclic run of length <= max_len."""
-    absent = sorted(set(absent))
+    absent = set(absent)
     if not absent:
         return True
     if len(absent) > max_len:
         return False
-    present = [i for i in range(n) if i not in set(absent)]
-    if not present:
-        return False
-    # a single cyclic run of absences <=> a single cyclic run of presences
-    pres = set(present)
-    starts = sum(1 for i in present if (i - 1) % n not in pres)
-    return starts == 1
+    # one cyclic run <=> exactly one absent position follows a present one
+    return sum(1 for i in absent if (i - 1) % n not in absent) == 1
 
 
-# -- MDS encode/decode --------------------------------------------------------
+# -- the linear map: one encoder, one decoder ---------------------------------
 
-def _lagrange_coeff(xs: Sequence[int], j: int, x: int) -> int:
+def _lagrange_coeff(k: int, d: int, x: int) -> int:
+    """The Lagrange basis polynomial of point d, on the points 0..k-1, at x."""
     num, den = 1, 1
-    for m, xm in enumerate(xs):
-        if m == j:
-            continue
-        num = gf_mul(num, x ^ xm)
-        den = gf_mul(den, xs[j] ^ xm)
+    for m in range(k):
+        if m != d:
+            num = gf_mul(num, x ^ m)
+            den = gf_mul(den, d ^ m)
     return gf_mul(num, gf_inv(den))
+
+
+@lru_cache(maxsize=256)
+def _generator_matrix(k: int, n: int, family: str, generator: Optional[int]) -> tuple:
+    """Column j: the k coefficients of coded chunk j over the data chunks."""
+    if family == MDS:
+        return tuple(tuple(_lagrange_coeff(k, d, j) for d in range(k)) for j in range(n))
+    # data at positions r..n-1; parity bit p of data position d is bit p of x^(r+d) mod g
+    r = n - k
+    parity = [_poly_mod(1 << (r + d), generator) for d in range(k)]
+    return tuple(
+        tuple((parity[d] >> j) & 1 if j < r else int(d == j - r) for d in range(k))
+        for j in range(n)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _inverse(k: int, n: int, family: str, generator: Optional[int], present: tuple) -> tuple:
+    """(positions, inverse): k independent present positions, and the inverse of
+    their coefficient matrix, whose row d combines their chunks into data chunk d.
+
+    Gauss-Jordan on the present columns, each augmented with its unit row to
+    record the row operations; a pivot row only takes in other pivot rows.
+    """
+    cols = _generator_matrix(k, n, family, generator)
+    m = len(present)
+    rows = [list(cols[p]) + [int(i == j) for j in range(m)] for i, p in enumerate(present)]
+    pivots: list = []
+    for u in range(k):
+        piv = next((i for i in range(m) if i not in pivots and rows[i][u]), None)
+        if piv is None:
+            raise NotABurst(f"present positions {list(present)} do not determine the data")
+        inv = gf_inv(rows[piv][u])
+        rows[piv] = [gf_mul(inv, a) for a in rows[piv]]
+        for i in range(m):
+            f = rows[i][u]
+            if i != piv and f:
+                rows[i] = [a ^ gf_mul(f, b) for a, b in zip(rows[i], rows[piv])]
+        pivots.append(piv)
+    positions = tuple(present[i] for i in pivots)
+    return positions, tuple(tuple(rows[p][k + i] for i in pivots) for p in pivots)
+
+
+def _require(cfg: CodecConfig, family: str, caller: str) -> None:
+    if cfg.family != family:
+        raise BadConfig(f"{caller} needs a {family} config, got {cfg.family}")
+
+
+def _encode(data: Sequence[bytes], cfg: CodecConfig) -> ChunkSet:
+    data = _check_payload(data, cfg)
+    return ChunkSet(chunks=tuple(_combine(col, data) for col in _generator_matrix(*cfg.code)))
+
+
+def _decode(chunks: ChunkSet, cfg: CodecConfig) -> list:
+    if chunks.n != cfg.n:
+        raise BadConfig(f"chunk set has {chunks.n} slots, expected {cfg.n}")
+    present = tuple(i for i, c in enumerate(chunks.chunks) if c is not None)
+    for i in present:
+        if len(chunks.chunks[i]) != cfg.B:
+            raise BadConfig(f"chunk {i} has length {len(chunks.chunks[i])} != B = {cfg.B}")
+    if cfg.family == BINARY_CYCLIC:
+        absent = [i for i, c in enumerate(chunks.chunks) if c is None]
+        if not is_cyclic_burst_mask(absent, cfg.n, cfg.n - cfg.k):
+            raise NotABurst(
+                f"absent positions {absent} are not a cyclic burst of length <= {cfg.n - cfg.k}"
+            )
+    if len(present) < cfg.k:
+        raise TooFewChunks(f"{len(present)} chunks present, need {cfg.k}")
+    start = 0 if cfg.family == MDS else cfg.n - cfg.k  # of the systematic data chunks
+    data = chunks.chunks[start : start + cfg.k]
+    if None not in data:
+        return list(data)
+    positions, inverse = _inverse(*cfg.code, present)
+    sources = [chunks.chunks[i] for i in positions]
+    return [_combine(row, sources) for row in inverse]
 
 
 def mds_encode(data: Sequence[bytes], cfg: CodecConfig) -> ChunkSet:
     """Systematic encode: chunks 0..k-1 are the data, the rest evaluations
     of the interpolating polynomial at further points."""
-    if cfg.family != MDS:
-        raise BadConfig(f"mds_encode needs an mds config, got {cfg.family}")
-    data = _check_payload(data, cfg)
-    xs = list(range(cfg.k))
-    chunks = list(data)
-    for i in range(cfg.k, cfg.n):
-        acc = bytearray(cfg.B)
-        for j in range(cfg.k):
-            _scale_xor(acc, _lagrange_coeff(xs, j, i), data[j])
-        chunks.append(bytes(acc))
-    return ChunkSet(chunks=tuple(chunks))
+    _require(cfg, MDS, "mds_encode")
+    return _encode(data, cfg)
 
 
 def mds_decode(chunks: ChunkSet, cfg: CodecConfig) -> list:
     """Reconstruct the k data chunks from any k present chunks."""
-    if cfg.family != MDS:
-        raise BadConfig(f"mds_decode needs an mds config, got {cfg.family}")
-    if chunks.n != cfg.n:
-        raise BadConfig(f"chunk set has {chunks.n} slots, expected {cfg.n}")
-    present = [i for i, c in enumerate(chunks.chunks) if c is not None]
-    if len(present) < cfg.k:
-        raise TooFewChunks(f"{len(present)} chunks present, need {cfg.k}")
-    if all(i < cfg.k for i in present[: cfg.k]):
-        return [chunks.chunks[i] for i in range(cfg.k)]
-    xs = present[: cfg.k]
-    out = []
-    for target in range(cfg.k):
-        acc = bytearray(cfg.B)
-        for j, src in enumerate(xs):
-            _scale_xor(acc, _lagrange_coeff(xs, j, target), chunks.chunks[src])
-        out.append(bytes(acc))
-    return out
-
-
-# -- binary cyclic encode/decode ----------------------------------------------
-
-def _parity_columns(cfg: CodecConfig) -> list:
-    """Column d (data position) of the systematic parity map: x^(r+d) mod g."""
-    r = cfg.n - cfg.k
-    return [_poly_mod(1 << (r + d), cfg.generator) for d in range(cfg.k)]
+    _require(cfg, MDS, "mds_decode")
+    return _decode(chunks, cfg)
 
 
 def cyclic_encode(data: Sequence[bytes], cfg: CodecConfig) -> ChunkSet:
     """Systematic encode: data occupies positions n-k..n-1, parity 0..n-k-1.
 
     Parity chunk p is the XOR of the data chunks whose generator-remainder
-    column has bit p set, applied to whole byte buffers at once.
+    x^(n-k+d) mod g has bit p set.
     """
-    if cfg.family != BINARY_CYCLIC:
-        raise BadConfig(f"cyclic_encode needs a binary_cyclic config, got {cfg.family}")
-    data = _check_payload(data, cfg)
-    r = cfg.n - cfg.k
-    cols = _parity_columns(cfg)
-    parity = [bytearray(cfg.B) for _ in range(r)]
-    for d, col in enumerate(cols):
-        chunk = data[d]
-        for p in range(r):
-            if (col >> p) & 1:
-                buf = parity[p]
-                for i, b in enumerate(chunk):
-                    buf[i] ^= b
-    return ChunkSet(chunks=tuple(bytes(b) for b in parity) + tuple(data))
+    _require(cfg, BINARY_CYCLIC, "cyclic_encode")
+    return _encode(data, cfg)
 
 
 def cyclic_codebook(cfg: CodecConfig) -> set:
@@ -341,60 +377,9 @@ def cyclic_codebook(cfg: CodecConfig) -> set:
 
 def cyclic_decode_burst(chunks: ChunkSet, cfg: CodecConfig) -> list:
     """Recover the k data chunks when the absent positions form one cyclic
-    burst of length <= n-k.
-
-    Solves the generator parity-check system restricted to the erased
-    positions by Gaussian elimination over GF(2); right-hand sides are
-    whole-chunk XOR accumulations, so every bit of the buffer is recovered
-    in one pass.
-    """
-    if cfg.family != BINARY_CYCLIC:
-        raise BadConfig(f"cyclic_decode_burst needs a binary_cyclic config, got {cfg.family}")
-    if chunks.n != cfg.n:
-        raise BadConfig(f"chunk set has {chunks.n} slots, expected {cfg.n}")
-    r = cfg.n - cfg.k
-    absent = [i for i, c in enumerate(chunks.chunks) if c is None]
-    if not is_cyclic_burst_mask(absent, cfg.n, r):
-        raise NotABurst(f"absent positions {absent} are not a cyclic burst of length <= {r}")
-
-    filled = list(chunks.chunks)
-    if absent:
-        # column of position i in the parity-check relation: x^i mod g
-        col = [_poly_mod(1 << i, cfg.generator) for i in range(cfg.n)]
-        rows = []
-        for p in range(r):
-            acc = bytearray(cfg.B)
-            for i, c in enumerate(filled):
-                if c is not None and (col[i] >> p) & 1:
-                    for b_i, b in enumerate(c):
-                        acc[b_i] ^= b
-            coeffs = [(col[i] >> p) & 1 for i in absent]
-            rows.append([coeffs, acc])
-
-        # Gauss-Jordan over GF(2); unknowns are whole chunks
-        pivots: dict = {}
-        used_rows: set = set()
-        for u in range(len(absent)):
-            piv = next(
-                (ri for ri, (coeffs, _) in enumerate(rows)
-                 if ri not in used_rows and coeffs[u]),
-                None,
-            )
-            if piv is None:
-                raise NotABurst("parity system is singular for this erasure pattern")
-            used_rows.add(piv)
-            pcoeffs, pacc = rows[piv]
-            for ri, (coeffs, acc) in enumerate(rows):
-                if ri != piv and coeffs[u]:
-                    for w in range(len(absent)):
-                        coeffs[w] ^= pcoeffs[w]
-                    for b_i in range(cfg.B):
-                        acc[b_i] ^= pacc[b_i]
-            pivots[u] = piv
-        for u, piv in pivots.items():
-            pcoeffs, pacc = rows[piv]
-            filled[absent[u]] = bytes(pacc)
-    return [filled[r + d] for d in range(cfg.k)]
+    burst of length <= n-k."""
+    _require(cfg, BINARY_CYCLIC, "cyclic_decode_burst")
+    return _decode(chunks, cfg)
 
 
 # -- instance-level wiring ----------------------------------------------------
@@ -428,6 +413,7 @@ def end_to_end_read(
         raise BadConfig(
             f"codec (k={cfg.k}, n={cfg.n}) does not match instance (k={inst.k}, n={inst.n})"
         )
+    decode = cyclic_decode_burst if cfg.family == BINARY_CYCLIC else mds_decode
     results: list = []
     for i, assign in enumerate(sol.assignments):
         if assign is None:
@@ -435,12 +421,8 @@ def end_to_end_read(
             continue
         positions = {m: p for p, m in enumerate(inst.packets[i])}
         keep = [positions[m] for m in assign]
-        masked = stored[i].mask(keep)
         try:
-            if cfg.family == BINARY_CYCLIC:
-                results.append(cyclic_decode_burst(masked, cfg))
-            else:
-                results.append(mds_decode(masked, cfg))
+            results.append(decode(stored[i].mask(keep), cfg))
         except (NotABurst, TooFewChunks) as exc:
             raise DecodeFailure(f"packet {i}: {exc}") from exc
     return results
@@ -466,8 +448,8 @@ def read_chunk_file(path) -> tuple:
         raise MalformedFile(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
     magic, k, n, B, index, _ = _HEADER.unpack(raw[: _HEADER.size])
     if magic != CHUNK_MAGIC:
-        raise BadConfig(f"{path}: bad chunk magic {magic!r}")
+        raise MalformedFile(f"{path}: bad chunk magic {magic!r}")
     payload = raw[_HEADER.size :]
     if len(payload) != B:
-        raise BadConfig(f"{path}: payload length {len(payload)} != header B = {B}")
+        raise MalformedFile(f"{path}: payload length {len(payload)} != header B = {B}")
     return k, n, B, index, payload

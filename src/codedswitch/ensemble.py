@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from math import floor, sqrt
@@ -97,6 +98,10 @@ class ExperimentSpec:
             raise BadParams(f"unknown solver {self.solver!r}")
         if self.trials < 1 or any(L < 1 for L in self.L_range):
             raise BadParams("trials and every L must be >= 1")
+        if not isinstance(self.design_source, (type(None), BlockDesign, str, os.PathLike)):
+            raise BadParams(
+                f"design_source must be a block design or a path, got {self.design_source!r}"
+            )
 
     def design(self) -> BlockDesign | None:
         if self.design_source is None:

@@ -35,7 +35,9 @@ from .errors import (
 
 MuSet = tuple  # sorted tuple of distinct MU indices
 
-PLACEMENT_TAGS = ("uniform", "cyclic", "design", "custom")
+# write-path placement policies; "custom" tags instances from elsewhere
+POLICIES = ("uniform", "cyclic", "design")
+PLACEMENT_TAGS = POLICIES + ("custom",)
 
 
 def muset(indices: Iterable[int]) -> MuSet:
@@ -95,7 +97,7 @@ class Instance:
                 packets=tuple(muset(p) for p in obj["packets"]),
                 placement=str(obj.get("placement", "custom")),
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise MalformedFile(f"malformed instance JSON ({type(exc).__name__}: {exc})") from exc
 
 
@@ -153,7 +155,8 @@ class Solution:
                     if abs(declared - actual) > 1e-12:
                         raise RhoMismatch(f"declared rho {declared} != {actual}")
             return sol
-        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+                ZeroDivisionError) as exc:
             raise MalformedFile(f"malformed solution JSON ({type(exc).__name__}: {exc})") from exc
 
 

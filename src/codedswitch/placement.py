@@ -30,9 +30,7 @@ from .errors import (
     NotPrime,
     WrongCardinality,
 )
-from .model import Instance, muset
-
-POLICIES = ("uniform", "cyclic", "design")
+from .model import POLICIES, Instance, muset
 
 
 @dataclass(frozen=True)
@@ -89,9 +87,8 @@ class BlockDesign:
 
     @classmethod
     def load(cls, path) -> "BlockDesign":
-        rows = Path(path).read_text().split("\n")
-        rows = [r for r in rows if r.strip()]
         try:
+            rows = [r for r in Path(path).read_text().split("\n") if r.strip()]
             N, n, t = (int(x) for x in rows[0].split())
             blocks = tuple(muset(int(x) for x in r.split()) for r in rows[1:])
         except (IndexError, ValueError) as exc:
@@ -187,15 +184,14 @@ def draw(policy: str, N: int, n: int, k: int, L: int, rng,
          design: BlockDesign | None = None) -> Instance:
     """L packets placed by one policy, each needing k of its n chunks.
 
-    The design policy draws from ``design``, whose (N, n) it uses.
+    The design policy draws from ``design``, which must be on (N, n).
     """
     if policy == "uniform":
         inst = draw_uniform(N, n, L, rng)
     elif policy == "cyclic":
         inst = draw_cyclic(N, n, L, rng)
     elif policy == "design":
-        if design is None:
-            raise BadParams("design policy needs a block design (design_source in a spec)")
+        check_design(design, N, n)
         inst = draw_design(design, L, rng)
     else:
         raise BadParams(f"unknown policy {policy!r}")

@@ -243,3 +243,105 @@ def test_spec_missing_field_exit_1(tmp_path, capsys, field):
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedFile:") and field in err and err.count("\n") == 1
+
+
+def _encode_chunks(tmp_path, B="7"):
+    tmp_path.mkdir(exist_ok=True)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(range(21)))
+    chunks_dir = tmp_path / "chunks"
+    assert main(["codec", "encode", "--family", "mds", "--k", "3", "--n", "5", "--B", B,
+                 "--in", str(src), "--out-dir", str(chunks_dir)]) == 0
+    return chunks_dir
+
+
+def _header_disagrees(tmp_path, chunks_dir):
+    other = _encode_chunks(tmp_path / "other", B="9")
+    (chunks_dir / "chunk_001.bin").write_bytes((other / "chunk_001.bin").read_bytes())
+
+
+def _index_repeated(tmp_path, chunks_dir):
+    (chunks_dir / "chunk_005.bin").write_bytes((chunks_dir / "chunk_002.bin").read_bytes())
+
+
+def _index_past_n(tmp_path, chunks_dir):
+    raw = bytearray((chunks_dir / "chunk_004.bin").read_bytes())
+    raw[12] = 5  # little-endian chunk index, n = 5
+    (chunks_dir / "chunk_004.bin").write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("corrupt", [_header_disagrees, _index_repeated, _index_past_n])
+def test_codec_decode_rejects_inconsistent_chunk_files(tmp_path, capsys, corrupt):
+    chunks_dir = _encode_chunks(tmp_path)
+    corrupt(tmp_path, chunks_dir)
+    capsys.readouterr()
+    out = tmp_path / "recovered.bin"
+    assert main(["codec", "decode", "--family", "mds", "--in-dir", str(chunks_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_generate_design_checks_N_and_n(tmp_path, capsys):
+    plane = tmp_path / "pg23.blocks"
+    assert main(["design", "build", "--kind", "plane", "--q", "3", "--out", str(plane)]) == 0
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--policy", "design", "--design", str(plane), "--N", "7",
+                 "--n", "3", "--L", "2", "--out", str(out)]) != 0
+    assert not out.exists()
+    assert "asked for (N=7, n=3)" in capsys.readouterr().err
+
+
+def test_simulate_design_source_of_wrong_type_exit_1(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"policy": "design", "N": 7, "k": 2, "n": 3, "L_range": [2],
+                                "trials": 10, "solver": "design_opt", "design_source": 5}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["check", "--in", "{bad}"], '{"N": 1e400, "k": 2, "n": 3, "packets": []}'),
+    (["check", "--in", "{bad}"], '{"N": 5, "k": 2, "n": 3, "packets": [[0, 1, 1e400]]}'),
+    (["check", "--in", "{ok}", "--solution", "{bad}"], '{"assignments": [[0, 1e400]]}'),
+    (["simulate", "--spec", "{bad}", "--out", "{out}"],
+     '{"policy": "cyclic", "N": 1e400, "k": 2, "n": 3, "L_range": [2]}'),
+])
+def test_overflowing_numbers_exit_1(tmp_path, capsys, argv, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    ok = tmp_path / "ok.json"
+    ok.write_text(Instance(N=5, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    subs = {"{bad}": bad, "{ok}": ok, "{out}": tmp_path / "out"}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--in", "{bad}"],
+    ["check", "--in", "{ok}", "--solution", "{bad}"],
+    ["solve", "--algo", "oracle", "--in", "{bad}", "--out", "{out}"],
+    ["solve", "--algo", "design", "--in", "{ok}", "--design", "{bad}", "--out", "{out}"],
+    ["simulate", "--spec", "{bad}", "--out", "{out}"],
+])
+def test_non_utf8_input_exit_1(tmp_path, capsys, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{")
+    ok = tmp_path / "ok.json"
+    ok.write_text(Instance(N=7, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    subs = {"{bad}": bad, "{ok}": ok, "{out}": tmp_path / "out"}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+
+
+def test_codec_encode_k0_exit_1(tmp_path, capsys):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"hello")
+    assert main(["codec", "encode", "--family", "mds", "--k", "0", "--n", "3",
+                 "--in", str(src), "--out-dir", str(tmp_path / "chunks")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadConfig:") and err.count("\n") == 1

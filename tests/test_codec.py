@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from codedswitch import (
+    ChunkSet,
     CodecConfig,
     Instance,
     PlacementRng,
@@ -23,6 +24,7 @@ from codedswitch import (
     store_packets,
     with_k,
 )
+from codedswitch import codec
 from codedswitch.codec import (
     BINARY_CYCLIC,
     MDS,
@@ -161,10 +163,69 @@ def test_cyclic_exhaustive_bursts_small_catalog():
             for msg in range(1 << k):
                 data = [bytes([(msg >> d) & 1]) for d in range(k)]
                 enc = cyclic_encode(data, cfg)
-                for start in range(n):
-                    erased = {(start + i) % n for i in range(r)}
-                    keep = [i for i in range(n) if i not in erased]
-                    assert cyclic_decode_burst(enc.mask(keep), cfg) == data
+                # bursts of every length up to n-k, including none
+                for length in range(r + 1):
+                    for start in range(n):
+                        erased = {(start + i) % n for i in range(length)}
+                        keep = [i for i in range(n) if i not in erased]
+                        assert cyclic_decode_burst(enc.mask(keep), cfg) == data
+
+
+def test_cyclic_codewords_match_codebook():
+    # every catalogued code with n <= 12: byte lane m of the chunks carries
+    # message m, so the lanes of one encode are all 2^k codewords
+    for n in range(2, 13):
+        for r, g in generator_catalog(n).items():
+            k = n - r
+            if k < 1:
+                continue
+            cfg = CodecConfig(k=k, n=n, B=1 << k, family=BINARY_CYCLIC, generator=g)
+            data = [bytes((m >> d) & 1 for m in range(1 << k)) for d in range(k)]
+            enc = cyclic_encode(data, cfg)
+            lanes = {"".join(str(c[m]) for c in enc.chunks) for m in range(1 << k)}
+            assert lanes == cyclic_codebook(cfg)
+
+
+def test_binary_family_never_multiplies(monkeypatch):
+    # the binary cyclic matrix and its burst inverses have 0/1 entries only,
+    # so the GF(256) multiplication tables are never consulted
+    def no_tables(c):
+        raise AssertionError(f"GF(256) multiply by {c}")
+
+    monkeypatch.setattr(codec, "_mul_row", no_tables)
+    for k, n in ((2, 4), (3, 4), (4, 7), (5, 15)):
+        cfg = CodecConfig(k=k, n=n, B=64, family=BINARY_CYCLIC)
+        data = _payload(k, 64, seed=n)
+        enc = cyclic_encode(data, cfg)
+        for start in range(n):
+            keep = [(start + n - k + i) % n for i in range(k)]
+            assert cyclic_decode_burst(enc.mask(keep), cfg) == data
+    # the MDS family does multiply
+    cfg = CodecConfig(k=2, n=4, B=8, family=MDS)
+    with pytest.raises(AssertionError):
+        mds_encode(_payload(2, 8), cfg)
+
+
+@pytest.mark.parametrize("family", [MDS, BINARY_CYCLIC])
+@pytest.mark.parametrize("length", [3, 5])
+def test_decode_rejects_chunk_of_wrong_length(family, length):
+    cfg = CodecConfig(k=2, n=4, B=4, family=family)
+    encode, decode = ((mds_encode, mds_decode) if family == MDS
+                      else (cyclic_encode, cyclic_decode_burst))
+    chunks = list(encode(_payload(2, 4), cfg).chunks)
+    chunks[3] = chunks[3][:length] + bytes(max(0, length - 4))
+    with pytest.raises(BadConfig):
+        decode(ChunkSet(chunks=tuple(chunks)).mask([0, 3]), cfg)
+
+
+def test_cyclic_length_is_capped():
+    with pytest.raises(BadConfig):
+        CodecConfig(k=1, n=codec.CYCLIC_MAX_N + 1, B=1, family=BINARY_CYCLIC)
+    for n in range(16, codec.CYCLIC_MAX_N + 1):
+        prod = 1
+        for q in factor_xn_minus_1(n):
+            prod = _poly_mul(prod, q)
+        assert prod == (1 << n) ^ 1
 
 
 def test_cyclic_bytewise_payloads():
@@ -242,5 +303,21 @@ def test_chunk_file_roundtrip(tmp_path):
 def test_chunk_file_shorter_than_header_is_typed(tmp_path):
     p = tmp_path / "chunk_000.bin"
     p.write_bytes(b"CSWC\x02\x00")
+    with pytest.raises(MalformedFile):
+        read_chunk_file(p)
+
+
+def test_chunk_file_bad_magic_is_typed(tmp_path):
+    p = tmp_path / "chunk_000.bin"
+    write_chunk_file(p, CodecConfig(k=2, n=3, B=4), 0, bytes(4))
+    p.write_bytes(b"XXXX" + p.read_bytes()[4:])
+    with pytest.raises(MalformedFile):
+        read_chunk_file(p)
+
+
+def test_chunk_file_bad_payload_length_is_typed(tmp_path):
+    p = tmp_path / "chunk_000.bin"
+    write_chunk_file(p, CodecConfig(k=2, n=3, B=4), 0, bytes(4))
+    p.write_bytes(p.read_bytes() + b"\0")
     with pytest.raises(MalformedFile):
         read_chunk_file(p)

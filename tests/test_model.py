@@ -195,3 +195,10 @@ def test_instance_json_roundtrip_random(N, n, data):
     )
     inst = Instance(N=N, k=1, n=n, packets=packets)
     assert Instance.from_json(inst.to_json()) == inst
+
+
+def test_policies_are_defined_once():
+    from codedswitch import model, placement
+
+    assert placement.POLICIES is model.POLICIES
+    assert model.PLACEMENT_TAGS == model.POLICIES + ("custom",)
