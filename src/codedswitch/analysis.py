@@ -17,9 +17,9 @@ Closed forms and bounds:
 * ``p_full_throughput_exact``  Pr(L* = L) itself, by enumerating the
   placement support with an optimal solver, or Monte Carlo beyond the cap.
 
-Cyclic start tuples are enumerated up to rotation and order: the first
-start is pinned at 0 and the others are taken as a multiset weighted by
-its number of orderings, and ``cyclic_l_stars`` solves one instance per
+Exact enumerations walk multisets of packets weighted by their numbers of
+orderings (``multisets``); cyclic start tuples also pin the first start at
+0 (``cyclic_support``), and ``cyclic_l_stars`` solves one instance per
 rotation class.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod, sqrt
 
 import numpy as np
@@ -191,22 +191,26 @@ def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
 # cyclic coverage probability
 # ---------------------------------------------------------------------------
 
+def multisets(size: int, r: int) -> tuple:
+    """Multisets of r indices from range(size), with their numbers of orderings.
+
+    Returns a sorted (M, r) index array and the weights r!/prod(m_i!) as
+    Python ints; the weights sum to size^r.
+    """
+    rows = list(combinations_with_replacement(range(size), r))
+    weights = [factorial(r) // prod(map(factorial, Counter(row).values())) for row in rows]
+    return np.array(rows, dtype=np.int64), weights
+
+
 def cyclic_support(N: int, L: int) -> tuple:
     """Start tuples of L arcs up to rotation and order, with their weights.
 
     The first start is pinned at 0 (rotation invariance) and the other L-1
-    form a sorted multiset, weighted by its number of orderings
-    (L-1)!/prod(m_i!).  Returns an (M, L) start array and the weights as
-    Python ints; the weights sum to N^(L-1).
+    are ``multisets(N, L-1)``.  Returns an (M, L) start array and the
+    weights as Python ints; the weights sum to N^(L-1).
     """
-    rests = list(combinations_with_replacement(range(N), L - 1))
-    weights = [
-        factorial(L - 1) // prod(factorial(m) for m in Counter(rest).values())
-        for rest in rests
-    ]
-    starts = np.zeros((len(rests), L), dtype=np.int64)
-    starts[:, 1:] = np.array(rests, dtype=np.int64)
-    return starts, weights
+    rests, weights = multisets(N, L - 1)
+    return np.insert(rests, 0, 0, axis=1), weights
 
 
 def cyclic_l_stars(starts, N: int, n: int, k: int, solve, cache: dict) -> np.ndarray:
@@ -262,6 +266,8 @@ def p_cover_cyclic(
         raise BadParams(f"coverage needs kL <= N, got kL={k * L}, N={N}")
     if not (1 <= k <= n <= N) or L < 1:
         raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
+    if samples < 1:
+        raise BadParams(f"need samples >= 1, got {samples}")
     need = k * L
     if N**L <= cap:
         starts, weights = cyclic_support(N, L)
@@ -320,13 +326,17 @@ def p_full_throughput_exact(
 ) -> ProbabilityEstimate:
     """Pr(L* = L) under the policy's drawing distribution.
 
-    Enumerates the whole placement support (start tuples, block tuples or
-    n-subset tuples) when it fits the cap, solving each point with the
-    policy's optimal solver; otherwise falls back to Monte Carlo unless
-    ``exact_only`` is set.
+    Enumerates the whole placement support when its ordered tuples (N^(L-1)
+    start tuples, b^L block or C(N,n)^L n-subset tuples) fit the cap,
+    otherwise falls back to Monte Carlo unless ``exact_only`` is set.  L*
+    does not depend on the packet order, so every policy walks weighted
+    multisets (``multisets``, ``cyclic_support``), solving each one once
+    with the policy's optimal solver.
     """
     if not (1 <= k <= n <= N) or L < 1:
         raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
+    if samples < 1:
+        raise BadParams(f"need samples >= 1, got {samples}")
     if policy not in POLICIES:
         raise BadParams(f"unknown policy {policy!r}")
     if policy == "design":
@@ -337,25 +347,22 @@ def p_full_throughput_exact(
         return solve(inst, design, None).l_star
 
     if policy == "cyclic":
-        if N**L <= cap * N:  # first start pinned by rotation invariance
-            starts, weights = cyclic_support(N, L)
-            good = _weighted_hits(weights, cyclic_l_stars(starts, N, n, k, l_star, {}) == L)
-            return ProbabilityEstimate(
-                float(Fraction(good, N ** (L - 1))), EXACT_ENUMERATION, 0.0
-            )
+        exact = N**L <= cap * N  # first start pinned by rotation invariance
     else:
         # every packet is one of the design blocks or one of the n-subsets
         size = design.b if policy == "design" else comb(N, n)
-        if size**L <= cap:
-            support = design.blocks if policy == "design" else combinations(range(N), n)
-            good = 0
-            for packets in product(support, repeat=L):
-                inst = Instance(N=N, k=k, n=n, packets=packets, placement=policy)
-                if solve(inst, design, None).l_star == L:
-                    good += 1
-            return ProbabilityEstimate(
-                float(Fraction(good, size**L)), EXACT_ENUMERATION, 0.0
-            )
+        exact = size**L <= cap
+    if exact:
+        if policy == "cyclic":
+            starts, weights = cyclic_support(N, L)
+            hits = cyclic_l_stars(starts, N, n, k, l_star, {}) == L
+        else:
+            support = design.blocks if policy == "design" else tuple(combinations(range(N), n))
+            rows, weights = multisets(size, L)
+            insts = (Instance(N, k, n, [support[i] for i in row], policy) for row in rows.tolist())
+            hits = np.array([l_star(inst) == L for inst in insts])
+        good = _weighted_hits(weights, hits)
+        return ProbabilityEstimate(float(Fraction(good, sum(weights))), EXACT_ENUMERATION, 0.0)
 
     if exact_only:
         raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
@@ -370,10 +377,6 @@ def p_full_throughput_exact(
             good += int(np.count_nonzero(cyclic_l_stars(starts, N, n, k, l_star, cache) == L))
     else:
         for _ in range(samples):
-            inst = draw(policy, N, n, k, L, gen, design)
-            if solve(inst, design, None).l_star == L:
-                good += 1
+            good += l_star(draw(policy, N, n, k, L, gen, design)) == L
     p = good / samples
-    return ProbabilityEstimate(
-        p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples)
-    )
+    return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples))

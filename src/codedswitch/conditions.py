@@ -6,7 +6,8 @@ checks of increasing precision:
 * coverage: |union of all packet sets| >= k*L, necessary;
 * pairwise: max_{i!=j} |S_i intersect S_j| <= 2(n-k)/(L-1), sufficient;
 * extended Hall: |union over J| >= k*|J| for every packet subset J,
-  necessary and sufficient (checked by subset enumeration).
+  necessary and sufficient; decided in polynomial time as a matching of
+  k copies of every packet to distinct MUs.
 
 The pairwise bound is kept as an exact rational; integer set-cardinality
 comparisons use its floor.
@@ -21,10 +22,8 @@ from math import floor
 
 import numpy as np
 
-from .errors import DegenerateL, TooLarge
+from .errors import DegenerateL
 from .model import Instance
-
-HALL_ENUMERATION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -106,23 +105,39 @@ def pairwise_holds(inst: Instance) -> bool:
     return True
 
 
-def hall_full_throughput(inst: Instance, cap: int = HALL_ENUMERATION_CAP) -> bool:
+def max_matching(demands) -> dict:
+    """Maximum matching of demands (MU index sets) to MUs of capacity one.
+
+    A depth-first augmenting-path search per demand in index order, trying
+    MUs in the demand's order, on an explicit stack (no recursion limit).
+    Returns {mu: index of the demand matched to it}.
+    """
+    owner: dict = {}
+    for root in range(len(demands)):
+        banned: set = set()
+        # the path: each demand, its untried MUs, the MU it yields to its parent
+        path = [(root, iter(demands[root]), None)]
+        while path:
+            m = next((m for m in path[-1][1] if m not in banned), None)
+            if m is None:  # dead end: the parent tries its next MU
+                path.pop()
+            elif m in owner:
+                banned.add(m)
+                path.append((owner[m], iter(demands[owner[m]]), m))
+            else:  # m is free: shift every MU on the path one demand up
+                owner[m] = path[-1][0]
+                for (i, _, _), (_, _, mu) in zip(path, path[1:]):
+                    owner[mu] = i
+                break
+    return owner
+
+
+def hall_full_throughput(inst: Instance) -> bool:
     """Exact full-throughput test: every packet subset J covers >= k|J| MUs.
 
-    Enumerates subsets in increasing cardinality so small violations are
-    found cheaply.  Refuses instances with more than ``cap`` packets.
+    By Hall's theorem for k-fold demands this holds iff k copies of every
+    packet can be matched to distinct MUs, which ``max_matching`` decides in
+    polynomial time.
     """
-    L = inst.L
-    if L > cap:
-        raise TooLarge(f"L={L} exceeds the {cap}-packet enumeration cap")
-    masks = _packet_masks(inst)
-    k = inst.k
-    for c in range(1, L + 1):
-        need = k * c
-        for idx in combinations(range(L), c):
-            union = 0
-            for i in idx:
-                union |= masks[i]
-            if union.bit_count() < need:
-                return False
-    return True
+    demands = [p for p in inst.packets for _ in range(inst.k)]
+    return len(max_matching(demands)) == len(demands)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import floor
 
-from .conditions import t_max
+from .conditions import max_matching, t_max
 from .errors import (
     BadParams,
     BlockNotInDesign,
@@ -156,25 +156,9 @@ def solve_matching_k1(inst: Instance) -> Solution:
     """k=1: a maximum bipartite packet/MU matching is an optimal read."""
     if inst.k != 1:
         raise WrongParams(f"matching_k1 requires k=1, got k={inst.k}")
-    mu_owner = [-1] * inst.N  # mu -> packet currently matched to it
-
-    def try_augment(i: int, banned: bytearray) -> bool:
-        for m in inst.packets[i]:
-            if banned[m]:
-                continue
-            banned[m] = 1
-            if mu_owner[m] == -1 or try_augment(mu_owner[m], banned):
-                mu_owner[m] = i
-                return True
-        return False
-
-    for i in range(inst.L):
-        try_augment(i, bytearray(inst.N))
-
     assignments: list = [None] * inst.L
-    for m, i in enumerate(mu_owner):
-        if i != -1:
-            assignments[i] = (m,)
+    for m, i in max_matching(inst.packets).items():
+        assignments[i] = (m,)
     return Solution(assignments=tuple(assignments))
 
 
@@ -452,16 +436,16 @@ def balanced_orientation(edges) -> OrientedBalanceGraph:
     )
 
 
-def solve_design(inst: Instance, design: BlockDesign, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Solution:
+def solve_design(inst: Instance, design: BlockDesign) -> Solution:
     """Optimal read for design placements.
 
     Works on the packets stored in distinct blocks (first occurrence by
     packet index; duplicates stay unserved, which is optimal when k > n/2
     since a block cannot serve two packets; with duplicates and k <= n/2
-    the exhaustive oracle is used instead).  Each packet receives all MUs
-    exclusive to it, half of every evenly shared pair pool, and a
-    floor/ceil split of every odd pool according to a balanced orientation;
-    the resulting pool is truncated to the k lowest indices.
+    ``solve_oracle`` at its default cap is used instead).  Each packet
+    receives all MUs exclusive to it, half of every evenly shared pair
+    pool, and a floor/ceil split of every odd pool according to a balanced
+    orientation; the resulting pool is truncated to the k lowest indices.
 
     Shared pools are split deterministically: for packets i < j, i takes a
     prefix of the sorted pool and j the complementary suffix.
@@ -482,7 +466,7 @@ def solve_design(inst: Instance, design: BlockDesign, oracle_cap: int = DEFAULT_
             sub.append(i)
 
     if duplicates and 2 * inst.k <= inst.n:
-        return solve_oracle(inst, cap=oracle_cap)
+        return solve_oracle(inst)
 
     Lp = len(sub)
     assignments: list = [None] * inst.L

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from codedswitch import (
+    Instance,
     PlacementRng,
+    build_projective_plane,
     instance_from_starts,
     p_cover_cyclic,
     p_cover_uniform,
@@ -17,10 +19,11 @@ from codedswitch import (
     p_pair_cyclic,
     p_pair_design,
     solve_cyclic,
+    solve_oracle,
     t_max,
     union_model_matrix,
 )
-from codedswitch.analysis import cyclic_support, union_cardinality_distribution
+from codedswitch.analysis import cyclic_support, multisets, union_cardinality_distribution
 from codedswitch.errors import BadParams, TooLarge
 
 
@@ -231,17 +234,30 @@ def test_cyclic_support_weights_count_ordered_tuples(N, L):
     assert (starts[:, 0] == 0).all()
     ordered = Counter(tuple(sorted(rest)) for rest in product(range(N), repeat=L - 1))
     assert {tuple(r[1:]): w for r, w in zip(starts.tolist(), weights)} == ordered
+    rows, weights = multisets(N, L)
+    ordered = Counter(tuple(sorted(t)) for t in product(range(N), repeat=L))
+    assert {tuple(r): w for r, w in zip(rows.tolist(), weights)} == ordered
 
 
-@pytest.mark.parametrize("N,n,k,L", [(7, 3, 2, 3), (8, 3, 2, 4), (6, 4, 3, 2), (9, 2, 1, 5)])
-def test_full_tp_cyclic_equals_ordered_enumeration(N, n, k, L):
-    # reference: solve every ordered start tuple with the first start pinned
-    good = sum(
-        solve_cyclic(instance_from_starts(N, n, (0,) + rest, k=k)).l_star == L
-        for rest in product(range(N), repeat=L - 1)
-    )
-    est = p_full_throughput_exact("cyclic", N, n, k, L)
-    assert (est.value, est.method) == (float(Fraction(good, N ** (L - 1))), "exact_enumeration")
+@pytest.mark.parametrize("policy,q,N,n,k,L", [
+    pytest.param("cyclic", None, *cell, id="-".join(map(str, cell)))
+    for cell in [(7, 3, 2, 3), (8, 3, 2, 4), (6, 4, 3, 2), (9, 2, 1, 5)]
+] + [("design", 2, 7, 3, 2, 3), ("design", 3, 13, 4, 3, 3), ("uniform", None, 6, 3, 2, 3)])
+def test_full_tp_cyclic_equals_ordered_enumeration(policy, q, N, n, k, L):
+    # reference: solve every ordered tuple (cyclic: start tuples with the
+    # first start pinned; otherwise block or n-subset tuples, by the oracle)
+    design = build_projective_plane(q) if q else None
+    if policy == "cyclic":
+        instances = [instance_from_starts(N, n, (0,) + rest, k=k)
+                     for rest in product(range(N), repeat=L - 1)]
+        good = sum(solve_cyclic(inst).l_star == L for inst in instances)
+    else:
+        support = design.blocks if design else list(combinations(range(N), n))
+        instances = [Instance(N=N, k=k, n=n, packets=packets)
+                     for packets in product(support, repeat=L)]
+        good = sum(solve_oracle(inst).l_star == L for inst in instances)
+    est = p_full_throughput_exact(policy, N, n, k, L, design=design)
+    assert (est.value, est.method) == (float(Fraction(good, len(instances))), "exact_enumeration")
 
 
 def test_full_tp_single_packet():

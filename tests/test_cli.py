@@ -168,6 +168,12 @@ def test_codec_demo_mds(capsys):
     assert "20/20" in capsys.readouterr().out
 
 
+def test_codec_demo_mds_chunks_longer_than_256_bytes(capsys):
+    assert main(["codec", "demo", "--family", "mds", "--k", "2", "--n", "4",
+                 "--B", "300"]) == 0
+    assert "round-trips from every k-subset: 6/6" in capsys.readouterr().out
+
+
 def test_codec_encode_decode_files(tmp_path):
     payload = bytes(range(97, 97 + 30))
     src = tmp_path / "payload.bin"
@@ -345,3 +351,22 @@ def test_codec_encode_k0_exit_1(tmp_path, capsys):
                  "--in", str(src), "--out-dir", str(tmp_path / "chunks")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: BadConfig:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["--what", "cover-cyc", "--N", "30", "--n", "4", "--k", "2", "--L", "6"],
+    ["--what", "full-tp", "--policy", "uniform", "--N", "12", "--n", "4", "--k", "2", "--L", "4"],
+])
+def test_analyze_monte_carlo_needs_a_positive_trial_count(capsys, argv, trials):
+    assert main(["analyze"] + argv + ["--trials", trials]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams:") and err.count("\n") == 1
+
+
+def test_check_conditions_decides_hall_beyond_twenty_packets(tmp_path, capsys):
+    inst = Instance(N=30, k=1, n=2, packets=tuple((i, i + 1) for i in range(25)))
+    path = tmp_path / "inst.json"
+    path.write_text(inst.to_json())
+    assert main(["check", "--in", str(path), "--conditions"]) == 0
+    assert "hall_full_throughput: True\n" in capsys.readouterr().out

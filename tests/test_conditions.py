@@ -16,7 +16,7 @@ from codedswitch import (
     solve_oracle,
     t_max,
 )
-from codedswitch.errors import DegenerateL, TooLarge
+from codedswitch.errors import DegenerateL
 
 from conftest import CLASSIC_TRIPLE_SYSTEM, CONTENTION_PACKETS, brute_force_l_star
 
@@ -89,9 +89,10 @@ def test_hall_single_packet():
 
 
 def test_hall_cap():
-    packets = ((0, 1),) * 25
-    with pytest.raises(TooLarge):
-        hall_full_throughput(_inst(30, 1, 2, packets))
+    # decided at any L: a matching, not an enumeration of the 2^L subsets
+    assert not hall_full_throughput(_inst(30, 1, 2, ((0, 1),) * 25))
+    ring = [tuple(sorted((i, (i + 1) % 30))) for i in range(30)]
+    assert hall_full_throughput(_inst(30, 1, 2, ring))
 
 
 def test_hall_matches_exhaustive_search_small():
