@@ -20,7 +20,8 @@ Closed forms and bounds:
 Exact enumerations walk multisets of packets weighted by their numbers of
 orderings (``multisets``); cyclic start tuples also pin the first start at
 0 (``cyclic_support``), and ``cyclic_l_stars`` solves one instance per
-rotation class.
+rotation class.  ``sample_l_stars`` is the one Monte-Carlo draw-and-solve
+loop, shared by ``p_full_throughput_exact`` and ``ensemble.run_ensemble``.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
@@ -48,13 +49,14 @@ from .placement import (
     draw,
     instance_from_starts,
 )
+from .solvers import OPTIMAL, SOLVERS, solve_oracle
 
 ENUMERATION_CAP = 10**8
 SOLVE_ENUMERATION_CAP = 10**6
 MC_DEFAULT_SAMPLES = 10**6
-# rows of arc starts drawn per call on the Monte-Carlo paths; the stream is
-# the same for any chunking, this only bounds memory
-DRAW_CHUNK = 4096
+# instances drawn per call on the Monte-Carlo paths; the stream is the same
+# for any batching, this only bounds memory
+BATCH = 4096
 
 CLOSED_FORM = "closed_form"
 EXACT_ENUMERATION = "exact_enumeration"
@@ -75,6 +77,14 @@ class ProbabilityEstimate:
 
 def _exact(value: Fraction) -> ProbabilityEstimate:
     return ProbabilityEstimate(value=float(value), method=CLOSED_FORM, stderr=0.0)
+
+
+def _estimate(good: int, total: int, exact: bool) -> ProbabilityEstimate:
+    """``good`` of ``total`` weighted support points, or of ``total`` draws."""
+    if exact:
+        return ProbabilityEstimate(float(Fraction(good, total)), EXACT_ENUMERATION, 0.0)
+    p = good / total
+    return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / total))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +244,31 @@ def cyclic_l_stars(starts, N: int, n: int, k: int, solve, cache: dict) -> np.nda
     return ls[inverse]
 
 
+def sample_l_stars(policy: str, N: int, n: int, k: int, L: int, size: int, gen, solve,
+                   design: BlockDesign | None = None, cache: dict | None = None) -> np.ndarray:
+    """L* of ``size`` instances drawn by ``policy`` from the Generator ``gen``.
+
+    ``solve`` maps an Instance to its L*.  Without a cache every draw is
+    solved.  A cache, for a deterministic ``solve``, is filled in place and
+    shared by the calls of one (policy, N, n, k, L) cell.  With it, each
+    packet tuple is solved once, and cyclic draws take the ``size`` rows of
+    arc starts in one call and solve one instance per rotation class
+    (``cyclic_l_stars``): L* does not change when the MUs are rotated or
+    the packets reordered, and the batched draw yields the same stream as
+    per-instance draws.  Either way the values are those of solving every
+    draw.
+    """
+    if cache is not None and policy == "cyclic":
+        return cyclic_l_stars(gen.integers(0, N, size=(size, L)), N, n, k, solve, cache)
+    insts = [draw(policy, N, n, k, L, gen, design) for _ in range(size)]
+    if cache is None:
+        return np.array([solve(inst) for inst in insts], dtype=np.int64)
+    for inst in insts:
+        if inst.packets not in cache:
+            cache[inst.packets] = solve(inst)
+    return np.array([cache[inst.packets] for inst in insts], dtype=np.int64)
+
+
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
     """|union of arcs| for each row of starts, via sorted gaps: each start
     covers min(gap to the next start, n) points."""
@@ -272,45 +307,18 @@ def p_cover_cyclic(
     if N**L <= cap:
         starts, weights = cyclic_support(N, L)
         good = _weighted_hits(weights, _arc_coverage(starts, N, n) >= need)
-        return ProbabilityEstimate(
-            value=float(Fraction(good, N ** (L - 1))),
-            method=EXACT_ENUMERATION,
-            stderr=0.0,
-        )
+        return _estimate(good, N ** (L - 1), True)
     gen = _as_generator(rng if rng is not None else PlacementRng(0, 0))
-    covered = _arc_coverage(gen.integers(0, N, size=(samples, L)), N, n)
-    p = float(np.mean(covered >= need))
-    return ProbabilityEstimate(
-        value=p, method=MONTE_CARLO, stderr=sqrt(max(p * (1 - p), 1e-300) / samples)
-    )
+    good = 0
+    for lo in range(0, samples, BATCH):
+        starts = gen.integers(0, N, size=(min(BATCH, samples - lo), L))
+        good += int(np.count_nonzero(_arc_coverage(starts, N, n) >= need))
+    return _estimate(good, samples, False)
 
 
 # ---------------------------------------------------------------------------
 # exact full-throughput probability
 # ---------------------------------------------------------------------------
-
-def _optimal_solver(policy: str):
-    """The policy's exact solver, as solve(inst, design, gen).
-
-    Outside its guarantee the design solver falls back to the oracle: the
-    question is still well defined there.
-    """
-    # ensemble imports this module, so its solver table is imported here
-    from .ensemble import OPTIMAL, SOLVERS
-
-    solve = SOLVERS[OPTIMAL[policy]]
-    if policy != "design":
-        return solve
-    oracle = SOLVERS["oracle"]
-
-    def solve_or_fall_back(inst, design, gen):
-        try:
-            return solve(inst, design, gen)
-        except ConditionViolated:
-            return oracle(inst, design, gen)
-
-    return solve_or_fall_back
-
 
 def p_full_throughput_exact(
     policy: str,
@@ -341,18 +349,23 @@ def p_full_throughput_exact(
         raise BadParams(f"unknown policy {policy!r}")
     if policy == "design":
         check_design(design, N, n)
-    solve = _optimal_solver(policy)
+    solve = SOLVERS[OPTIMAL[policy]]
 
     def l_star(inst) -> int:
-        return solve(inst, design, None).l_star
+        # outside its guarantee the design solver falls back to the oracle:
+        # the question is still well defined there
+        try:
+            return solve(inst, design, None).l_star
+        except ConditionViolated:
+            return solve_oracle(inst).l_star
 
     if policy == "cyclic":
-        exact = N**L <= cap * N  # first start pinned by rotation invariance
+        total = N ** (L - 1)  # first start pinned by rotation invariance
     else:
         # every packet is one of the design blocks or one of the n-subsets
         size = design.b if policy == "design" else comb(N, n)
-        exact = size**L <= cap
-    if exact:
+        total = size**L
+    if total <= cap:
         if policy == "cyclic":
             starts, weights = cyclic_support(N, L)
             hits = cyclic_l_stars(starts, N, n, k, l_star, {}) == L
@@ -361,22 +374,16 @@ def p_full_throughput_exact(
             rows, weights = multisets(size, L)
             insts = (Instance(N, k, n, [support[i] for i in row], policy) for row in rows.tolist())
             hits = np.array([l_star(inst) == L for inst in insts])
-        good = _weighted_hits(weights, hits)
-        return ProbabilityEstimate(float(Fraction(good, sum(weights))), EXACT_ENUMERATION, 0.0)
+        return _estimate(_weighted_hits(weights, hits), total, True)
 
     if exact_only:
         raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
 
     gen = PlacementRng(seed, 0).generator()
+    cache = {} if policy == "cyclic" else None
     good = 0
-    if policy == "cyclic":
-        # one (rows, L) draw yields the same stream as per-instance draws
-        cache: dict = {}
-        for lo in range(0, samples, DRAW_CHUNK):
-            starts = gen.integers(0, N, size=(min(DRAW_CHUNK, samples - lo), L))
-            good += int(np.count_nonzero(cyclic_l_stars(starts, N, n, k, l_star, cache) == L))
-    else:
-        for _ in range(samples):
-            good += l_star(draw(policy, N, n, k, L, gen, design)) == L
-    p = good / samples
-    return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples))
+    for lo in range(0, samples, BATCH):
+        ls = sample_l_stars(policy, N, n, k, L, min(BATCH, samples - lo), gen, l_star,
+                            design, cache)
+        good += int(np.count_nonzero(ls == L))
+    return _estimate(good, samples, False)

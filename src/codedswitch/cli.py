@@ -18,7 +18,6 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import floor
 from pathlib import Path
@@ -49,41 +48,27 @@ from .placement import (
     draw,
     verify_packing,
 )
+from .solvers import CLI_NAMES, SOLVERS
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside command outputs."""
-
-    argv: list
-    seed: int | None
-    version: str = __version__
-    python: str = sys.version.split()[0]
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def add_input(self, path) -> None:
-        self.inputs.append({"path": str(path), "sha256": _sha256(path)})
-
-    def add_output(self, path) -> None:
-        self.outputs.append({"path": str(path), "sha256": _sha256(path)})
-
-    def write(self, path) -> None:
-        obj = {
-            "argv": self.argv,
-            "seed": self.seed,
-            "version": self.version,
-            "python": self.python,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-        Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _hashed(paths) -> list:
+    return [{"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+            for p in paths]
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _write_manifest(path, t0: float, seed: int | None = None, inputs=(), outputs=()) -> None:
+    """Reproducibility record of one run: its command line, seed, input and
+    output hashes, and the wall time since ``t0`` once the files are hashed."""
+    obj = {
+        "argv": sys.argv[1:],
+        "seed": seed,
+        "version": __version__,
+        "python": sys.version.split()[0],
+        "inputs": _hashed(inputs),
+        "outputs": _hashed(outputs),
+    }
+    obj["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_seed(args) -> int:
@@ -121,12 +106,8 @@ def _cmd_generate(args) -> int:
     validate_instance(inst)
     out = Path(args.out)
     out.write_text(inst.to_json() + "\n")
-    man = RunManifest(argv=sys.argv[1:], seed=seed)
-    if args.policy == "design":
-        man.add_input(args.design)
-    man.add_output(out)
-    man.wall_time_s = time.perf_counter() - t0
-    man.write(_manifest_path(out))
+    _write_manifest(_manifest_path(out), t0, seed,
+                    inputs=[args.design] if args.policy == "design" else (), outputs=[out])
     print(f"wrote {out}")
     return 0
 
@@ -167,17 +148,12 @@ def _cmd_solve(args) -> int:
         raise WrongParams("--algo design requires --design FILE")
     design = BlockDesign.load(args.design) if args.algo == "design" else None
     rng = PlacementRng(seed, 1).generator()
-    sol = ensemble.SOLVERS[ensemble.CLI_NAMES[args.algo]](inst, design, rng)
+    sol = SOLVERS[CLI_NAMES[args.algo]](inst, design, rng)
     validate_solution(inst, sol)
     out = Path(args.out)
     out.write_text(sol.to_json() + "\n")
-    man = RunManifest(argv=sys.argv[1:], seed=seed)
-    man.add_input(args.infile)
-    if args.design:
-        man.add_input(args.design)
-    man.add_output(out)
-    man.wall_time_s = time.perf_counter() - t0
-    man.write(_manifest_path(out))
+    _write_manifest(_manifest_path(out), t0, seed,
+                    inputs=[args.infile] + ([args.design] if args.design else []), outputs=[out])
     print(f"l_star={sol.l_star} rho={throughput(inst, sol):.6g} -> {out}")
     return 0
 
@@ -187,21 +163,16 @@ def _cmd_design(args) -> int:
     if args.design_cmd == "build":
         if args.kind == "plane":
             if args.q is None:
-                print("error: --kind plane requires --q", file=sys.stderr)
-                return 2
+                raise WrongParams("--kind plane requires --q")
             design = build_projective_plane(args.q)
         else:
             if None in (args.N, args.n, args.t_max):
-                print("error: --kind packing requires --N --n --t-max", file=sys.stderr)
-                return 2
+                raise WrongParams("--kind packing requires --N --n --t-max")
             design = build_lexicographic_packing(args.N, args.n, args.t_max)
         verify_packing(design)
         out = Path(args.out)
         design.save(out)
-        man = RunManifest(argv=sys.argv[1:], seed=None)
-        man.add_output(out)
-        man.wall_time_s = time.perf_counter() - t0
-        man.write(_manifest_path(out))
+        _write_manifest(_manifest_path(out), t0, outputs=[out])
         print(f"wrote {out} (b={design.b} blocks, N={design.N}, n={design.n}, t={design.t})")
         return 0
     design = BlockDesign.load(args.infile)
@@ -226,14 +197,16 @@ _ANALYZE_REQUIRED = {
 def _cmd_analyze(args) -> int:
     missing = [f"--{a}" for a in _ANALYZE_REQUIRED[args.what] if getattr(args, a) is None]
     if missing:
-        print(f"error: --what {args.what} requires {' '.join(missing)}", file=sys.stderr)
-        return 2
+        raise WrongParams(f"--what {args.what} requires {' '.join(missing)}")
     seed = _resolve_seed(args)
     what = args.what
     if what == "cover-uni":
         est = analysis.p_cover_uniform(args.N, args.n, args.k, args.L)
     elif what == "pair-cyc":
-        t_int = args.t_max if args.t_max is not None else floor(t_max(args.n, args.k, args.L))
+        t_int = args.t_max
+        if t_int is None:
+            # t_max needs L >= 2; one arc meets no other, so n excludes nothing
+            t_int = floor(t_max(args.n, args.k, args.L)) if args.L >= 2 else args.n
         est = analysis.p_pair_cyclic(args.N, args.n, t_int, args.L)
     elif what == "pair-des":
         est = analysis.p_pair_design(args.b, args.L)
@@ -276,11 +249,7 @@ def _cmd_simulate(args) -> int:
     report = ensemble.run_ensemble(spec)
     out = Path(args.out)
     report.to_csv(out)
-    man = RunManifest(argv=sys.argv[1:], seed=spec.seed)
-    man.add_input(args.spec)
-    man.add_output(out)
-    man.wall_time_s = time.perf_counter() - t0
-    man.write(_manifest_path(out))
+    _write_manifest(_manifest_path(out), t0, spec.seed, inputs=[args.spec], outputs=[out])
     print(f"wrote {out} ({len(report.rows)} rows)")
     return 0
 
@@ -289,11 +258,7 @@ def _cmd_reproduce(args) -> int:
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
     paths = ensemble.reproduce_figure(args.figure, args.out, trials=args.trials, seed=seed)
-    man = RunManifest(argv=sys.argv[1:], seed=seed)
-    for p in paths:
-        man.add_output(p)
-    man.wall_time_s = time.perf_counter() - t0
-    man.write(Path(args.out) / "manifest.json")
+    _write_manifest(Path(args.out) / "manifest.json", t0, seed, outputs=paths)
     for p in paths:
         print(p)
     return 0
@@ -346,14 +311,10 @@ def _cmd_codec(args) -> int:
         cs = cyclic_encode(data, cfg) if cfg.family == BINARY_CYCLIC else mds_encode(data, cfg)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        man = RunManifest(argv=sys.argv[1:], seed=None)
-        man.add_input(args.infile)
-        for i, chunk in enumerate(cs.chunks):
-            p = out_dir / f"chunk_{i:03d}.bin"
+        paths = [out_dir / f"chunk_{i:03d}.bin" for i in range(cfg.n)]
+        for i, (p, chunk) in enumerate(zip(paths, cs.chunks)):
             write_chunk_file(p, cfg, i, chunk)
-            man.add_output(p)
-        man.wall_time_s = time.perf_counter() - t0
-        man.write(out_dir / "manifest.json")
+        _write_manifest(out_dir / "manifest.json", t0, inputs=[args.infile], outputs=paths)
         print(f"wrote {cfg.n} chunks to {out_dir} (B={B})")
         return 0
 
@@ -380,12 +341,8 @@ def _cmd_codec(args) -> int:
     data = decode(ChunkSet(chunks=tuple(slots.get(i) for i in range(cfg.n))), cfg)
     out = Path(args.out)
     out.write_bytes(b"".join(data))
-    man = RunManifest(argv=sys.argv[1:], seed=None)
-    for p in sorted(in_dir.glob("chunk_*.bin")):
-        man.add_input(p)
-    man.add_output(out)
-    man.wall_time_s = time.perf_counter() - t0
-    man.write(_manifest_path(out))
+    _write_manifest(_manifest_path(out), t0, inputs=sorted(in_dir.glob("chunk_*.bin")),
+                    outputs=[out])
     print(f"wrote {out}")
     return 0
 
@@ -419,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_check)
 
     s = sub.add_parser("solve", help="run a read algorithm")
-    s.add_argument("--algo", choices=sorted(ensemble.CLI_NAMES), required=True)
+    s.add_argument("--algo", choices=sorted(CLI_NAMES), required=True)
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", default="solution.json")
     s.add_argument("--design", default=None, help="design file for --algo design")

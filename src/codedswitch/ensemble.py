@@ -9,13 +9,9 @@ A read cycle is modelled as a fresh instance draw; an experiment draws
 
 each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
-a fixed ExperimentSpec regardless of execution order.
-
-Cyclic cells with a deterministic solver draw each batch's arc starts in
-one call and solve one instance per rotation class (``analysis.
-cyclic_l_stars``): L* does not change when the MUs are rotated or the
-packets reordered, and the batched draw yields the same stream as
-per-instance draws, so reports are the same as solving every draw.
+a fixed ExperimentSpec regardless of execution order.  Each batch is drawn
+and solved by ``analysis.sample_l_stars``, with a per-cell cache unless the
+solver is greedy.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -38,43 +34,19 @@ from . import analysis
 from ._svg import line_chart
 from .conditions import t_max
 from .errors import BadParams, EmptySamples, IncompatibleSolver, UnknownFigure
-from .placement import POLICIES, BlockDesign, build_lexicographic_packing, check_design, draw
-from .solvers import (
+from .placement import POLICIES, BlockDesign, build_lexicographic_packing, check_design
+# the solve_* names are re-exported: benchmarks/test_bench.py checks that the
+# span tracer patches and restores their bindings in this module
+from .solvers import (  # noqa: F401
     DEFAULT_ORACLE_CAP,
+    SOLVERS,
     solve_cyclic,
     solve_design,
     solve_greedy,
-    solve_matching_k1,
-    solve_matching_k2n2,
     solve_oracle,
 )
 
 _POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
-BATCH = 4096
-
-# Spec solver name -> solve(inst, design, gen).  Each entry looks its solver
-# up by name when called, so rebinding a name in this module (as a tracer
-# does) reaches every caller of the table.
-SOLVERS = {
-    "oracle": lambda inst, design, gen: solve_oracle(inst),
-    "greedy": lambda inst, design, gen: solve_greedy(inst, gen),
-    "matching_k1": lambda inst, design, gen: solve_matching_k1(inst),
-    "matching_k2n2": lambda inst, design, gen: solve_matching_k2n2(inst),
-    "cyclic_opt": lambda inst, design, gen: solve_cyclic(inst),
-    "design_opt": lambda inst, design, gen: solve_design(inst, design),
-}
-# ``solve --algo`` name -> spec solver name
-CLI_NAMES = {
-    "oracle": "oracle",
-    "greedy": "greedy",
-    "k1": "matching_k1",
-    "k2n2": "matching_k2n2",
-    "cyclic": "cyclic_opt",
-    "design": "design_opt",
-}
-# placement policy -> spec name of its exact solver
-OPTIMAL = {"uniform": "oracle", "cyclic": "cyclic_opt", "design": "design_opt"}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -186,12 +158,13 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
 
 
 def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
-    """Solver callable for one (policy, L) cell, plus the label recorded in
-    the report (the oracle falls back to greedy above its enumeration cap).
-    IncompatibleSolver if the spec lies outside the solver's domain."""
+    """Spec name of the solver that runs one (policy, L) cell, plus the label
+    recorded in the report (the oracle falls back to greedy above its
+    enumeration cap).  IncompatibleSolver if the spec lies outside the
+    solver's domain."""
     kind = spec.solver
     if kind == "oracle" and L * spec.n > DEFAULT_ORACLE_CAP:
-        return SOLVERS["greedy"], "greedy(oracle-cap-fallback)"
+        return "greedy", "greedy(oracle-cap-fallback)"
     if kind == "matching_k1" and spec.k != 1:
         raise IncompatibleSolver("matching_k1 requires k=1")
     if kind == "matching_k2n2" and not (spec.k == 2 and spec.n == 2):
@@ -200,7 +173,7 @@ def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
         raise IncompatibleSolver("cyclic_opt requires the cyclic policy")
     if kind == "design_opt" and (spec.policy != "design" or design is None):
         raise IncompatibleSolver("design_opt requires the design policy and a design")
-    return SOLVERS[kind], kind
+    return kind, kind
 
 
 def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
@@ -210,44 +183,25 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
         check_design(design, spec.N, spec.n)
     rows = []
     for L in spec.L_range:
-        solver, label = _resolve_solver(spec, L, design)
-        deterministic = not label.startswith("greedy")
-        canonical = deterministic and spec.policy == "cyclic"
-        cache: dict = {}
+        name, label = _resolve_solver(spec, L, design)
+        solver = SOLVERS[name]
+        # greedy's visit order is random, so only the other solvers are cached
+        cache = None if name == "greedy" else {}
         counts = np.zeros(L + 1, dtype=np.int64)
-        done = 0
-        batch_idx = 0
-        while done < spec.trials:
-            size = min(BATCH, spec.trials - done)
-            ss = np.random.SeedSequence(
-                [spec.seed, _POLICY_CODE[spec.policy], L, batch_idx]
-            )
+        for batch_idx, lo in enumerate(range(0, spec.trials, analysis.BATCH)):
+            ss = np.random.SeedSequence([spec.seed, _POLICY_CODE[spec.policy], L, batch_idx])
             # separate draw and solver streams: solver randomness (greedy visit
             # order) must not shift the instance sequence, so runs with the
             # same seed see identical instances whatever the solver
             draw_ss, solve_ss = ss.spawn(2)
             draw_gen = np.random.Generator(np.random.PCG64(draw_ss))
             solve_gen = np.random.Generator(np.random.PCG64(solve_ss))
-            if canonical:
-                starts = draw_gen.integers(0, spec.N, size=(size, L))
-                ls = analysis.cyclic_l_stars(
-                    starts, spec.N, spec.n, spec.k,
-                    lambda inst: solver(inst, design, solve_gen).l_star, cache,
-                )
-            else:
-                ls = []
-                for _ in range(size):
-                    inst = draw(spec.policy, spec.N, spec.n, spec.k, L, draw_gen, design)
-                    if deterministic:
-                        hit = cache.get(inst.packets)
-                        if hit is None:
-                            hit = cache[inst.packets] = solver(inst, design, solve_gen).l_star
-                        ls.append(hit)
-                    else:
-                        ls.append(solver(inst, design, solve_gen).l_star)
+            ls = analysis.sample_l_stars(
+                spec.policy, spec.N, spec.n, spec.k, L,
+                min(analysis.BATCH, spec.trials - lo), draw_gen,
+                lambda inst: solver(inst, design, solve_gen).l_star, design, cache,
+            )
             counts += np.bincount(ls, minlength=L + 1)
-            done += size
-            batch_idx += 1
 
         T = spec.trials
         sum_l = sum(v * c for v, c in enumerate(counts.tolist()))

@@ -93,6 +93,9 @@ class BlockDesign:
             blocks = tuple(muset(int(x) for x in r.split()) for r in rows[1:])
         except (IndexError, ValueError) as exc:
             raise MalformedFile(f"{path}: malformed block design ({exc})") from exc
+        for i, blk in enumerate(blocks):
+            if len(blk) != n or blk[0] < 0 or blk[-1] >= N:
+                raise MalformedFile(f"{path}: block {i} = {blk} is not {n} MUs in [0, {N})")
         return cls(N=N, n=n, t=t, blocks=blocks, source="file")
 
 

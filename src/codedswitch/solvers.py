@@ -587,3 +587,31 @@ def reduce_lsp(sets, M: int) -> ReductionOutput:
         mirror_offset=s_count,
         theta_index=theta,
     )
+
+
+# ---------------------------------------------------------------------------
+# solver table
+# ---------------------------------------------------------------------------
+
+# Spec solver name -> solve(inst, design, gen).  Each entry looks its solver
+# up by name when called, so rebinding a name in this module (as a tracer
+# does) reaches every caller of the table.
+SOLVERS = {
+    "oracle": lambda inst, design, gen: solve_oracle(inst),
+    "greedy": lambda inst, design, gen: solve_greedy(inst, gen),
+    "matching_k1": lambda inst, design, gen: solve_matching_k1(inst),
+    "matching_k2n2": lambda inst, design, gen: solve_matching_k2n2(inst),
+    "cyclic_opt": lambda inst, design, gen: solve_cyclic(inst),
+    "design_opt": lambda inst, design, gen: solve_design(inst, design),
+}
+# ``solve --algo`` name -> spec solver name
+CLI_NAMES = {
+    "oracle": "oracle",
+    "greedy": "greedy",
+    "k1": "matching_k1",
+    "k2n2": "matching_k2n2",
+    "cyclic": "cyclic_opt",
+    "design": "design_opt",
+}
+# placement policy -> spec name of its exact solver
+OPTIMAL = {"uniform": "oracle", "cyclic": "cyclic_opt", "design": "design_opt"}

@@ -23,8 +23,15 @@ from codedswitch import (
     t_max,
     union_model_matrix,
 )
-from codedswitch.analysis import cyclic_support, multisets, union_cardinality_distribution
+from codedswitch import analysis
+from codedswitch.analysis import (
+    cyclic_support,
+    multisets,
+    sample_l_stars,
+    union_cardinality_distribution,
+)
 from codedswitch.errors import BadParams, TooLarge
+from codedswitch.placement import POLICIES, draw
 
 
 # -- union-cardinality matrix -------------------------------------------------
@@ -211,6 +218,50 @@ def test_cover_cyclic_enumeration_vs_monte_carlo():
     mc = p_cover_cyclic(12, 4, 3, 3, cap=1, samples=200_000, rng=PlacementRng(62))
     assert mc.method == "monte_carlo" and mc.stderr > 0
     assert abs(exact.value - mc.value) <= 3.5 * mc.stderr
+
+
+def test_cover_cyclic_monte_carlo_draws_in_batches(monkeypatch):
+    # no more than BATCH rows of starts at a time, and the same stream as one
+    # (samples, L) draw
+    N, n, k, L = 30, 4, 2, 6
+    samples = 2 * analysis.BATCH + 3
+    arc_coverage = analysis._arc_coverage
+    rows = []
+
+    def recording(starts, N, n):
+        rows.append(len(starts))
+        return arc_coverage(starts, N, n)
+
+    monkeypatch.setattr(analysis, "_arc_coverage", recording)
+    est = p_cover_cyclic(N, n, k, L, samples=samples, rng=PlacementRng(4))
+    assert est.method == "monte_carlo"
+    assert max(rows) <= analysis.BATCH and sum(rows) == samples
+    starts = PlacementRng(4).generator().integers(0, N, size=(samples, L))
+    assert est.value == np.count_nonzero(arc_coverage(starts, N, n) >= k * L) / samples
+
+
+# -- sampled L* -------------------------------------------------------------------
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_sample_l_stars_continues_one_stream(fano, policy, cached):
+    # odd L, so a split shows if a call does not continue the stream of the last
+    N, n, k, L, m = 7, 3, 2, 3, 40
+
+    def solve(inst):
+        return solve_oracle(inst).l_star
+
+    def sample(sizes):
+        gen = PlacementRng(11).generator()
+        cache = {} if cached else None
+        return np.concatenate([sample_l_stars(policy, N, n, k, L, size, gen, solve, fano, cache)
+                               for size in sizes])
+
+    gen = PlacementRng(11).generator()
+    per_draw = [solve(draw(policy, N, n, k, L, gen, fano)) for _ in range(m)]
+    whole = sample([m])
+    assert whole.tolist() == per_draw
+    assert sample([1, 4, m - 5]).tolist() == per_draw
 
 
 # -- exact full throughput -------------------------------------------------------

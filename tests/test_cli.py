@@ -7,7 +7,7 @@ import pytest
 
 from codedswitch import Instance, Solution, validate_instance
 from codedswitch.cli import _build_parser, main
-from codedswitch.ensemble import CLI_NAMES, OPTIMAL, SOLVERS
+from codedswitch.solvers import CLI_NAMES, OPTIMAL, SOLVERS
 from codedswitch.placement import POLICIES
 
 
@@ -132,6 +132,26 @@ def test_analyze_pair_cyclic_default_threshold(capsys):
     assert value == pytest.approx(5 / 36)
 
 
+def test_analyze_pair_cyclic_single_packet(capsys):
+    assert main(["analyze", "--what", "pair-cyc", "--N", "12", "--n", "4",
+                 "--k", "3", "--L", "1"]) == 0
+    assert capsys.readouterr().out == "1,closed_form,0\n"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["design", "build", "--kind", "plane", "--out", "{out}"], "--kind plane requires --q"),
+    (["design", "build", "--kind", "packing", "--N", "7", "--n", "3", "--out", "{out}"],
+     "--kind packing requires --N --n --t-max"),
+    (["analyze", "--what", "full-tp", "--n", "3", "--k", "2", "--L", "2"],
+     "--what full-tp requires --N"),
+])
+def test_missing_options_exit_2(tmp_path, capsys, argv, line):
+    out = tmp_path / "out"
+    assert main([str(out) if a == "{out}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 def test_simulate_from_spec(tmp_path):
     spec = {
         "policy": "cyclic", "N": 12, "k": 3, "n": 4,
@@ -214,6 +234,30 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, argv, name, text):
     assert main([str(subs.get(a, a)) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,N,n,k", [
+    pytest.param("3 2 2\n0 5\n1 7\n", 3, 2, 1, id="mu-outside-N"),
+    pytest.param("5 3 2\n0 1\n2 3 4\n", 5, 3, 2, id="block-shorter-than-n"),
+])
+@pytest.mark.parametrize("command", ["verify", "analyze", "simulate"])
+def test_design_blocks_must_match_header_exit_1(tmp_path, capsys, command, text, N, n, k):
+    design = tmp_path / "bad.blocks"
+    design.write_text(text)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"policy": "design", "N": N, "k": k, "n": n, "L_range": [2],
+                                "trials": 10, "solver": "design_opt",
+                                "design_source": str(design)}))
+    argv = {
+        "verify": ["design", "verify", "--in", str(design)],
+        "analyze": ["analyze", "--what", "full-tp", "--policy", "design", "--design", str(design),
+                    "--N", str(N), "--n", str(n), "--k", str(k), "--L", "2"],
+        "simulate": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
 
 
 _SPEC = {"policy": "cyclic", "N": 12, "k": 3, "n": 4, "L_range": [1, 2], "trials": 10}
