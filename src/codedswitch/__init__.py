@@ -70,6 +70,7 @@ from .placement import (
     draw_design,
     draw_uniform,
     instance_from_starts,
+    uniform_rows,
     verify_packing,
     with_k,
 )

@@ -48,6 +48,7 @@ from .placement import (
     cyclic_class_keys,
     draw,
     instance_from_starts,
+    uniform_rows,
 )
 from .solvers import OPTIMAL, SOLVERS, solve_oracle
 
@@ -255,18 +256,25 @@ def sample_l_stars(policy: str, N: int, n: int, k: int, L: int, size: int, gen, 
     arc starts in one call and solve one instance per rotation class
     (``cyclic_l_stars``): L* does not change when the MUs are rotated or
     the packets reordered, and the batched draw yields the same stream as
-    per-instance draws.  Either way the values are those of solving every
-    draw.
+    per-instance draws.  Uniform draws take the ``size * L`` packets in one
+    ``uniform_rows`` call, on the same stream as per-instance draws too.
+    Either way the values are those of solving every draw.
     """
     if cache is not None and policy == "cyclic":
         return cyclic_l_stars(gen.integers(0, N, size=(size, L)), N, n, k, solve, cache)
-    insts = [draw(policy, N, n, k, L, gen, design) for _ in range(size)]
+    if policy == "uniform":
+        rows = uniform_rows(N, n, size * L, gen).reshape(size, L, n)
+        insts = (Instance(N, k, n, packets.tolist(), policy) for packets in rows)
+    else:
+        insts = [draw(policy, N, n, k, L, gen, design) for _ in range(size)]
     if cache is None:
         return np.array([solve(inst) for inst in insts], dtype=np.int64)
+    ls = []
     for inst in insts:
         if inst.packets not in cache:
             cache[inst.packets] = solve(inst)
-    return np.array([cache[inst.packets] for inst in insts], dtype=np.int64)
+        ls.append(cache[inst.packets])
+    return np.array(ls, dtype=np.int64)
 
 
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:

@@ -334,8 +334,7 @@ def _cmd_codec(args) -> int:
         meta = (k, n, B)
         slots[index] = payload
     if meta is None:
-        print("no chunk files found", file=sys.stderr)
-        return 1
+        raise MalformedFile(f"{in_dir}: no chunk files found")
     cfg = _codec_cfg(args, *meta)
     decode = cyclic_decode_burst if cfg.family == BINARY_CYCLIC else mds_decode
     data = decode(ChunkSet(chunks=tuple(slots.get(i) for i in range(cfg.n))), cfg)

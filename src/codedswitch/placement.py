@@ -7,6 +7,11 @@ Three write-path policies decide which n MUs hold a packet's chunks:
 * design: a block of a packing whose pairwise intersections are bounded,
   so that full throughput is guaranteed by construction for suitable L.
 
+Uniform draws are batched: ``uniform_rows`` draws many n-subsets in one
+pass and replays ``Generator.choice(N, n, replace=False)`` exactly, state
+included.  The replay depends on numpy's ``choice`` internals, which the
+tests pin; on any numpy the batch is still an exact uniform sampler.
+
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
 with distance d = 2(n - t_max).
@@ -24,6 +29,7 @@ from .errors import (
     BadParams,
     CoverageDuplicate,
     CoverageGap,
+    DuplicateIndex,
     EmptyDesign,
     IntersectionTooLarge,
     MalformedFile,
@@ -91,7 +97,7 @@ class BlockDesign:
             rows = [r for r in Path(path).read_text().split("\n") if r.strip()]
             N, n, t = (int(x) for x in rows[0].split())
             blocks = tuple(muset(int(x) for x in r.split()) for r in rows[1:])
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, DuplicateIndex) as exc:
             raise MalformedFile(f"{path}: malformed block design ({exc})") from exc
         for i, blk in enumerate(blocks):
             if len(blk) != n or blk[0] < 0 or blk[-1] >= N:
@@ -99,14 +105,105 @@ class BlockDesign:
         return cls(N=N, n=n, t=t, blocks=blocks, source="file")
 
 
+def _next_uint32(bg, state: dict, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit draws of the PCG64 ``bg``, in ``state``, as uint32.
+
+    The 32-bit stream is the raw 64-bit output, low half first, after the
+    half buffered in the state; ``bg`` keeps the half that ``count`` draws
+    of its own 32-bit stream would keep.
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.uint32)
+    has = state["has_uint32"]
+    # little-endian halves of a little-endian word: low half first on any host
+    words = bg.random_raw((count - has + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if has:
+        words = np.concatenate([np.array([state["uinteger"]], dtype="<u4"), words])
+    state = bg.state
+    state["has_uint32"] = len(words) - count
+    state["uinteger"] = int(words[-1])
+    bg.state = state
+    return words[:count]
+
+
+def _choice_rows(N: int, n: int, rows: int, gen) -> np.ndarray:
+    """``uniform_rows`` by one call of ``gen.choice`` per row."""
+    return np.array([np.sort(gen.choice(N, size=n, replace=False)) for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, n)
+
+
+# rows per pass of a batch: a pass holds about 40n bytes of arrays per row,
+# so memory stays flat however many rows are asked for
+_PASS_ROWS = 1024
+
+
+def _floyd_pass(N: int, n: int, gen: np.random.Generator, taken: np.ndarray) -> None:
+    """Fill ``taken`` with the sorted rows of len(taken) successive choice
+    calls on a PCG64 ``gen``, in one pass (see ``uniform_rows``)."""
+    rows = len(taken)
+    # a pass makes one numpy sweep per Floyd column, costing about as much as
+    # n calls of choice, so fewer rows are drawn by choice itself
+    if rows < n + 2:
+        taken[:] = _choice_rows(N, n, rows, gen)
+        return
+    bg = gen.bit_generator
+    saved = bg.state
+    # the bounds j+1 of one call's draws in [0, j]: Floyd's, then the shuffle's
+    bounds = np.concatenate([np.arange(N - n, N), np.arange(n - 1, 0, -1)]).astype(np.uint64)
+    bounds += np.uint64(1)
+    # a draw in [0, 0] takes no word: give it the word 0, which never rejects
+    words = _next_uint32(bg, saved, rows * (len(bounds) - (N == n))).reshape(rows, -1)
+    if N == n:
+        words = np.insert(words, 0, 0, axis=1)
+    prod = words * bounds
+    if (prod.astype(np.uint32) < (2**32 % bounds)).any():
+        bg.state = saved
+        taken[:] = _choice_rows(N, n, rows, gen)
+        return
+    # Floyd's draws column by column, one row per column so that the
+    # membership test reduces over the short axis; row c becomes the taken value
+    floyd = (prod[:, :n].T >> np.uint64(32)).astype(np.int64)
+    for c, j in enumerate(range(N - n, N)):
+        floyd[c] = np.where((floyd[:c] == floyd[c]).any(axis=0), j, floyd[c])
+    taken[:] = floyd.T
+    taken.sort(axis=1)
+
+
+def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """``rows`` independent uniform n-subsets of {0..N-1}, a sorted (rows, n) array.
+
+    Row i is ``sorted(gen.choice(N, n, replace=False))`` of the i-th of
+    ``rows`` successive calls, and ``gen`` is left in the state those calls
+    leave.  For a PCG64 generator the calls are replayed in passes of up to
+    ``_PASS_ROWS`` rows: ``choice`` runs Floyd's algorithm unless N > 10000
+    and n > N // 50, drawing v in [0, j] for j = N-n..N-1 (taking j if v is
+    taken) and then shuffling the n values (a draw in [0, i] for
+    i = n-1..1).  Each draw in [0, j] with j > 0 is one Lemire draw,
+    (u * (j+1)) >> 32, from the next 32-bit word u (``_next_uint32``),
+    rejected when the low 32 bits of the product fall below 2^32 mod (j+1).
+    A pass that would reject, a pass of fewer than n + 2 rows, the tail
+    shuffle of large samples and other bit generators are left to
+    ``choice`` itself, row by row.  Floyd's algorithm on unbiased draws is a
+    uniform sampler, so the batch is uniform whatever ``choice`` does;
+    equality with ``choice`` rests on numpy's internals and is pinned by
+    the tests.
+    """
+    if not (1 <= n <= N) or rows < 0:
+        raise BadParams(f"need 1 <= n <= N and rows >= 0, got N={N}, n={n}, rows={rows}")
+    if ((N > 10000 and n > N // 50) or N >= 2**32
+            or not isinstance(gen.bit_generator, np.random.PCG64)):
+        return _choice_rows(N, n, rows, gen)
+    taken = np.empty((rows, n), dtype=np.int64)
+    for lo in range(0, rows, _PASS_ROWS):
+        _floyd_pass(N, n, gen, taken[lo:lo + _PASS_ROWS])
+    return taken
+
+
 def draw_uniform(N: int, n: int, L: int, rng) -> Instance:
     """L independent uniform n-subsets of {0..N-1}, with replacement."""
     if not (1 <= n <= N) or L < 1:
         raise BadParams(f"need 1 <= n <= N and L >= 1, got N={N}, n={n}, L={L}")
-    gen = _as_generator(rng)
-    packets = tuple(
-        tuple(sorted(gen.choice(N, size=n, replace=False).tolist())) for _ in range(L)
-    )
+    packets = uniform_rows(N, n, L, _as_generator(rng)).tolist()
     return Instance(N=N, k=n, n=n, packets=packets, placement="uniform")
 
 

@@ -239,6 +239,7 @@ def test_malformed_input_files_exit_1(tmp_path, capsys, argv, name, text):
 @pytest.mark.parametrize("text,N,n,k", [
     pytest.param("3 2 2\n0 5\n1 7\n", 3, 2, 1, id="mu-outside-N"),
     pytest.param("5 3 2\n0 1\n2 3 4\n", 5, 3, 2, id="block-shorter-than-n"),
+    pytest.param("3 2 2\n0 0\n1 2\n", 3, 2, 1, id="mu-repeated"),
 ])
 @pytest.mark.parametrize("command", ["verify", "analyze", "simulate"])
 def test_design_blocks_must_match_header_exit_1(tmp_path, capsys, command, text, N, n, k):
@@ -257,6 +258,7 @@ def test_design_blocks_must_match_header_exit_1(tmp_path, capsys, command, text,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+    assert str(design) in err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -330,6 +332,15 @@ def test_codec_decode_rejects_inconsistent_chunk_files(tmp_path, capsys, corrupt
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_codec_decode_empty_dir_exit_1(tmp_path, capsys):
+    out = tmp_path / "recovered.bin"
+    assert main(["codec", "decode", "--family", "mds", "--in-dir", str(tmp_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: MalformedFile: {tmp_path}: no chunk files found\n"
     assert not out.exists()
 
 

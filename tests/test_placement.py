@@ -3,6 +3,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from codedswitch import (
     draw_design,
     draw_uniform,
     instance_from_starts,
+    uniform_rows,
     validate_instance,
     verify_packing,
 )
+from codedswitch import placement
 from codedswitch.errors import (
     BadParams,
     CoverageDuplicate,
@@ -81,6 +84,101 @@ def test_uniform_frequencies_3sigma():
 def test_uniform_bad_params():
     with pytest.raises(BadParams):
         draw_uniform(3, 4, 1, PlacementRng(0).generator())
+
+
+def _choice_rows(gen, N, n, rows):
+    return [sorted(gen.choice(N, n, replace=False).tolist()) for _ in range(rows)]
+
+
+def _words(N, n, rows):
+    """32-bit words a batch of rows takes: one per draw in [0, j], j > 0."""
+    return rows * (2 * n - 1 - (N == n))
+
+
+# (10001, 5) still runs Floyd's algorithm in choice; (12000, 241) shuffles the tail
+@pytest.mark.parametrize("N,n", [(12, 3), (12, 4), (12, 5), (12, 6), (7, 3), (17, 5), (5, 5),
+                                 (9, 1), (10001, 5), (12000, 241)])
+def test_uniform_rows_replay_choice(N, n):
+    # 1 and 2 rows are drawn by choice itself, 9 and more in a batch
+    for seed in range(40):
+        rows = (1, 2, 9, 16, 40)[seed % 5]
+        ref, gen = PlacementRng(seed, N).generator(), PlacementRng(seed, N).generator()
+        expect = _choice_rows(ref, N, n, rows)
+        got = uniform_rows(N, n, rows, gen)
+        assert got.dtype == np.int64 and got.shape == (rows, n)
+        assert got.tolist() == expect
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("N,n", [(12, 5), (5, 5), (17, 5)])
+def test_uniform_rows_replay_choice_across_passes(N, n):
+    # two full passes, then n + 1 rows, which choice draws itself
+    rows = 2 * placement._PASS_ROWS + n + 1
+    ref, gen = PlacementRng(8, N).generator(), PlacementRng(8, N).generator()
+    assert uniform_rows(N, n, rows, gen).tolist() == _choice_rows(ref, N, n, rows)
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_uniform_rows_carry_the_buffered_half():
+    # after an odd number of 32-bit words in all, the unused half of a
+    # 64-bit output stays buffered for the next draw
+    ref, gen = PlacementRng(5).generator(), PlacementRng(5).generator()
+    used = 0
+    for N, n, rows in ((12, 3, 5), (12, 4, 7), (9, 1, 3), (5, 5, 8), (17, 5, 9), (9, 1, 3)):
+        assert uniform_rows(N, n, rows, gen).tolist() == _choice_rows(ref, N, n, rows)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        used += _words(N, n, rows)
+        assert gen.bit_generator.state["has_uint32"] == used % 2
+    assert used % 2 == 1
+    assert (gen.integers(0, 1000, size=7, dtype=np.uint32).tolist()
+            == ref.integers(0, 1000, size=7, dtype=np.uint32).tolist())
+    assert gen.random(3).tolist() == ref.random(3).tolist()
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _next_raw_output_zero(seed):
+    """A PCG64 generator whose next 64-bit output is 0.  PCG64 steps its
+    state s to s * mult + inc and outputs the XSL-RR of the new state, which
+    is its low half when the high half is 0."""
+    gen = PlacementRng(seed).generator()
+    state = gen.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = -inc * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    state["has_uint32"] = 0
+    gen.bit_generator.state = state
+    return gen
+
+
+def test_uniform_rows_replay_a_rejected_draw(monkeypatch):
+    assert _next_raw_output_zero(0).bit_generator.random_raw() == 0
+    fallbacks = []
+    row_by_row = placement._choice_rows
+    monkeypatch.setattr(placement, "_choice_rows",
+                        lambda *args: fallbacks.append(args) or row_by_row(*args))
+    uniform_rows(12, 4, 10, PlacementRng(0).generator())
+    assert fallbacks == []
+    # the word 0 makes the first draw, in [0, 8], reject: 0 < 2^32 mod 9
+    ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
+    expect = _choice_rows(ref, 12, 4, 10)
+    assert uniform_rows(12, 4, 10, gen).tolist() == expect
+    assert len(fallbacks) == 1
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def test_uniform_rows_other_bit_generators_use_choice():
+    ref, gen = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
+    assert uniform_rows(12, 4, 20, gen).tolist() == _choice_rows(ref, 12, 4, 20)
+    assert gen.bit_generator.state["state"]["pos"] == ref.bit_generator.state["state"]["pos"]
+
+
+def test_uniform_rows_bad_params():
+    gen = PlacementRng(0).generator()
+    for N, n, rows in ((3, 4, 1), (3, 0, 1), (3, 2, -1)):
+        with pytest.raises(BadParams):
+            uniform_rows(N, n, rows, gen)
+    assert uniform_rows(5, 2, 0, gen).shape == (0, 2)
 
 
 # -- cyclic draws ---------------------------------------------------------------
