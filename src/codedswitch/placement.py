@@ -135,17 +135,21 @@ def _choice_rows(N: int, n: int, rows: int, gen) -> np.ndarray:
 # rows per pass of a batch: a pass holds about 40n bytes of arrays per row,
 # so memory stays flat however many rows are asked for
 _PASS_ROWS = 1024
+# A pass sweeps numpy once per Floyd column, so it costs about 10 µs per
+# column however few rows it holds, and compares each value with the n/2
+# before it on average.  Measured against row-by-row choice (N from n+1 to
+# 10000), a pass takes at most 0.56 of choice's time per row at 64 rows and
+# n <= 32, and at most 0.28 at 1024 rows and n = 32; at 32 rows and n = 40,
+# or 1024 rows and n = 96, the two are even.  Fewer rows or larger n are
+# left to choice.
+_BATCH_MIN_ROWS = 64
+_BATCH_MAX_N = 32
 
 
 def _floyd_pass(N: int, n: int, gen: np.random.Generator, taken: np.ndarray) -> None:
     """Fill ``taken`` with the sorted rows of len(taken) successive choice
     calls on a PCG64 ``gen``, in one pass (see ``uniform_rows``)."""
     rows = len(taken)
-    # a pass makes one numpy sweep per Floyd column, costing about as much as
-    # n calls of choice, so fewer rows are drawn by choice itself
-    if rows < n + 2:
-        taken[:] = _choice_rows(N, n, rows, gen)
-        return
     bg = gen.bit_generator
     saved = bg.state
     # the bounds j+1 of one call's draws in [0, j]: Floyd's, then the shuffle's
@@ -174,28 +178,30 @@ def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndar
 
     Row i is ``sorted(gen.choice(N, n, replace=False))`` of the i-th of
     ``rows`` successive calls, and ``gen`` is left in the state those calls
-    leave.  For a PCG64 generator the calls are replayed in passes of up to
-    ``_PASS_ROWS`` rows: ``choice`` runs Floyd's algorithm unless N > 10000
-    and n > N // 50, drawing v in [0, j] for j = N-n..N-1 (taking j if v is
+    leave.  For a PCG64 generator, n <= 32 and at least 64 rows, the calls
+    are replayed in passes of up to ``_PASS_ROWS`` rows: ``choice`` runs
+    Floyd's algorithm (unless N > 10000 and n > N // 50, which n <= 32
+    rules out), drawing v in [0, j] for j = N-n..N-1 (taking j if v is
     taken) and then shuffling the n values (a draw in [0, i] for
     i = n-1..1).  Each draw in [0, j] with j > 0 is one Lemire draw,
     (u * (j+1)) >> 32, from the next 32-bit word u (``_next_uint32``),
     rejected when the low 32 bits of the product fall below 2^32 mod (j+1).
-    A pass that would reject, a pass of fewer than n + 2 rows, the tail
-    shuffle of large samples and other bit generators are left to
-    ``choice`` itself, row by row.  Floyd's algorithm on unbiased draws is a
-    uniform sampler, so the batch is uniform whatever ``choice`` does;
-    equality with ``choice`` rests on numpy's internals and is pinned by
-    the tests.
+    A pass that would reject is left to ``choice`` itself, row by row, and
+    so are fewer rows and larger n, where the batch is no faster (see
+    ``_BATCH_MIN_ROWS``), and other bit generators.  Floyd's algorithm on
+    unbiased draws is a uniform sampler, so the batch is uniform whatever
+    ``choice`` does; equality with ``choice`` rests on numpy's internals
+    and is pinned by the tests.
     """
     if not (1 <= n <= N) or rows < 0:
         raise BadParams(f"need 1 <= n <= N and rows >= 0, got N={N}, n={n}, rows={rows}")
-    if ((N > 10000 and n > N // 50) or N >= 2**32
+    if (rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N or N >= 2**32
             or not isinstance(gen.bit_generator, np.random.PCG64)):
         return _choice_rows(N, n, rows, gen)
     taken = np.empty((rows, n), dtype=np.int64)
-    for lo in range(0, rows, _PASS_ROWS):
-        _floyd_pass(N, n, gen, taken[lo:lo + _PASS_ROWS])
+    # equal passes, so that none holds fewer than _BATCH_MIN_ROWS rows
+    for part in np.array_split(taken, -(-rows // _PASS_ROWS)):
+        _floyd_pass(N, n, gen, part)
     return taken
 
 

@@ -123,6 +123,9 @@ def solve_oracle(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
         if chosen is not None:
             assignments[idx] = chosen[1]
             used |= chosen[0]
+    # ``best`` refers to itself: unbind it so that its memo is freed on
+    # return, not when the cyclic garbage collector next runs
+    best = None
     return Solution(assignments=tuple(assignments))
 
 

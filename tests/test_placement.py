@@ -99,9 +99,9 @@ def _words(N, n, rows):
 @pytest.mark.parametrize("N,n", [(12, 3), (12, 4), (12, 5), (12, 6), (7, 3), (17, 5), (5, 5),
                                  (9, 1), (10001, 5), (12000, 241)])
 def test_uniform_rows_replay_choice(N, n):
-    # 1 and 2 rows are drawn by choice itself, 9 and more in a batch
+    # fewer than 64 rows, or n > 32, are drawn by choice itself
     for seed in range(40):
-        rows = (1, 2, 9, 16, 40)[seed % 5]
+        rows = (1, 63, 64, 65, 200)[seed % 5]
         ref, gen = PlacementRng(seed, N).generator(), PlacementRng(seed, N).generator()
         expect = _choice_rows(ref, N, n, rows)
         got = uniform_rows(N, n, rows, gen)
@@ -112,7 +112,7 @@ def test_uniform_rows_replay_choice(N, n):
 
 @pytest.mark.parametrize("N,n", [(12, 5), (5, 5), (17, 5)])
 def test_uniform_rows_replay_choice_across_passes(N, n):
-    # two full passes, then n + 1 rows, which choice draws itself
+    # three equal passes of 683 or 684 rows
     rows = 2 * placement._PASS_ROWS + n + 1
     ref, gen = PlacementRng(8, N).generator(), PlacementRng(8, N).generator()
     assert uniform_rows(N, n, rows, gen).tolist() == _choice_rows(ref, N, n, rows)
@@ -124,7 +124,7 @@ def test_uniform_rows_carry_the_buffered_half():
     # 64-bit output stays buffered for the next draw
     ref, gen = PlacementRng(5).generator(), PlacementRng(5).generator()
     used = 0
-    for N, n, rows in ((12, 3, 5), (12, 4, 7), (9, 1, 3), (5, 5, 8), (17, 5, 9), (9, 1, 3)):
+    for N, n, rows in ((12, 3, 65), (12, 4, 67), (9, 1, 64), (5, 5, 64), (17, 5, 69), (9, 1, 66)):
         assert uniform_rows(N, n, rows, gen).tolist() == _choice_rows(ref, N, n, rows)
         assert gen.bit_generator.state == ref.bit_generator.state
         used += _words(N, n, rows)
@@ -157,20 +157,33 @@ def test_uniform_rows_replay_a_rejected_draw(monkeypatch):
     row_by_row = placement._choice_rows
     monkeypatch.setattr(placement, "_choice_rows",
                         lambda *args: fallbacks.append(args) or row_by_row(*args))
-    uniform_rows(12, 4, 10, PlacementRng(0).generator())
+    uniform_rows(12, 4, 100, PlacementRng(0).generator())
     assert fallbacks == []
     # the word 0 makes the first draw, in [0, 8], reject: 0 < 2^32 mod 9
     ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
-    expect = _choice_rows(ref, 12, 4, 10)
-    assert uniform_rows(12, 4, 10, gen).tolist() == expect
+    expect = _choice_rows(ref, 12, 4, 100)
+    assert uniform_rows(12, 4, 100, gen).tolist() == expect
     assert len(fallbacks) == 1
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def test_uniform_rows_other_bit_generators_use_choice():
     ref, gen = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
-    assert uniform_rows(12, 4, 20, gen).tolist() == _choice_rows(ref, 12, 4, 20)
+    assert uniform_rows(12, 4, 100, gen).tolist() == _choice_rows(ref, 12, 4, 100)
     assert gen.bit_generator.state["state"]["pos"] == ref.bit_generator.state["state"]["pos"]
+
+
+def test_uniform_rows_batch_only_where_measured_faster(monkeypatch):
+    passes = []
+    floyd_pass = placement._floyd_pass
+    monkeypatch.setattr(placement, "_floyd_pass",
+                        lambda N, n, gen, taken: passes.append(len(taken))
+                        or floyd_pass(N, n, gen, taken))
+    gen = PlacementRng(0).generator()
+    for N, n, rows in ((12, 5, 63), (40, 33, 1000), (10001, 5, 1), (12, 5, 64), (40, 32, 64),
+                       (12, 5, 2 * placement._PASS_ROWS + 1)):
+        uniform_rows(N, n, rows, gen)
+    assert passes == [64, 64, 683, 683, 683]
 
 
 def test_uniform_rows_bad_params():
