@@ -9,8 +9,10 @@ Three write-path policies decide which n MUs hold a packet's chunks:
 
 Uniform draws are batched: ``uniform_rows`` draws many n-subsets in one
 pass and replays ``Generator.choice(N, n, replace=False)`` exactly, state
-included.  The replay depends on numpy's ``choice`` internals, which the
-tests pin; on any numpy the batch is still an exact uniform sampler.
+included; short requests and large n, where a batch is no faster, call
+``choice`` row by row.  The replay depends on numpy's ``choice``
+internals, which the tests pin; on any numpy the batch is still an exact
+uniform sampler.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -140,7 +142,7 @@ _PASS_ROWS = 1024
 # before it on average.  Measured against row-by-row choice (N from n+1 to
 # 10000), a pass takes at most 0.56 of choice's time per row at 64 rows and
 # n <= 32, and at most 0.28 at 1024 rows and n = 32; at 32 rows and n = 40,
-# or 1024 rows and n = 96, the two are even.  Fewer rows or larger n are
+# or 1024 rows and n = 96, the two are about even.  Fewer rows or larger n are
 # left to choice.
 _BATCH_MIN_ROWS = 64
 _BATCH_MAX_N = 32
