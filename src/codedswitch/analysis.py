@@ -40,10 +40,10 @@ import numpy as np
 from .errors import BadParams, ConditionViolated, TooLarge
 from .model import Instance
 from .placement import (
-    POLICIES,
     BlockDesign,
     PlacementRng,
     _as_generator,
+    check_cell,
     check_design,
     cyclic_class_keys,
     draw,
@@ -349,12 +349,9 @@ def p_full_throughput_exact(
     multisets (``multisets``, ``cyclic_support``), solving each one once
     with the policy's optimal solver.
     """
-    if not (1 <= k <= n <= N) or L < 1:
-        raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
-    if samples < 1:
-        raise BadParams(f"need samples >= 1, got {samples}")
-    if policy not in POLICIES:
-        raise BadParams(f"unknown policy {policy!r}")
+    check_cell(policy, N, n, k)
+    if L < 1 or samples < 1:
+        raise BadParams(f"need L >= 1 and samples >= 1, got L={L}, samples={samples}")
     if policy == "design":
         check_design(design, N, n)
     solve = SOLVERS[OPTIMAL[policy]]

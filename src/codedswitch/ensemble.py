@@ -34,7 +34,13 @@ from . import analysis
 from ._svg import line_chart
 from .conditions import t_max
 from .errors import BadParams, EmptySamples, IncompatibleSolver, UnknownFigure
-from .placement import POLICIES, BlockDesign, build_lexicographic_packing, check_design
+from .placement import (
+    POLICIES,
+    BlockDesign,
+    build_lexicographic_packing,
+    check_cell,
+    check_design,
+)
 # the solve_* names are re-exported: benchmarks/test_bench.py checks that the
 # span tracer patches and restores their bindings in this module
 from .solvers import (  # noqa: F401
@@ -64,8 +70,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "L_range", tuple(int(x) for x in self.L_range))
-        if self.policy not in POLICIES:
-            raise BadParams(f"unknown policy {self.policy!r}")
+        check_cell(self.policy, self.N, self.n, self.k)
         if self.solver not in SOLVERS:
             raise BadParams(f"unknown solver {self.solver!r}")
         if self.trials < 1 or any(L < 1 for L in self.L_range):

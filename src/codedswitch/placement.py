@@ -9,10 +9,10 @@ Three write-path policies decide which n MUs hold a packet's chunks:
 
 Uniform draws are batched: ``uniform_rows`` draws many n-subsets in one
 pass and replays ``Generator.choice(N, n, replace=False)`` exactly, state
-included; short requests and large n, where a batch is no faster, call
-``choice`` row by row.  The replay depends on numpy's ``choice``
-internals, which the tests pin; on any numpy the batch is still an exact
-uniform sampler.
+included, on any bit generator.  ``choice`` runs Floyd's algorithm on
+numpy's bounded-integer draws, and one ``Generator.integers`` call over an
+array of bounds makes the same draws in the same order.  Short requests
+and large n call ``choice`` row by row.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -107,27 +107,6 @@ class BlockDesign:
         return cls(N=N, n=n, t=t, blocks=blocks, source="file")
 
 
-def _next_uint32(bg, state: dict, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit draws of the PCG64 ``bg``, in ``state``, as uint32.
-
-    The 32-bit stream is the raw 64-bit output, low half first, after the
-    half buffered in the state; ``bg`` keeps the half that ``count`` draws
-    of its own 32-bit stream would keep.
-    """
-    if count == 0:
-        return np.empty(0, dtype=np.uint32)
-    has = state["has_uint32"]
-    # little-endian halves of a little-endian word: low half first on any host
-    words = bg.random_raw((count - has + 1) // 2).astype("<u8", copy=False).view("<u4")
-    if has:
-        words = np.concatenate([np.array([state["uinteger"]], dtype="<u4"), words])
-    state = bg.state
-    state["has_uint32"] = len(words) - count
-    state["uinteger"] = int(words[-1])
-    bg.state = state
-    return words[:count]
-
-
 def _choice_rows(N: int, n: int, rows: int, gen) -> np.ndarray:
     """``uniform_rows`` by one call of ``gen.choice`` per row."""
     return np.array([np.sort(gen.choice(N, size=n, replace=False)) for _ in range(rows)],
@@ -140,35 +119,24 @@ _PASS_ROWS = 1024
 # A pass sweeps numpy once per Floyd column, so it costs about 10 µs per
 # column however few rows it holds, and compares each value with the n/2
 # before it on average.  Measured against row-by-row choice (N from n+1 to
-# 10000), a pass takes at most 0.56 of choice's time per row at 64 rows and
-# n <= 32, and at most 0.28 at 1024 rows and n = 32; at 32 rows and n = 40,
-# or 1024 rows and n = 96, the two are about even.  Fewer rows or larger n are
-# left to choice.
+# 2^33), a pass takes 0.07-0.41 of choice's time per row at 64 rows and
+# n <= 32, and 0.73-0.92 at 64 rows and n = 64.  Below 64 rows the break-even
+# rises with n, from about 4 rows at n = 3 to about 24 at n = 32, so one gate
+# at 64 rows is on the batch's side for every n <= 32.  Fewer rows or larger
+# n are left to choice; n <= 32 also keeps calls out of choice's tail shuffle.
 _BATCH_MIN_ROWS = 64
 _BATCH_MAX_N = 32
 
 
 def _floyd_pass(N: int, n: int, gen: np.random.Generator, taken: np.ndarray) -> None:
     """Fill ``taken`` with the sorted rows of len(taken) successive choice
-    calls on a PCG64 ``gen``, in one pass (see ``uniform_rows``)."""
-    rows = len(taken)
-    bg = gen.bit_generator
-    saved = bg.state
-    # the bounds j+1 of one call's draws in [0, j]: Floyd's, then the shuffle's
-    bounds = np.concatenate([np.arange(N - n, N), np.arange(n - 1, 0, -1)]).astype(np.uint64)
-    bounds += np.uint64(1)
-    # a draw in [0, 0] takes no word: give it the word 0, which never rejects
-    words = _next_uint32(bg, saved, rows * (len(bounds) - (N == n))).reshape(rows, -1)
-    if N == n:
-        words = np.insert(words, 0, 0, axis=1)
-    prod = words * bounds
-    if (prod.astype(np.uint32) < (2**32 % bounds)).any():
-        bg.state = saved
-        taken[:] = _choice_rows(N, n, rows, gen)
-        return
+    calls, in one pass (see ``uniform_rows``)."""
+    # each call's bounds j+1 of its draws in [0, j]: Floyd's, then the shuffle's
+    highs = np.concatenate([np.arange(N - n + 1, N + 1), np.arange(n, 1, -1)])
+    draws = gen.integers(0, np.tile(highs, len(taken))).reshape(len(taken), -1)
     # Floyd's draws column by column, one row per column so that the
     # membership test reduces over the short axis; row c becomes the taken value
-    floyd = (prod[:, :n].T >> np.uint64(32)).astype(np.int64)
+    floyd = np.ascontiguousarray(draws[:, :n].T)
     for c, j in enumerate(range(N - n, N)):
         floyd[c] = np.where((floyd[:c] == floyd[c]).any(axis=0), j, floyd[c])
     taken[:] = floyd.T
@@ -180,25 +148,19 @@ def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndar
 
     Row i is ``sorted(gen.choice(N, n, replace=False))`` of the i-th of
     ``rows`` successive calls, and ``gen`` is left in the state those calls
-    leave.  For a PCG64 generator, n <= 32 and at least 64 rows, the calls
-    are replayed in passes of up to ``_PASS_ROWS`` rows: ``choice`` runs
-    Floyd's algorithm (unless N > 10000 and n > N // 50, which n <= 32
-    rules out), drawing v in [0, j] for j = N-n..N-1 (taking j if v is
-    taken) and then shuffling the n values (a draw in [0, i] for
-    i = n-1..1).  Each draw in [0, j] with j > 0 is one Lemire draw,
-    (u * (j+1)) >> 32, from the next 32-bit word u (``_next_uint32``),
-    rejected when the low 32 bits of the product fall below 2^32 mod (j+1).
-    A pass that would reject is left to ``choice`` itself, row by row, and
-    so are fewer rows and larger n, where the batch is no faster (see
-    ``_BATCH_MIN_ROWS``), and other bit generators.  Floyd's algorithm on
-    unbiased draws is a uniform sampler, so the batch is uniform whatever
-    ``choice`` does; equality with ``choice`` rests on numpy's internals
-    and is pinned by the tests.
+    leave.  For n <= 32 and at least 64 rows the calls are replayed in
+    passes of up to ``_PASS_ROWS`` rows.  ``choice`` runs Floyd's algorithm
+    there: a draw v in [0, j] for j = N-n..N-1, taking j if v is taken, then
+    a shuffle of the n values by a draw in [0, i] for i = n-1..1.  It makes
+    each draw with numpy's bounded-integer routine, which
+    ``Generator.integers`` also calls once per element of an array of
+    bounds, in order; so one ``integers`` call makes a pass's draws on any
+    bit generator.  Fewer rows and larger n go to ``choice`` row by row
+    (see ``_BATCH_MIN_ROWS``).
     """
     if not (1 <= n <= N) or rows < 0:
         raise BadParams(f"need 1 <= n <= N and rows >= 0, got N={N}, n={n}, rows={rows}")
-    if (rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N or N >= 2**32
-            or not isinstance(gen.bit_generator, np.random.PCG64)):
+    if rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N:
         return _choice_rows(N, n, rows, gen)
     taken = np.empty((rows, n), dtype=np.int64)
     # equal passes, so that none holds fewer than _BATCH_MIN_ROWS rows
@@ -219,12 +181,7 @@ def draw_cyclic(N: int, n: int, L: int, rng) -> Instance:
     """L independent arcs {s..s+n-1 mod N} with uniform starts, replacement allowed."""
     if not (1 <= n < N) or L < 1:
         raise BadParams(f"need 1 <= n < N and L >= 1, got N={N}, n={n}, L={L}")
-    gen = _as_generator(rng)
-    starts = gen.integers(0, N, size=L)
-    packets = tuple(
-        tuple(sorted((int(s) + r) % N for r in range(n))) for s in starts
-    )
-    return Instance(N=N, k=n, n=n, packets=packets, placement="cyclic")
+    return instance_from_starts(N, n, _as_generator(rng).integers(0, N, size=L))
 
 
 def instance_from_starts(N: int, n: int, starts, k: int | None = None) -> Instance:
@@ -286,6 +243,16 @@ def check_design(design: BlockDesign | None, N: int, n: int) -> None:
         raise BadParams("design policy needs a block design (design_source in a spec)")
     if design.N != N or design.n != n:
         raise BadParams(f"design is on (N={design.N}, n={design.n}), asked for (N={N}, n={n})")
+
+
+def check_cell(policy: str, N: int, n: int, k: int) -> None:
+    """BadParams unless draws of ``policy`` can place packets of n chunks,
+    k of them needed, on N MUs: 1 <= k <= n <= N, and n < N for cyclic arcs."""
+    if policy not in POLICIES:
+        raise BadParams(f"unknown policy {policy!r}")
+    if not (1 <= k <= n <= N) or (policy == "cyclic" and n == N):
+        rule = "1 <= k <= n < N" if policy == "cyclic" else "1 <= k <= n <= N"
+        raise BadParams(f"{policy} cells need {rule}, got N={N}, n={n}, k={k}")
 
 
 def draw(policy: str, N: int, n: int, k: int, L: int, rng,

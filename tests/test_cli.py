@@ -363,6 +363,22 @@ def test_simulate_design_source_of_wrong_type_exit_1(tmp_path, capsys):
     assert err.startswith("error: BadParams:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--what", "full-tp", "--policy", "cyclic", "--N", "5", "--n", "5", "--k", "2",
+     "--L", "2"],
+    ["simulate", "--spec", "{spec}", "--out", "{out}"],
+])
+def test_cell_that_no_draw_can_honour_exit_1(tmp_path, capsys, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"policy": "uniform", "N": 12, "k": 5, "n": 3, "L_range": [2],
+                                "trials": 10}))
+    subs = {"{spec}": spec, "{out}": tmp_path / "r.csv"}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams:") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("argv,text", [
     (["check", "--in", "{bad}"], '{"N": 1e400, "k": 2, "n": 3, "packets": []}'),
     (["check", "--in", "{bad}"], '{"N": 5, "k": 2, "n": 3, "packets": [[0, 1, 1e400]]}'),

@@ -122,6 +122,15 @@ def test_spec_validation():
         ExperimentSpec(policy="diagonal", N=4, k=1, n=2, L_range=(1,))
     with pytest.raises(BadParams):
         _spec(trials=0)
+    # cells that no draw can honour: k > n, k < 1, n > N, and cyclic arcs need n < N
+    for kw in (dict(policy="uniform", k=5, n=3, solver="oracle"),
+               dict(policy="uniform", k=-1, solver="greedy"),
+               dict(N=3, n=5, solver="oracle"),
+               dict(N=3, n=3, solver="oracle")):
+        with pytest.raises(BadParams):
+            _spec(**kw)
+    with pytest.raises(BadParams):
+        p_full_throughput_exact("cyclic", 5, 5, 2, 2)
 
 
 # -- figure artifacts ---------------------------------------------------------------

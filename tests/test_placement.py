@@ -95,9 +95,10 @@ def _words(N, n, rows):
     return rows * (2 * n - 1 - (N == n))
 
 
-# (10001, 5) still runs Floyd's algorithm in choice; (12000, 241) shuffles the tail
+# (10001, 5) still runs Floyd's algorithm in choice; (12000, 241) shuffles the tail;
+# (2**33, 4) draws in [0, j] with j >= 2^32
 @pytest.mark.parametrize("N,n", [(12, 3), (12, 4), (12, 5), (12, 6), (7, 3), (17, 5), (5, 5),
-                                 (9, 1), (10001, 5), (12000, 241)])
+                                 (9, 1), (10001, 5), (12000, 241), (2**33, 4)])
 def test_uniform_rows_replay_choice(N, n):
     # fewer than 64 rows, or n > 32, are drawn by choice itself
     for seed in range(40):
@@ -151,26 +152,24 @@ def _next_raw_output_zero(seed):
     return gen
 
 
-def test_uniform_rows_replay_a_rejected_draw(monkeypatch):
+def test_uniform_rows_replay_a_rejected_draw():
     assert _next_raw_output_zero(0).bit_generator.random_raw() == 0
-    fallbacks = []
-    row_by_row = placement._choice_rows
-    monkeypatch.setattr(placement, "_choice_rows",
-                        lambda *args: fallbacks.append(args) or row_by_row(*args))
-    uniform_rows(12, 4, 100, PlacementRng(0).generator())
-    assert fallbacks == []
     # the word 0 makes the first draw, in [0, 8], reject: 0 < 2^32 mod 9
     ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
     expect = _choice_rows(ref, 12, 4, 100)
     assert uniform_rows(12, 4, 100, gen).tolist() == expect
-    assert len(fallbacks) == 1
     assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def test_uniform_rows_other_bit_generators_use_choice():
-    ref, gen = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
-    assert uniform_rows(12, 4, 100, gen).tolist() == _choice_rows(ref, 12, 4, 100)
-    assert gen.bit_generator.state["state"]["pos"] == ref.bit_generator.state["state"]["pos"]
+    # the batch replays choice on any bit generator, not only on PCG64
+    for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64,
+                          np.random.PCG64DXSM):
+        ref, gen = (np.random.Generator(bit_generator(3)) for _ in range(2))
+        assert uniform_rows(12, 4, 100, gen).tolist() == _choice_rows(ref, 12, 4, 100)
+        assert (gen.integers(0, 2**40, size=9).tolist()
+                == ref.integers(0, 2**40, size=9).tolist())
+        assert gen.random(3).tolist() == ref.random(3).tolist()
 
 
 def test_uniform_rows_batch_only_where_measured_faster(monkeypatch):
