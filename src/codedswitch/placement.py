@@ -251,8 +251,8 @@ def check_cell(policy: str, N: int, n: int, k: int) -> None:
     if policy not in POLICIES:
         raise BadParams(f"unknown policy {policy!r}")
     if not (1 <= k <= n <= N) or (policy == "cyclic" and n == N):
-        rule = "1 <= k <= n < N" if policy == "cyclic" else "1 <= k <= n <= N"
-        raise BadParams(f"{policy} cells need {rule}, got N={N}, n={n}, k={k}")
+        raise BadParams(f"need 1 <= k <= n <= N, and n < N for cyclic arcs, "
+                        f"got {policy} N={N}, n={n}, k={k}")
 
 
 def draw(policy: str, N: int, n: int, k: int, L: int, rng,
