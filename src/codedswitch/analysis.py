@@ -17,11 +17,12 @@ Closed forms and bounds:
 * ``p_full_throughput_exact``  Pr(L* = L) itself, by enumerating the
   placement support with an optimal solver, or Monte Carlo beyond the cap.
 
-Exact enumerations walk multisets of packets weighted by their numbers of
-orderings (``multisets``); cyclic start tuples also pin the first start at
-0 (``cyclic_support``), and ``cyclic_l_stars`` solves one instance per
-rotation class.  ``sample_l_stars`` is the one Monte-Carlo draw-and-solve
-loop, shared by ``p_full_throughput_exact`` and ``ensemble.run_ensemble``.
+The last two share one walk, ``_probability``, and differ only in their
+test of a row of packets.  It walks multisets of packets weighted by their
+numbers of orderings (``multisets``; cyclic start tuples also pin the first
+start at 0, ``cyclic_support``) when they fit the cap, and ``BATCH``-row
+``placement.draw_rows`` batches otherwise.  ``l_stars`` is the one L* step
+for rows; ``sample_l_stars`` draws and solves for ``ensemble.run_ensemble``.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, perm, prod, sqrt
 
 import numpy as np
 
@@ -46,9 +47,8 @@ from .placement import (
     check_cell,
     check_design,
     cyclic_class_keys,
-    draw,
+    draw_rows,
     instance_from_starts,
-    uniform_rows,
 )
 from .solvers import OPTIMAL, SOLVERS, solve_oracle
 
@@ -72,20 +72,9 @@ class ProbabilityEstimate:
     method: str
     stderr: float = 0.0
 
-    def within(self, other: float, sigmas: float = 3.0, atol: float = 1e-12) -> bool:
-        return abs(self.value - other) <= sigmas * self.stderr + atol
-
 
 def _exact(value: Fraction) -> ProbabilityEstimate:
     return ProbabilityEstimate(value=float(value), method=CLOSED_FORM, stderr=0.0)
-
-
-def _estimate(good: int, total: int, exact: bool) -> ProbabilityEstimate:
-    """``good`` of ``total`` weighted support points, or of ``total`` draws."""
-    if exact:
-        return ProbabilityEstimate(float(Fraction(good, total)), EXACT_ENUMERATION, 0.0)
-    p = good / total
-    return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / total))
 
 
 # ---------------------------------------------------------------------------
@@ -98,22 +87,14 @@ class UnionModelMatrix:
 
     Entry (i, j) is the probability that the union of a fixed i-set and a
     fresh uniform n-subset of an N-element ground set has exactly j
-    elements; rows are exact rationals summing to one, supported on
-    max(i, n) <= j <= min(i+n, N).
+    elements: the n-subset meets the i-set in m = i+n-j elements, which is
+    hypergeometric, C(i, m) C(N-i, n-m) / C(N, n).  Rows are exact
+    rationals summing to one, supported on max(i, n) <= j <= min(i+n, N).
     """
 
     N: int
     n: int
     gamma: tuple  # (N+1) x (N+1) nested tuples of Fraction
-
-
-def _intersection_count(N: int, m: int, i: int, n: int) -> int:
-    """Number of (i-set, n-set) pairs from N elements meeting in exactly m."""
-    total = 0
-    for j in range(0, min(i, n) - m + 1):
-        nu = comb(N, m + j) * comb(N - (m + j), i - (m + j)) * comb(N - (m + j), n - (m + j))
-        total += (-1) ** j * nu * comb(m + j, m)
-    return total
 
 
 def union_model_matrix(N: int, n: int) -> UnionModelMatrix:
@@ -122,11 +103,10 @@ def union_model_matrix(N: int, n: int) -> UnionModelMatrix:
     denom = comb(N, n)
     rows = []
     for i in range(N + 1):
-        d = comb(N, i) * denom
         row = [Fraction(0)] * (N + 1)
         for j in range(max(i, n), min(i + n, N) + 1):
             m = i + n - j
-            row[j] = Fraction(_intersection_count(N, m, i, n), d)
+            row[j] = Fraction(comb(i, m) * comb(N - i, n - m), denom)
         rows.append(tuple(row))
     return UnionModelMatrix(N=N, n=n, gamma=tuple(rows))
 
@@ -189,13 +169,11 @@ def p_pair_cyclic(N: int, n: int, t_max_int: int, L: int) -> ProbabilityEstimate
 # ---------------------------------------------------------------------------
 
 def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
-    """Pr(L uniform draws from b blocks are all distinct)."""
+    """Pr(L uniform draws from b blocks are all distinct): b!/(b-L)! of the
+    b^L ordered draws."""
     if b < 1 or L < 1:
         raise BadParams(f"need b >= 1 and L >= 1, got b={b}, L={L}")
-    if L > b:
-        return _exact(Fraction(0))
-    surjections = sum((-1) ** j * comb(L, j) * (L - j) ** L for j in range(L + 1))
-    return _exact(Fraction(comb(b, L) * surjections, b**L))
+    return _exact(Fraction(perm(b, L), b**L))
 
 
 # ---------------------------------------------------------------------------
@@ -224,49 +202,33 @@ def cyclic_support(N: int, L: int) -> tuple:
     return np.insert(rests, 0, 0, axis=1), weights
 
 
-def cyclic_l_stars(starts, N: int, n: int, k: int, solve, cache: dict) -> np.ndarray:
-    """L* of every row of a (B, L) array of arc starts, one solve per rotation class.
+def l_stars(policy: str, N: int, n: int, k: int, rows, solve,
+            cache: dict | None = None) -> np.ndarray:
+    """L* of each row of L packets placed by ``policy``: arc starts for
+    cyclic, else packets (an array or an iterable of packet lists).
 
-    ``solve`` maps an Instance to its L* and must give equal values on
-    instances that differ by a rotation of the MUs and a reordering of the
-    packets (true of ``solve_cyclic`` and of every exact solver).  ``cache``
-    maps class keys to L*; it is filled in place and may be shared across
-    calls with the same (N, n, k, L).
+    ``solve`` maps an Instance to its L*; without a cache every row is
+    solved, in order.  A cache, for a deterministic ``solve``, is filled in
+    place and shared by the calls of one (policy, N, n, k, L) cell.  It
+    keys cyclic rows by rotation class (``cyclic_class_keys``), as L* does
+    not change when the MUs are rotated or the packets reordered, and other
+    rows by their packet tuple.
     """
-    keys, first, inverse = np.unique(
-        cyclic_class_keys(starts, N), return_index=True, return_inverse=True
-    )
-    ls = np.empty(len(keys), dtype=np.int64)
-    for j, (key, row) in enumerate(zip(keys.tolist(), first.tolist())):
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = solve(instance_from_starts(N, n, starts[row], k=k))
-        ls[j] = hit
-    return ls[inverse]
-
-
-def sample_l_stars(policy: str, N: int, n: int, k: int, L: int, size: int, gen, solve,
-                   design: BlockDesign | None = None, cache: dict | None = None) -> np.ndarray:
-    """L* of ``size`` instances drawn by ``policy`` from the Generator ``gen``.
-
-    ``solve`` maps an Instance to its L*.  Without a cache every draw is
-    solved.  A cache, for a deterministic ``solve``, is filled in place and
-    shared by the calls of one (policy, N, n, k, L) cell.  With it, each
-    packet tuple is solved once, and cyclic draws take the ``size`` rows of
-    arc starts in one call and solve one instance per rotation class
-    (``cyclic_l_stars``): L* does not change when the MUs are rotated or
-    the packets reordered, and the batched draw yields the same stream as
-    per-instance draws.  Uniform draws take the ``size * L`` packets in one
-    ``uniform_rows`` call, on the same stream as per-instance draws too.
-    Either way the values are those of solving every draw.
-    """
-    if cache is not None and policy == "cyclic":
-        return cyclic_l_stars(gen.integers(0, N, size=(size, L)), N, n, k, solve, cache)
-    if policy == "uniform":
-        rows = uniform_rows(N, n, size * L, gen).reshape(size, L, n)
-        insts = (Instance(N, k, n, packets.tolist(), policy) for packets in rows)
+    if policy == "cyclic" and cache is not None:
+        keys, first, inverse = np.unique(
+            cyclic_class_keys(rows, N), return_index=True, return_inverse=True
+        )
+        keys = keys.tolist()
+        for key, row in zip(keys, first.tolist()):
+            if key not in cache:
+                cache[key] = solve(instance_from_starts(N, n, rows[row], k=k))
+        return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
+    if policy == "cyclic":
+        insts = (instance_from_starts(N, n, starts, k=k) for starts in rows)
     else:
-        insts = [draw(policy, N, n, k, L, gen, design) for _ in range(size)]
+        # row by row: one tolist of a whole batch ran the garbage collector 6x as often
+        insts = (Instance(N, k, n, row.tolist() if isinstance(row, np.ndarray) else row, policy)
+                 for row in rows)
     if cache is None:
         return np.array([solve(inst) for inst in insts], dtype=np.int64)
     ls = []
@@ -275,6 +237,15 @@ def sample_l_stars(policy: str, N: int, n: int, k: int, L: int, size: int, gen, 
             cache[inst.packets] = solve(inst)
         ls.append(cache[inst.packets])
     return np.array(ls, dtype=np.int64)
+
+
+def sample_l_stars(policy: str, N: int, n: int, k: int, L: int, size: int, gen, solve,
+                   design: BlockDesign | None = None, cache: dict | None = None) -> np.ndarray:
+    """L* of ``size`` instances drawn by ``policy`` from the Generator ``gen``,
+    in one ``draw_rows`` call (the stream of ``size`` ``draw`` calls), by
+    ``l_stars``: with or without a cache, the values of solving every draw.
+    """
+    return l_stars(policy, N, n, k, draw_rows(policy, N, n, L, size, gen, design), solve, cache)
 
 
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
@@ -286,8 +257,39 @@ def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
     return np.minimum(gaps, n).sum(axis=1) + np.minimum(wrap, n)
 
 
-def _weighted_hits(weights, hits) -> int:
-    return sum(w for w, hit in zip(weights, hits.tolist()) if hit)
+def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None, cap: int,
+                 samples: int, rng, test, exact_only: bool = False) -> ProbabilityEstimate:
+    """Pr(``test``) over L packets placed by ``policy``; ``test`` maps rows,
+    as ``l_stars`` takes them, to a bool array.
+
+    Exact when the ordered support (N^(L-1) start tuples with the first at
+    0, b^L block or C(N,n)^L n-subset tuples) is at most ``cap``; else,
+    unless ``exact_only``, ``samples`` draws from ``rng``.
+    """
+    if policy == "cyclic":
+        total = N ** (L - 1)
+    else:
+        # every packet is one of the design blocks or one of the n-subsets
+        total = (design.b if policy == "design" else comb(N, n)) ** L
+    if total <= cap:
+        if policy == "cyclic":
+            rows, weights = cyclic_support(N, L)
+        else:
+            support = design.blocks if policy == "design" else tuple(combinations(range(N), n))
+            idx, weights = multisets(len(support), L)
+            # packets are looked up one row at a time, so no (M, L, n) array is held
+            rows = ([support[i] for i in row] for row in idx.tolist())
+        good = sum(w for w, hit in zip(weights, test(rows).tolist()) if hit)
+        return ProbabilityEstimate(float(Fraction(good, total)), EXACT_ENUMERATION, 0.0)
+    if exact_only:
+        raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
+    gen = _as_generator(rng)
+    good = 0
+    for lo in range(0, samples, BATCH):
+        rows = draw_rows(policy, N, n, L, min(BATCH, samples - lo), gen, design)
+        good += int(np.count_nonzero(test(rows)))
+    p = good / samples
+    return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples))
 
 
 def p_cover_cyclic(
@@ -311,17 +313,10 @@ def p_cover_cyclic(
         raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
     if samples < 1:
         raise BadParams(f"need samples >= 1, got {samples}")
-    need = k * L
-    if N**L <= cap:
-        starts, weights = cyclic_support(N, L)
-        good = _weighted_hits(weights, _arc_coverage(starts, N, n) >= need)
-        return _estimate(good, N ** (L - 1), True)
-    gen = _as_generator(rng if rng is not None else PlacementRng(0, 0))
-    good = 0
-    for lo in range(0, samples, BATCH):
-        starts = gen.integers(0, N, size=(min(BATCH, samples - lo), L))
-        good += int(np.count_nonzero(_arc_coverage(starts, N, n) >= need))
-    return _estimate(good, samples, False)
+    # N^L <= cap iff the N^(L-1) pinned start tuples are at most cap // N
+    return _probability("cyclic", N, n, L, None, cap // N, samples,
+                        rng if rng is not None else PlacementRng(0, 0),
+                        lambda starts: _arc_coverage(starts, N, n) >= k * L)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +341,8 @@ def p_full_throughput_exact(
     start tuples, b^L block or C(N,n)^L n-subset tuples) fit the cap,
     otherwise falls back to Monte Carlo unless ``exact_only`` is set.  L*
     does not depend on the packet order, so every policy walks weighted
-    multisets (``multisets``, ``cyclic_support``), solving each one once
-    with the policy's optimal solver.
+    multisets (``_probability``), solving each one once with the policy's
+    optimal solver, and cyclic ones once per rotation class.
     """
     check_cell(policy, N, n, k)
     if L < 1 or samples < 1:
@@ -364,31 +359,7 @@ def p_full_throughput_exact(
         except ConditionViolated:
             return solve_oracle(inst).l_star
 
-    if policy == "cyclic":
-        total = N ** (L - 1)  # first start pinned by rotation invariance
-    else:
-        # every packet is one of the design blocks or one of the n-subsets
-        size = design.b if policy == "design" else comb(N, n)
-        total = size**L
-    if total <= cap:
-        if policy == "cyclic":
-            starts, weights = cyclic_support(N, L)
-            hits = cyclic_l_stars(starts, N, n, k, l_star, {}) == L
-        else:
-            support = design.blocks if policy == "design" else tuple(combinations(range(N), n))
-            rows, weights = multisets(size, L)
-            insts = (Instance(N, k, n, [support[i] for i in row], policy) for row in rows.tolist())
-            hits = np.array([l_star(inst) == L for inst in insts])
-        return _estimate(_weighted_hits(weights, hits), total, True)
-
-    if exact_only:
-        raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
-
-    gen = PlacementRng(seed, 0).generator()
     cache = {} if policy == "cyclic" else None
-    good = 0
-    for lo in range(0, samples, BATCH):
-        ls = sample_l_stars(policy, N, n, k, L, min(BATCH, samples - lo), gen, l_star,
-                            design, cache)
-        good += int(np.count_nonzero(ls == L))
-    return _estimate(good, samples, False)
+    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0),
+                        lambda rows: l_stars(policy, N, n, k, rows, l_star, cache) == L,
+                        exact_only)

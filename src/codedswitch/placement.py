@@ -7,12 +7,15 @@ Three write-path policies decide which n MUs hold a packet's chunks:
 * design: a block of a packing whose pairwise intersections are bounded,
   so that full throughput is guaranteed by construction for suitable L.
 
-Uniform draws are batched: ``uniform_rows`` draws many n-subsets in one
-pass and replays ``Generator.choice(N, n, replace=False)`` exactly, state
-included, on any bit generator.  ``choice`` runs Floyd's algorithm on
-numpy's bounded-integer draws, and one ``Generator.integers`` call over an
-array of bounds makes the same draws in the same order.  Short requests
-and large n call ``choice`` row by row.
+``draw`` places one instance; ``draw_rows`` makes many draws of every
+policy in one call, on the stream of as many ``draw`` calls: arc starts
+and block indices come from one ``Generator.integers`` call, and uniform
+n-subsets from ``uniform_rows``.  That replays
+``Generator.choice(N, n, replace=False)`` exactly, state included, on any
+bit generator: ``choice`` runs Floyd's algorithm on numpy's bounded-integer
+draws, and one ``integers`` call over an array of bounds makes the same
+draws in the same order.  Short requests and large n call ``choice`` row
+by row.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -238,9 +241,12 @@ def draw_design(design: BlockDesign, L: int, rng, replace: bool = True) -> Insta
 
 
 def check_design(design: BlockDesign | None, N: int, n: int) -> None:
-    """BadParams unless a design-policy experiment has a design on (N, n)."""
+    """BadParams unless a design-policy experiment has a design on (N, n),
+    EmptyDesign if it has no blocks to draw."""
     if design is None:
         raise BadParams("design policy needs a block design (design_source in a spec)")
+    if design.b == 0:
+        raise EmptyDesign("design has no blocks")
     if design.N != N or design.n != n:
         raise BadParams(f"design is on (N={design.N}, n={design.n}), asked for (N={N}, n={n})")
 
@@ -271,6 +277,21 @@ def draw(policy: str, N: int, n: int, k: int, L: int, rng,
     else:
         raise BadParams(f"unknown policy {policy!r}")
     return with_k(inst, k)
+
+
+def draw_rows(policy: str, N: int, n: int, L: int, size: int, gen: np.random.Generator,
+              design: BlockDesign | None = None) -> np.ndarray:
+    """``size`` draws of L packets, on the stream of ``size`` ``draw`` calls
+    with the Generator ``gen``: a (size, L) array of arc starts for cyclic,
+    else a (size, L, n) array of packets (from ``design`` for design)."""
+    if policy == "cyclic":
+        return gen.integers(0, N, size=(size, L))
+    if policy == "uniform":
+        return uniform_rows(N, n, size * L, gen).reshape(size, L, n)
+    if policy == "design":
+        check_design(design, N, n)
+        return np.array(design.blocks)[gen.integers(0, design.b, size=(size, L))]
+    raise BadParams(f"unknown policy {policy!r}")
 
 
 def is_prime(q: int) -> bool:

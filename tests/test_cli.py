@@ -379,6 +379,25 @@ def test_cell_that_no_draw_can_honour_exit_1(tmp_path, capsys, argv):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--what", "full-tp", "--policy", "design", "--design", "{design}", "--N", "7",
+     "--n", "3", "--k", "2", "--L", "2"],
+    ["simulate", "--spec", "{spec}", "--out", "{out}"],
+])
+def test_design_without_blocks_exit_1(tmp_path, capsys, argv):
+    design = tmp_path / "empty.blocks"
+    design.write_text("7 3 2\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"policy": "design", "N": 7, "k": 2, "n": 3, "L_range": [2],
+                                "trials": 10, "solver": "design_opt",
+                                "design_source": str(design)}))
+    subs = {"{design}": design, "{spec}": spec, "{out}": tmp_path / "r.csv"}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: EmptyDesign:") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("argv,text", [
     (["check", "--in", "{bad}"], '{"N": 1e400, "k": 2, "n": 3, "packets": []}'),
     (["check", "--in", "{bad}"], '{"N": 5, "k": 2, "n": 3, "packets": [[0, 1, 1e400]]}'),

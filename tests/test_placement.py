@@ -32,6 +32,7 @@ from codedswitch.errors import (
     MalformedFile,
     NotPrime,
 )
+from codedswitch.model import POLICIES
 
 from conftest import CLASSIC_TRIPLE_SYSTEM
 
@@ -235,6 +236,26 @@ def test_batched_cyclic_draws_match_per_instance_draws(N, n, L):
     gen = PlacementRng(21, L).generator()
     for row in batched:
         assert draw_cyclic(N, n, L, gen).packets == instance_from_starts(N, n, row).packets
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_draw_rows_are_successive_draws(fano, policy):
+    # 22 draws of L = 3 packets are 66 uniform rows, past uniform_rows' 64-row gate
+    N, n, k, L = 7, 3, 2, 3
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        for size in (1, 7, 22):
+            batch_gen = np.random.Generator(bit_generator(size))
+            gen = np.random.Generator(bit_generator(size))
+            rows = placement.draw_rows(policy, N, n, L, size, batch_gen, fano)
+            if policy == "cyclic":
+                assert rows.shape == (size, L)
+                rows = [instance_from_starts(N, n, starts).packets for starts in rows]
+            else:
+                assert rows.shape == (size, L, n)
+                rows = [tuple(map(tuple, packets)) for packets in rows.tolist()]
+            assert rows == [placement.draw(policy, N, n, k, L, gen, fano).packets
+                            for _ in range(size)]
+            assert batch_gen.random() == gen.random()
 
 
 # -- rotation classes of cyclic start tuples -----------------------------------------
