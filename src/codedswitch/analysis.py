@@ -18,11 +18,11 @@ Closed forms and bounds:
   placement support with an optimal solver, or Monte Carlo beyond the cap.
 
 The last two share one walk, ``_probability``, and differ only in their
-test of a row of packets.  It walks multisets of packets weighted by their
+test of a batch of rows.  It walks multisets of packets weighted by their
 numbers of orderings (``multisets``; cyclic start tuples also pin the first
 start at 0, ``cyclic_support``) when they fit the cap, and ``BATCH``-row
-``placement.draw_rows`` batches otherwise.  ``l_stars`` is the one L* step
-for rows; ``sample_l_stars`` draws and solves for ``ensemble.run_ensemble``.
+``placement.draw_rows`` batches otherwise.  ``l_stars``, the one L* step for
+rows (also of ``ensemble.run_ensemble``), solves each ``_row_keys`` key once.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
@@ -55,8 +55,9 @@ from .solvers import OPTIMAL, SOLVERS, solve_oracle
 ENUMERATION_CAP = 10**8
 SOLVE_ENUMERATION_CAP = 10**6
 MC_DEFAULT_SAMPLES = 10**6
-# instances drawn per call on the Monte-Carlo paths; the stream is the same
-# for any batching, this only bounds memory
+# rows per draw_rows call or walked support slice; in _probability this only
+# bounds memory, but ensemble.run_ensemble seeds each batch of trials on its
+# own (seed, policy, L, batch index), so BATCH is part of every report
 BATCH = 4096
 
 CLOSED_FORM = "closed_form"
@@ -128,12 +129,17 @@ def union_cardinality_distribution(N: int, n: int, L: int):
     return row
 
 
-def p_cover_uniform(N: int, n: int, k: int, L: int) -> ProbabilityEstimate:
-    """Pr(|union of L uniform n-subsets| >= kL), exact."""
+def _check_coverage(N: int, n: int, k: int, L: int) -> None:
+    """BadParams unless L packets of n chunks can cover kL of N points."""
     if k * L > N:
         raise BadParams(f"coverage needs kL <= N, got kL={k * L}, N={N}")
     if not (1 <= k <= n <= N) or L < 1:
         raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
+
+
+def p_cover_uniform(N: int, n: int, k: int, L: int) -> ProbabilityEstimate:
+    """Pr(|union of L uniform n-subsets| >= kL), exact."""
+    _check_coverage(N, n, k, L)
     dist = union_cardinality_distribution(N, n, L)
     return _exact(1 - sum(dist[: k * L], Fraction(0)))
 
@@ -202,50 +208,41 @@ def cyclic_support(N: int, L: int) -> tuple:
     return np.insert(rests, 0, 0, axis=1), weights
 
 
-def l_stars(policy: str, N: int, n: int, k: int, rows, solve,
-            cache: dict | None = None) -> np.ndarray:
-    """L* of each row of L packets placed by ``policy``: arc starts for
-    cyclic, else packets (an array or an iterable of packet lists).
-
-    ``solve`` maps an Instance to its L*; without a cache every row is
-    solved, in order.  A cache, for a deterministic ``solve``, is filled in
-    place and shared by the calls of one (policy, N, n, k, L) cell.  It
-    keys cyclic rows by rotation class (``cyclic_class_keys``), as L* does
-    not change when the MUs are rotated or the packets reordered, and other
-    rows by their packet tuple.
-    """
-    if policy == "cyclic" and cache is not None:
-        keys, first, inverse = np.unique(
-            cyclic_class_keys(rows, N), return_index=True, return_inverse=True
-        )
-        keys = keys.tolist()
-        for key, row in zip(keys, first.tolist()):
-            if key not in cache:
-                cache[key] = solve(instance_from_starts(N, n, rows[row], k=k))
-        return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
+def _row_keys(policy: str, rows: np.ndarray, N: int) -> np.ndarray:
+    """One key per row, equal for rows with equal L*: the rotation class
+    (``cyclic_class_keys``) of arc starts, as L* does not change when the MUs
+    are rotated or the packets reordered, else the bytes of the packet tuple."""
     if policy == "cyclic":
-        insts = (instance_from_starts(N, n, starts, k=k) for starts in rows)
-    else:
-        # row by row: one tolist of a whole batch ran the garbage collector 6x as often
-        insts = (Instance(N, k, n, row.tolist() if isinstance(row, np.ndarray) else row, policy)
-                 for row in rows)
-    if cache is None:
-        return np.array([solve(inst) for inst in insts], dtype=np.int64)
-    ls = []
-    for inst in insts:
-        if inst.packets not in cache:
-            cache[inst.packets] = solve(inst)
-        ls.append(cache[inst.packets])
-    return np.array(ls, dtype=np.int64)
+        return cyclic_class_keys(rows, N)
+    flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
-def sample_l_stars(policy: str, N: int, n: int, k: int, L: int, size: int, gen, solve,
-                   design: BlockDesign | None = None, cache: dict | None = None) -> np.ndarray:
-    """L* of ``size`` instances drawn by ``policy`` from the Generator ``gen``,
-    in one ``draw_rows`` call (the stream of ``size`` ``draw`` calls), by
-    ``l_stars``: with or without a cache, the values of solving every draw.
+def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
+            cache: dict | None = None) -> np.ndarray:
+    """L* of each row of L packets placed by ``policy``, as ``draw_rows``
+    gives them: arc starts for cyclic, else packets.
+
+    ``solve`` maps an Instance to its L*.  A cache, for a deterministic
+    ``solve``, is filled in place and shared by the calls of one (policy, N,
+    n, k, L) cell: each row key (``_row_keys``) not in it is solved once, from
+    its first row.  Without a cache every row is solved, in order.
     """
-    return l_stars(policy, N, n, k, draw_rows(policy, N, n, L, size, gen, design), solve, cache)
+    if cache is None:
+        keys, cache = np.arange(len(rows)), {}
+    else:
+        keys = _row_keys(policy, rows, N)
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    keys = keys.tolist()
+    for key, row in zip(keys, first.tolist()):
+        if key not in cache:
+            if policy == "cyclic":
+                inst = instance_from_starts(N, n, rows[row], k=k)
+            else:
+                # row by row: one tolist of a whole batch ran the garbage collector 6x as often
+                inst = Instance(N, k, n, rows[row].tolist(), policy)
+            cache[key] = solve(inst)
+    return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
 
 
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
@@ -259,8 +256,8 @@ def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
 
 def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None, cap: int,
                  samples: int, rng, test, exact_only: bool = False) -> ProbabilityEstimate:
-    """Pr(``test``) over L packets placed by ``policy``; ``test`` maps rows,
-    as ``l_stars`` takes them, to a bool array.
+    """Pr(``test``) over L packets placed by ``policy``; ``test`` maps an
+    array of at most ``BATCH`` rows, as ``l_stars`` takes them, to a bool array.
 
     Exact when the ordered support (N^(L-1) start tuples with the first at
     0, b^L block or C(N,n)^L n-subset tuples) is at most ``cap``; else,
@@ -273,13 +270,15 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
         total = (design.b if policy == "design" else comb(N, n)) ** L
     if total <= cap:
         if policy == "cyclic":
-            rows, weights = cyclic_support(N, L)
+            starts, weights = cyclic_support(N, L)
         else:
-            support = design.blocks if policy == "design" else tuple(combinations(range(N), n))
+            support = np.array(design.blocks if policy == "design"
+                               else list(combinations(range(N), n)))
             idx, weights = multisets(len(support), L)
-            # packets are looked up one row at a time, so no (M, L, n) array is held
-            rows = ([support[i] for i in row] for row in idx.tolist())
-        good = sum(w for w, hit in zip(weights, test(rows).tolist()) if hit)
+        good = 0
+        for lo in range(0, len(weights), BATCH):
+            rows = starts[lo:lo + BATCH] if policy == "cyclic" else support[idx[lo:lo + BATCH]]
+            good += sum(w for w, hit in zip(weights[lo:lo + BATCH], test(rows).tolist()) if hit)
         return ProbabilityEstimate(float(Fraction(good, total)), EXACT_ENUMERATION, 0.0)
     if exact_only:
         raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
@@ -307,10 +306,7 @@ def p_cover_cyclic(
     (walked up to rotation and order, see ``cyclic_support``), otherwise
     Monte Carlo with a normal-approximation stderr.
     """
-    if k * L > N:
-        raise BadParams(f"coverage needs kL <= N, got kL={k * L}, N={N}")
-    if not (1 <= k <= n <= N) or L < 1:
-        raise BadParams(f"bad parameters N={N}, n={n}, k={k}, L={L}")
+    _check_coverage(N, n, k, L)
     if samples < 1:
         raise BadParams(f"need samples >= 1, got {samples}")
     # N^L <= cap iff the N^(L-1) pinned start tuples are at most cap // N

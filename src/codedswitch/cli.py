@@ -237,9 +237,9 @@ def _cmd_simulate(args) -> int:
             k=int(obj["k"]),
             n=int(obj["n"]),
             L_range=tuple(obj["L_range"]),
-            trials=int(obj.get("trials", 100_000)),
-            seed=int(obj.get("seed", 0)),
-            solver=obj.get("solver", "oracle"),
+            trials=int(obj.get("trials", ensemble.ExperimentSpec.trials)),
+            seed=int(obj.get("seed", ensemble.ExperimentSpec.seed)),
+            solver=obj.get("solver", ensemble.ExperimentSpec.solver),
             design_source=obj.get("design_source"),
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--t-max", dest="t_max", type=int, default=None)
     a.add_argument("--policy", choices=POLICIES, default="cyclic")
     a.add_argument("--design", default=None)
-    a.add_argument("--trials", type=int, default=10**6)
+    a.add_argument("--trials", type=int, default=analysis.MC_DEFAULT_SAMPLES)
     a.add_argument("--exact-only", action="store_true")
     a.add_argument("--seed", type=int, default=None)
     a.set_defaults(func=_cmd_analyze)

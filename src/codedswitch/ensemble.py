@@ -9,9 +9,9 @@ A read cycle is modelled as a fresh instance draw; an experiment draws
 
 each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
-a fixed ExperimentSpec regardless of execution order.  Each batch is drawn
-and solved by ``analysis.sample_l_stars``, with a per-cell cache unless the
-solver is greedy.
+a fixed ExperimentSpec regardless of execution order.  Each batch of
+``analysis.BATCH`` trials is one ``placement.draw_rows`` call and one
+``analysis.l_stars`` step, with a per-cell cache unless the solver is greedy.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -40,6 +40,7 @@ from .placement import (
     build_lexicographic_packing,
     check_cell,
     check_design,
+    draw_rows,
 )
 # the solve_* names are re-exported: benchmarks/test_bench.py checks that the
 # span tracer patches and restores their bindings in this module
@@ -201,11 +202,10 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
             draw_ss, solve_ss = ss.spawn(2)
             draw_gen = np.random.Generator(np.random.PCG64(draw_ss))
             solve_gen = np.random.Generator(np.random.PCG64(solve_ss))
-            ls = analysis.sample_l_stars(
-                spec.policy, spec.N, spec.n, spec.k, L,
-                min(analysis.BATCH, spec.trials - lo), draw_gen,
-                lambda inst: solver(inst, design, solve_gen).l_star, design, cache,
-            )
+            drawn = draw_rows(spec.policy, spec.N, spec.n, L,
+                              min(analysis.BATCH, spec.trials - lo), draw_gen, design)
+            ls = analysis.l_stars(spec.policy, spec.N, spec.n, spec.k, drawn,
+                                  lambda inst: solver(inst, design, solve_gen).l_star, cache)
             counts += np.bincount(ls, minlength=L + 1)
 
         T = spec.trials

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import factorial, floor
 
 import numpy as np
@@ -26,12 +26,12 @@ from codedswitch import (
 from codedswitch import analysis
 from codedswitch.analysis import (
     cyclic_support,
+    l_stars,
     multisets,
-    sample_l_stars,
     union_cardinality_distribution,
 )
 from codedswitch.errors import BadParams, TooLarge
-from codedswitch.placement import POLICIES, draw
+from codedswitch.placement import POLICIES, draw, draw_rows
 
 
 # -- union-cardinality matrix -------------------------------------------------
@@ -254,14 +254,91 @@ def test_sample_l_stars_continues_one_stream(fano, policy, cached):
     def sample(sizes):
         gen = PlacementRng(11).generator()
         cache = {} if cached else None
-        return np.concatenate([sample_l_stars(policy, N, n, k, L, size, gen, solve, fano, cache)
-                               for size in sizes])
+        return np.concatenate([
+            l_stars(policy, N, n, k, draw_rows(policy, N, n, L, size, gen, fano), solve, cache)
+            for size in sizes
+        ])
 
     gen = PlacementRng(11).generator()
     per_draw = [solve(draw(policy, N, n, k, L, gen, fano)) for _ in range(m)]
     whole = sample([m])
     assert whole.tolist() == per_draw
     assert sample([1, 4, m - 5]).tolist() == per_draw
+
+
+def _row_key(policy, row, N):
+    # reference keys: the least rotation of the sorted starts, or the packet tuple
+    if policy == "cyclic":
+        return min(tuple(sorted((s - a) % N for s in row)) for a in range(N))
+    return tuple(map(tuple, row))
+
+
+@pytest.mark.parametrize("policy,N,n,k,L", [
+    ("cyclic", 7, 3, 2, 3), ("design", 7, 3, 2, 3), ("uniform", 5, 2, 1, 2),
+])
+def test_l_stars_cache_solves_each_distinct_key_once(fano, policy, N, n, k, L):
+    m = 120
+    solved = []
+
+    def solve(inst):
+        solved.append(inst)
+        return solve_oracle(inst).l_star
+
+    def uncached(rows):
+        return l_stars(policy, N, n, k, rows, lambda inst: solve_oracle(inst).l_star).tolist()
+
+    gen = PlacementRng(5).generator()
+    first, second = (draw_rows(policy, N, n, L, m, gen, fano) for _ in range(2))
+    keys = {_row_key(policy, row, N) for row in first.tolist()}
+    cache = {}
+    assert l_stars(policy, N, n, k, first, solve, cache).tolist() == uncached(first)
+    assert len(solved) == len(keys) < m
+    # a second call sharing the cache solves only the keys the first did not see
+    new = {_row_key(policy, row, N) for row in second.tolist()} - keys
+    del solved[:]
+    assert l_stars(policy, N, n, k, second, solve, cache).tolist() == uncached(second)
+    assert len(solved) == len(new) < m
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_l_stars_without_cache_solves_every_row_in_order(fano, policy):
+    N, n, k, L, m = 7, 3, 2, 3, 50
+    rows = draw_rows(policy, N, n, L, m, PlacementRng(6).generator(), fano)
+    calls = count()
+    solved = []
+
+    def solve(inst):
+        solved.append(inst.packets)
+        return next(calls)
+
+    assert l_stars(policy, N, n, k, rows, solve).tolist() == list(range(m))
+    assert solved == [instance_from_starts(N, n, row).packets if policy == "cyclic"
+                      else tuple(map(tuple, row)) for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("policy,N,n,k,L", [
+    ("cyclic", 7, 3, 2, 3), ("design", 7, 3, 2, 3), ("uniform", 6, 3, 2, 2),
+])
+def test_exact_walk_hands_test_at_most_batch_rows(fano, monkeypatch, policy, N, n, k, L):
+    full_tp = p_full_throughput_exact(policy, N, n, k, L, design=fano)
+    cover = p_cover_cyclic(N, n, k, L)
+    lens = []
+
+    def recording(inner):
+        def wrapped(*args):
+            rows = args[4] if inner is l_stars else args[0]
+            lens.append(len(rows))
+            return inner(*args)
+        return wrapped
+
+    monkeypatch.setattr(analysis, "BATCH", 5)
+    monkeypatch.setattr(analysis, "l_stars", recording(l_stars))
+    assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
+    assert full_tp.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
+    del lens[:]
+    monkeypatch.setattr(analysis, "_arc_coverage", recording(analysis._arc_coverage))
+    assert p_cover_cyclic(N, n, k, L) == cover
+    assert cover.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
 
 
 # -- exact full throughput -------------------------------------------------------
