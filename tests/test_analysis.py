@@ -324,19 +324,18 @@ def test_exact_walk_hands_test_at_most_batch_rows(fano, monkeypatch, policy, N, 
     cover = p_cover_cyclic(N, n, k, L)
     lens = []
 
-    def recording(inner):
+    def recording(inner, rows_arg):
         def wrapped(*args):
-            rows = args[4] if inner is l_stars else args[0]
-            lens.append(len(rows))
+            lens.append(len(args[rows_arg]))
             return inner(*args)
         return wrapped
 
     monkeypatch.setattr(analysis, "BATCH", 5)
-    monkeypatch.setattr(analysis, "l_stars", recording(l_stars))
+    monkeypatch.setattr(analysis, "l_stars", recording(l_stars, 4))
     assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
     assert full_tp.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
     del lens[:]
-    monkeypatch.setattr(analysis, "_arc_coverage", recording(analysis._arc_coverage))
+    monkeypatch.setattr(analysis, "_arc_coverage", recording(analysis._arc_coverage, 0))
     assert p_cover_cyclic(N, n, k, L) == cover
     assert cover.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
 
