@@ -316,27 +316,32 @@ def test_l_stars_without_cache_solves_every_row_in_order(fano, policy):
                       else tuple(map(tuple, row)) for row in rows.tolist()]
 
 
+def recording(lens, inner, rows_arg):
+    """``inner`` that first records the length of its ``rows_arg``-th argument."""
+    def wrapped(*args):
+        lens.append(len(args[rows_arg]))
+        return inner(*args)
+    return wrapped
+
+
 @pytest.mark.parametrize("policy,N,n,k,L", [
     ("cyclic", 7, 3, 2, 3), ("design", 7, 3, 2, 3), ("uniform", 6, 3, 2, 2),
 ])
 def test_exact_walk_hands_test_at_most_batch_rows(fano, monkeypatch, policy, N, n, k, L):
     full_tp = p_full_throughput_exact(policy, N, n, k, L, design=fano)
-    cover = p_cover_cyclic(N, n, k, L)
     lens = []
-
-    def recording(inner, rows_arg):
-        def wrapped(*args):
-            lens.append(len(args[rows_arg]))
-            return inner(*args)
-        return wrapped
-
     monkeypatch.setattr(analysis, "BATCH", 5)
-    monkeypatch.setattr(analysis, "l_stars", recording(l_stars, 4))
+    monkeypatch.setattr(analysis, "l_stars", recording(lens, l_stars, 4))
     assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
     assert full_tp.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
-    del lens[:]
-    monkeypatch.setattr(analysis, "_arc_coverage", recording(analysis._arc_coverage, 0))
-    assert p_cover_cyclic(N, n, k, L) == cover
+
+
+def test_exact_cover_walk_hands_test_at_most_batch_rows(monkeypatch):
+    cover = p_cover_cyclic(7, 3, 2, 3)
+    lens = []
+    monkeypatch.setattr(analysis, "BATCH", 5)
+    monkeypatch.setattr(analysis, "_arc_coverage", recording(lens, analysis._arc_coverage, 0))
+    assert p_cover_cyclic(7, 3, 2, 3) == cover
     assert cover.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
 
 

@@ -6,7 +6,7 @@ Usage:
         --pairs 10 --seconds 28 --out pairs.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts.  Pair i runs
-``benchmarks/run.py --workload W --seed SEED0+i --seconds S --trace 0`` once
+``benchmarks/run.py --workload W --seed 2000+i --seconds S --trace 0`` once
 in each checkout, one process at a time; odd pairs (1, 3, ...) run the parent
 first and even pairs the change first.  ``--workload`` may be given more than
 once.  For each end-to-end metric of CHANGE_DIR's ``BENCHMARK.json`` it
@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEED0 = 2001  # seed of pair 1; earlier BENCH files used seeds 2001-2010
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -76,13 +77,12 @@ def summarise(metric: dict, results: dict) -> dict | None:
     }
 
 
-def run_pairs(dirs: dict, workload: str, pairs: int, seconds: float, seed0: int,
-              metrics: list) -> dict:
+def run_pairs(dirs: dict, workload: str, pairs: int, seconds: float, metrics: list) -> dict:
     results = {side: [] for side in SIDES}
     for i in range(1, pairs + 1):
         order = SIDES if i % 2 else SIDES[::-1]
         for side in order:
-            results[side].append(run_once(dirs[side], workload, seed0 + i - 1, seconds))
+            results[side].append(run_once(dirs[side], workload, SEED0 + i - 1, seconds))
         print(f"{workload} pair {i}/{pairs} done ({order[0]} first)", file=sys.stderr)
     summary = {
         "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
@@ -116,7 +116,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=28)
-    ap.add_argument("--seed0", type=int, default=2001, help="seed of the first pair")
     ap.add_argument("--out", type=Path, default=Path("bench_pairs.json"))
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -126,13 +125,13 @@ def main(argv=None) -> int:
     report = {
         "command": f"python3 benchmarks/run.py --workload W --seed S --seconds {args.seconds:g}"
                    " --trace 0",
-        "design": f"{args.pairs} pairs per workload, seeds {args.seed0}-"
-                  f"{args.seed0 + args.pairs - 1}; odd pairs run the parent first, even pairs"
+        "design": f"{args.pairs} pairs per workload, seeds {SEED0}-"
+                  f"{SEED0 + args.pairs - 1}; odd pairs run the parent first, even pairs"
                   " the change first; one process at a time",
         "workloads": {},
     }
     for workload in args.workload:
-        summary = run_pairs(dirs, workload, args.pairs, args.seconds, args.seed0, metrics)
+        summary = run_pairs(dirs, workload, args.pairs, args.seconds, metrics)
         report["workloads"][workload] = summary
         print_summary(workload, summary)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
