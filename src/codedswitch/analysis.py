@@ -14,15 +14,16 @@ Closed forms and bounds:
   block cannot serve two packets (k > n/2).
 * ``p_cover_cyclic``   coverage probability for arcs, by exact enumeration
   over start tuples or Monte Carlo; an upper bound for cyclic placement.
-* ``p_full_throughput_exact``  Pr(L* = L) itself, by enumerating the
-  placement support with an optimal solver, or Monte Carlo beyond the cap.
+* ``p_full_throughput_exact``  Pr(L* = L) itself, which is the probability
+  that the extended Hall condition holds (``conditions.hall_rows``), by
+  enumerating the placement support, or Monte Carlo beyond the cap.
 
 The last two share one walk, ``_probability``, and differ only in their
 test of a batch of rows.  It walks multisets of packets weighted by their
 numbers of orderings (``multisets``; cyclic start tuples also pin the first
 start at 0, ``cyclic_support``) when they fit the cap, and ``BATCH``-row
-``placement.draw_rows`` batches otherwise.  ``l_stars``, the one L* step for
-rows (also of ``ensemble.run_ensemble``), solves each ``_row_keys`` key once.
+``placement.draw_rows`` batches otherwise.  No read solver runs here: rows
+are solved only by ``ensemble.l_stars``.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
@@ -38,19 +39,16 @@ from math import comb, factorial, perm, prod, sqrt
 
 import numpy as np
 
-from .errors import BadParams, ConditionViolated, TooLarge
-from .model import Instance
+from .conditions import hall_rows
+from .errors import BadParams, TooLarge
 from .placement import (
     BlockDesign,
     PlacementRng,
     _as_generator,
     check_cell,
     check_design,
-    cyclic_class_keys,
     draw_rows,
-    instance_from_starts,
 )
-from .solvers import OPTIMAL, SOLVERS, solve_oracle
 
 ENUMERATION_CAP = 10**8
 SOLVE_ENUMERATION_CAP = 10**6
@@ -208,43 +206,6 @@ def cyclic_support(N: int, L: int) -> tuple:
     return np.insert(rests, 0, 0, axis=1), weights
 
 
-def _row_keys(policy: str, rows: np.ndarray, N: int) -> np.ndarray:
-    """One key per row, equal for rows with equal L*: the rotation class
-    (``cyclic_class_keys``) of arc starts, as L* does not change when the MUs
-    are rotated or the packets reordered, else the bytes of the packet tuple."""
-    if policy == "cyclic":
-        return cyclic_class_keys(rows, N)
-    flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-
-
-def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
-            cache: dict | None = None) -> np.ndarray:
-    """L* of each row of L packets placed by ``policy``, as ``draw_rows``
-    gives them: arc starts for cyclic, else packets.
-
-    ``solve`` maps an Instance to its L*.  A cache, for a deterministic
-    ``solve``, is filled in place and shared by the calls of one (policy, N,
-    n, k, L) cell: each row key (``_row_keys``) not in it is solved once, from
-    its first row.  Without a cache every row is solved, in order.
-    """
-    if cache is None:
-        keys, cache = np.arange(len(rows)), {}
-    else:
-        keys = _row_keys(policy, rows, N)
-    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    keys = keys.tolist()
-    for key, row in zip(keys, first.tolist()):
-        if key not in cache:
-            if policy == "cyclic":
-                inst = instance_from_starts(N, n, rows[row], k=k)
-            else:
-                # row by row: one tolist of a whole batch ran the garbage collector 6x as often
-                inst = Instance(N, k, n, rows[row].tolist(), policy)
-            cache[key] = solve(inst)
-    return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
-
-
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
     """|union of arcs| for each row of starts, via sorted gaps: each start
     covers min(gap to the next start, n) points."""
@@ -257,7 +218,7 @@ def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
 def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None, cap: int,
                  samples: int, rng, test, exact_only: bool = False) -> ProbabilityEstimate:
     """Pr(``test``) over L packets placed by ``policy``; ``test`` maps an
-    array of at most ``BATCH`` rows, as ``l_stars`` takes them, to a bool array.
+    array of at most ``BATCH`` rows, as ``draw_rows`` gives them, to a bool array.
 
     Exact when the ordered support (N^(L-1) start tuples with the first at
     0, b^L block or C(N,n)^L n-subset tuples) is at most ``cap``; else,
@@ -333,29 +294,24 @@ def p_full_throughput_exact(
 ) -> ProbabilityEstimate:
     """Pr(L* = L) under the policy's drawing distribution.
 
-    Enumerates the whole placement support when its ordered tuples (N^(L-1)
-    start tuples, b^L block or C(N,n)^L n-subset tuples) fit the cap,
-    otherwise falls back to Monte Carlo unless ``exact_only`` is set.  L*
-    does not depend on the packet order, so every policy walks weighted
-    multisets (``_probability``), solving each one once with the policy's
-    optimal solver, and cyclic ones once per rotation class.
+    All L packets can be served iff every packet subset J covers at least
+    k|J| MUs (Hall's theorem for k-fold demands), so each row is tested by
+    ``hall_rows`` rather than solved.  Enumerates the whole placement support
+    when its ordered tuples (N^(L-1) start tuples, b^L block or C(N,n)^L
+    n-subset tuples) fit the cap, otherwise falls back to Monte Carlo unless
+    ``exact_only`` is set.  The condition does not depend on the packet
+    order, so every policy walks weighted multisets (``_probability``).
     """
     check_cell(policy, N, n, k)
     if L < 1 or samples < 1:
         raise BadParams(f"need L >= 1 and samples >= 1, got L={L}, samples={samples}")
     if policy == "design":
         check_design(design, N, n)
-    solve = SOLVERS[OPTIMAL[policy]]
 
-    def l_star(inst) -> int:
-        # outside its guarantee the design solver falls back to the oracle:
-        # the question is still well defined there
-        try:
-            return solve(inst, design, None).l_star
-        except ConditionViolated:
-            return solve_oracle(inst).l_star
+    def full(rows):
+        # cyclic rows are arc starts: each packet is n consecutive MUs
+        return hall_rows((rows[:, :, None] + np.arange(n)) % N if policy == "cyclic" else rows,
+                         N, k)
 
-    cache = {} if policy == "cyclic" else None
-    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0),
-                        lambda rows: l_stars(policy, N, n, k, rows, l_star, cache) == L,
+    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0), full,
                         exact_only)

@@ -11,7 +11,8 @@ each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
 a fixed ExperimentSpec regardless of execution order.  Each batch of
 ``analysis.BATCH`` trials is one ``placement.draw_rows`` call and one
-``analysis.l_stars`` step, with a per-cell cache unless the solver is greedy.
+``l_stars`` step, with a per-cell cache unless the solver is greedy.
+``l_stars`` is the library's one loop that runs a read solver over rows.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -34,13 +35,16 @@ from . import analysis
 from ._svg import line_chart
 from .conditions import t_max
 from .errors import BadParams, EmptySamples, IncompatibleSolver, UnknownFigure
+from .model import Instance
 from .placement import (
     POLICIES,
     BlockDesign,
     build_lexicographic_packing,
     check_cell,
     check_design,
+    cyclic_class_keys,
     draw_rows,
+    instance_from_starts,
 )
 # the solve_* names are re-exported: benchmarks/test_bench.py checks that the
 # span tracer patches and restores their bindings in this module
@@ -163,6 +167,43 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
     return whp_from_counts(np.bincount(np.asarray(list(samples), dtype=np.int64)), confidence)
 
 
+def _row_keys(policy: str, rows: np.ndarray, N: int) -> np.ndarray:
+    """One key per row, equal for rows with equal L*: the rotation class
+    (``cyclic_class_keys``) of arc starts, as L* does not change when the MUs
+    are rotated or the packets reordered, else the bytes of the packet tuple."""
+    if policy == "cyclic":
+        return cyclic_class_keys(rows, N)
+    flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
+def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
+            cache: dict | None = None) -> np.ndarray:
+    """L* of each row of L packets placed by ``policy``, as ``draw_rows``
+    gives them: arc starts for cyclic, else packets.
+
+    ``solve`` maps an Instance to its L*.  A cache, for a deterministic
+    ``solve``, is filled in place and shared by the calls of one (policy, N,
+    n, k, L) cell: each row key (``_row_keys``) not in it is solved once, from
+    its first row.  Without a cache every row is solved, in order.
+    """
+    if cache is None:
+        keys, cache = np.arange(len(rows)), {}
+    else:
+        keys = _row_keys(policy, rows, N)
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    keys = keys.tolist()
+    for key, row in zip(keys, first.tolist()):
+        if key not in cache:
+            if policy == "cyclic":
+                inst = instance_from_starts(N, n, rows[row], k=k)
+            else:
+                # row by row: one tolist of a whole batch ran the garbage collector 6x as often
+                inst = Instance(N, k, n, rows[row].tolist(), policy)
+            cache[key] = solve(inst)
+    return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
+
+
 def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
     """Spec name of the solver that runs one (policy, L) cell, plus the label
     recorded in the report (the oracle falls back to greedy above its
@@ -204,8 +245,8 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
             solve_gen = np.random.Generator(np.random.PCG64(solve_ss))
             drawn = draw_rows(spec.policy, spec.N, spec.n, L,
                               min(analysis.BATCH, spec.trials - lo), draw_gen, design)
-            ls = analysis.l_stars(spec.policy, spec.N, spec.n, spec.k, drawn,
-                                  lambda inst: solver(inst, design, solve_gen).l_star, cache)
+            ls = l_stars(spec.policy, spec.N, spec.n, spec.k, drawn,
+                         lambda inst: solver(inst, design, solve_gen).l_star, cache)
             counts += np.bincount(ls, minlength=L + 1)
 
         T = spec.trials

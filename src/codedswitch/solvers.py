@@ -616,5 +616,3 @@ CLI_NAMES = {
     "cyclic": "cyclic_opt",
     "design": "design_opt",
 }
-# placement policy -> spec name of its exact solver
-OPTIMAL = {"uniform": "oracle", "cyclic": "cyclic_opt", "design": "design_opt"}

@@ -11,7 +11,9 @@ import pytest
 from codedswitch import (
     Instance,
     PlacementRng,
+    build_lexicographic_packing,
     build_projective_plane,
+    hall_full_throughput,
     instance_from_starts,
     p_cover_cyclic,
     p_cover_uniform,
@@ -26,10 +28,11 @@ from codedswitch import (
 from codedswitch import analysis
 from codedswitch.analysis import (
     cyclic_support,
-    l_stars,
     multisets,
     union_cardinality_distribution,
 )
+from codedswitch.conditions import hall_rows
+from codedswitch.ensemble import l_stars
 from codedswitch.errors import BadParams, TooLarge
 from codedswitch.placement import POLICIES, draw, draw_rows
 
@@ -331,7 +334,7 @@ def test_exact_walk_hands_test_at_most_batch_rows(fano, monkeypatch, policy, N, 
     full_tp = p_full_throughput_exact(policy, N, n, k, L, design=fano)
     lens = []
     monkeypatch.setattr(analysis, "BATCH", 5)
-    monkeypatch.setattr(analysis, "l_stars", recording(lens, l_stars, 4))
+    monkeypatch.setattr(analysis, "hall_rows", recording(lens, hall_rows, 0))
     assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
     assert full_tp.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
 
@@ -427,11 +430,24 @@ def test_full_tp_design_single_packet(fano):
     assert p_full_throughput_exact("design", 7, 3, 2, 1, design=fano).value == 1.0
 
 
-def test_full_tp_design_outside_guarantee_falls_back(fano):
-    # L=5 at k=2 violates the pairwise bound; kL=10 > 7 so the answer is 0
+def test_full_tp_design_outside_guarantee(fano):
+    # L=5 at k=2 violates the pairwise bound, where the design solver gives
+    # no guarantee; Hall's condition still decides it: kL=10 > 7, so 0
     est = p_full_throughput_exact("design", 7, 3, 2, 5, design=fano, cap=20_000)
     assert est.method == "exact_enumeration"
     assert est.value == 0.0
+
+
+def test_full_tp_design_beyond_the_oracle_cap_is_the_hall_share():
+    # L*n = 30 > 24: the design solver has no guarantee here, and the oracle
+    # refuses the cell; the probability is the share of draws that meet Hall
+    N, n, k, L, samples = 17, 5, 2, 6, 4000
+    packing = build_lexicographic_packing(N, n, 2)
+    est = p_full_throughput_exact("design", N, n, k, L, design=packing, samples=samples, seed=3)
+    rows = draw_rows("design", N, n, L, samples, PlacementRng(3, 0).generator(), packing)
+    hall = sum(hall_full_throughput(Instance(N, k, n, row)) for row in rows.tolist())
+    assert (est.value, est.method) == (hall / samples, "monte_carlo")
+    assert est.value == 0.989
 
 
 def test_full_tp_design_requires_matching_geometry(fano):

@@ -7,7 +7,7 @@ import pytest
 
 from codedswitch import Instance, Solution, validate_instance
 from codedswitch.cli import _build_parser, main
-from codedswitch.solvers import CLI_NAMES, OPTIMAL, SOLVERS
+from codedswitch.solvers import CLI_NAMES, SOLVERS
 from codedswitch.placement import POLICIES
 
 
@@ -78,8 +78,6 @@ def _choices(cmd: str, flag: str):
 def test_solver_tables_are_consistent():
     assert set(_choices("solve", "--algo")) == set(CLI_NAMES)
     assert set(CLI_NAMES.values()) <= set(SOLVERS)
-    assert set(OPTIMAL.values()) <= set(SOLVERS)
-    assert set(OPTIMAL) == set(POLICIES)
     assert tuple(_choices("generate", "--policy")) == tuple(_choices("analyze", "--policy")) == POLICIES
 
 
@@ -452,6 +450,17 @@ def test_analyze_monte_carlo_needs_a_positive_trial_count(capsys, argv, trials):
     assert main(["analyze"] + argv + ["--trials", trials]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: BadParams:") and err.count("\n") == 1
+
+
+def test_analyze_full_tp_design_beyond_the_oracle_cap(tmp_path, capsys):
+    blocks = tmp_path / "packing.blocks"
+    assert main(["design", "build", "--kind", "packing", "--N", "17", "--n", "5",
+                 "--t-max", "2", "--out", str(blocks)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--what", "full-tp", "--policy", "design", "--design", str(blocks),
+                 "--N", "17", "--n", "5", "--k", "2", "--L", "6", "--trials", "4000",
+                 "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith("0.989,monte_carlo,")
 
 
 def test_check_conditions_decides_hall_beyond_twenty_packets(tmp_path, capsys):

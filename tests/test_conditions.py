@@ -9,6 +9,8 @@ import pytest
 
 from codedswitch import (
     Instance,
+    PlacementRng,
+    build_projective_plane,
     coverage_holds,
     hall_full_throughput,
     intersection_stats,
@@ -16,7 +18,10 @@ from codedswitch import (
     solve_oracle,
     t_max,
 )
+from codedswitch import conditions
+from codedswitch.conditions import hall_rows
 from codedswitch.errors import DegenerateL
+from codedswitch.placement import POLICIES, draw_rows
 
 from conftest import CLASSIC_TRIPLE_SYSTEM, CONTENTION_PACKETS, brute_force_l_star
 
@@ -119,6 +124,70 @@ def test_hall_matches_oracle_random():
         inst = _inst(N, k, n, packets)
         full = solve_oracle(inst, cap=64).l_star == L
         assert hall_full_throughput(inst) is full
+
+
+def _packet_rows(policy, design, L, B, seed):
+    """B draws of L packets over the design's geometry, arcs expanded."""
+    N, n = design.N, design.n
+    rows = draw_rows(policy, N, n, L, B, PlacementRng(seed).generator(), design)
+    return (rows[:, :, None] + np.arange(n)) % N if policy == "cyclic" else rows
+
+
+def _matched(packets, N, k):
+    n = packets.shape[2]
+    return [hall_full_throughput(_inst(N, k, n, row)) for row in packets.tolist()]
+
+
+# (L, B) on both sides of the selector 2^L > 8B: (4, 1) and (6, 7) match rows
+# one by one, (4, 2), (6, 8) and (3, 50) take the subset pass
+@pytest.mark.parametrize("L,B", [(4, 1), (4, 2), (6, 7), (6, 8), (3, 50)])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("q", [2, 3])
+def test_hall_rows_equals_matching_row_by_row(policy, q, L, B):
+    design = build_projective_plane(q)
+    packets = _packet_rows(policy, design, L, B, seed=100 * q + L)
+    for k in range(1, design.n + 1):
+        assert hall_rows(packets, design.N, k).tolist() == _matched(packets, design.N, k)
+
+
+@pytest.fixture
+def matched_rows(monkeypatch):
+    """Counts the rows that ``hall_rows`` hands to ``hall_full_throughput``."""
+    calls = []
+    inner = conditions.hall_full_throughput
+    monkeypatch.setattr(conditions, "hall_full_throughput",
+                        lambda inst: calls.append(inst) or inner(inst))
+    return calls
+
+
+def test_hall_rows_matches_one_row_and_passes_subsets_of_two(matched_rows):
+    packets = _packet_rows("uniform", build_projective_plane(2), 4, 2, seed=3)
+    one = hall_rows(packets[:1], 7, 2)
+    assert len(matched_rows) == 1
+    assert hall_rows(packets, 7, 2).tolist() == [one[0]] + _matched(packets[1:], 7, 2)
+    assert len(matched_rows) == 1  # the two rows took the subset pass
+
+
+def test_hall_rows_top_mask_bit_and_past_the_mask(matched_rows):
+    # MU 63 is the top bit of a uint64 mask; at N=65 the rows are matched
+    rows = [((62, 63), (0, 63)), ((62, 63), (0, 1)), ((63, 64), (63, 64)), ((1, 63), (2, 64))]
+    for N, expected, matched in ((64, [False, True], 0), (65, [False, True, False, True], 4)):
+        packets = np.array(rows[:len(expected)])
+        assert hall_rows(packets, N, 2).tolist() == expected == _matched(packets, N, 2)
+        assert len(matched_rows) == matched
+        del matched_rows[:]
+    gen = np.random.default_rng(64)
+    packets = np.array([[np.sort(gen.choice(64, 8, replace=False)) for _ in range(5)]
+                        for _ in range(40)])
+    assert (packets == 63).any()
+    for k in (4, 6, 8):
+        assert hall_rows(packets, 64, k).tolist() == _matched(packets, 64, k)
+
+
+def test_hall_rows_of_no_rows():
+    for N in (7, 65):
+        out = hall_rows(np.zeros((0, 3, 2), dtype=np.int64), N, 1)
+        assert out.shape == (0,) and out.dtype == bool
 
 
 def test_implication_chain_random():

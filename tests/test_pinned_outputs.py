@@ -26,6 +26,7 @@ from codedswitch import (
     mds_encode,
     reproduce_figure,
     run_ensemble,
+    solvers,
 )
 from codedswitch.cli import main
 from codedswitch.placement import PlacementRng
@@ -204,6 +205,22 @@ def test_full_tp_design_uniform_pinned(policy, q, args, kw, value, method):
         kw = dict(kw, design=build_projective_plane(q))
     est = analysis.p_full_throughput_exact(policy, *args, **kw)
     assert (est.value, est.method) == (value, method)
+
+
+def test_full_tp_runs_no_read_solver(monkeypatch):
+    # Pr(L* = L) is Pr(Hall's condition holds): the pins hold with every
+    # solver in the table refusing to run
+    def refuse(inst, design, gen):
+        raise AssertionError("a read solver ran")
+
+    for name in solvers.SOLVERS:
+        monkeypatch.setitem(solvers.SOLVERS, name, refuse)
+    cases = [("cyclic", None, *case) for case in FULL_TP_CYCLIC] + list(FULL_TP_DESIGN_UNIFORM)
+    for policy, q, args, kw, value, method in cases:
+        if q is not None:
+            kw = dict(kw, design=build_projective_plane(q))
+        est = analysis.p_full_throughput_exact(policy, *args, **kw)
+        assert (est.value, est.method) == (value, method)
 
 
 # (family, k, n, B) -> SHA-256 of the n encoded chunks, concatenated in

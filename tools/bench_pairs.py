@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sim_cyclic \
-        --pairs 10 --seconds 28 --out pairs.json
+        --pairs 10 --seconds 28 --figure 4 --out pairs.json
 
 PARENT_DIR and CHANGE_DIR are two source checkouts.  Pair i runs
 ``benchmarks/run.py --workload W --seed 2000+i --seconds S --trace 0`` once
@@ -14,20 +14,32 @@ prints and writes the median and quartiles per side, the change/parent ratio
 of the medians, the number of pairs the change wins, whether the change stays
 within the metric's bound, and whether the gap between the medians exceeds
 the parent's interquartile range; and per side the operations attempted and
-failed.  Uses the standard library only.
+failed.
+
+``--figure F``, also repeatable, times ``codedswitch reproduce --figure F
+--seed 5`` (default trials) once in each checkout, one process per side, and
+compares the SHA-256 of the CSV and SVG files the two sides write.  The
+k-th figure given runs the parent first when k is odd.  Its times go into
+the same JSON, under ``figures``.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 SEED0 = 2001  # seed of pair 1; earlier BENCH files used seeds 2001-2010
+FIGURE_SEED = 5
+REPRODUCE = "import sys; from codedswitch.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -97,6 +109,37 @@ def run_pairs(dirs: dict, workload: str, pairs: int, seconds: float, metrics: li
     return summary
 
 
+def time_figure(checkout: Path, fig: int) -> dict:
+    """Wall seconds of one ``reproduce`` process in ``checkout``, its exit code
+    and the SHA-256 of each file it wrote."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    with tempfile.TemporaryDirectory() as out:
+        cmd = [sys.executable, "-c", REPRODUCE, "reproduce", "--figure", str(fig),
+               "--seed", str(FIGURE_SEED), "--out", out]
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
+        wall = time.perf_counter() - t0
+        hashes = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                  for f in sorted(Path(out).iterdir()) if f.suffix in (".csv", ".svg")}
+    return {"wall_s": round(wall, 3), "exit": proc.returncode, "sha256": hashes}
+
+
+def time_figures(dirs: dict, figures: list) -> dict:
+    timed = {}
+    for i, fig in enumerate(figures, 1):
+        order = SIDES if i % 2 else SIDES[::-1]
+        runs = {side: time_figure(dirs[side], fig) for side in order}
+        timed[str(fig)] = {
+            "order": list(order),
+            "wall_s": {side: runs[side]["wall_s"] for side in SIDES},
+            "exit": {side: runs[side]["exit"] for side in SIDES},
+            "files": len(runs["change"]["sha256"]),
+            "artifacts_identical": runs["parent"]["sha256"] == runs["change"]["sha256"],
+        }
+        print(f"figure {fig}: {timed[str(fig)]}", file=sys.stderr)
+    return timed
+
+
 def print_summary(workload: str, summary: dict) -> None:
     print(f"\n{workload}: attempted {summary['attempted']}, failed {summary['failed']}")
     print(f"{'metric':<14}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}"
@@ -113,13 +156,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_dir", type=Path)
     ap.add_argument("change_dir", type=Path)
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append", default=[])
+    ap.add_argument("--figure", action="append", type=int, default=[])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=28)
     ap.add_argument("--out", type=Path, default=Path("bench_pairs.json"))
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    if not args.workload and not args.figure:
+        ap.error("give at least one --workload or --figure")
     dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
     metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     report = {
@@ -134,6 +180,13 @@ def main(argv=None) -> int:
         summary = run_pairs(dirs, workload, args.pairs, args.seconds, metrics)
         report["workloads"][workload] = summary
         print_summary(workload, summary)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if args.figure:
+        report["figures"] = {
+            "command": f"codedswitch reproduce --figure F --seed {FIGURE_SEED} --out DIR"
+                       " (default trials), one process per side, wall seconds",
+            "values": time_figures(dirs, args.figure),
+        }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
