@@ -13,17 +13,19 @@ Closed forms and bounds:
   distinct (balls into bins); equals full-throughput probability when a
   block cannot serve two packets (k > n/2).
 * ``p_cover_cyclic``   coverage probability for arcs, by exact enumeration
-  over start tuples or Monte Carlo; an upper bound for cyclic placement.
+  or Monte Carlo; an upper bound for cyclic placement.
 * ``p_full_throughput_exact``  Pr(L* = L) itself, which is the probability
   that the extended Hall condition holds (``conditions.hall_rows``), by
   enumerating the placement support, or Monte Carlo beyond the cap.
 
 The last two share one walk, ``_probability``, and differ only in their
-test of a batch of rows.  It walks multisets of packets weighted by their
-numbers of orderings (``multisets``; cyclic start tuples also pin the first
-start at 0, ``cyclic_support``) when they fit the cap, and ``BATCH``-row
-``placement.draw_rows`` batches otherwise.  No read solver runs here: rows
-are solved only by ``ensemble.l_stars``.
+test of a batch of rows.  Every row is a (L, n) array of packets for every
+policy, as ``placement.draw_rows`` gives it.  The walk visits multisets of
+``placement.packet_table`` rows weighted by their numbers of orderings
+(``multisets``; cyclic placement also pins its first packet to arc 0) when
+it takes at most ``ENUMERATION_CAP`` rows, and ``BATCH``-row ``draw_rows``
+batches otherwise.  No read solver runs here: rows are solved only by
+``ensemble.l_stars``.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
@@ -34,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb, factorial, perm, prod, sqrt
 
 import numpy as np
@@ -48,10 +50,11 @@ from .placement import (
     check_cell,
     check_design,
     draw_rows,
+    packet_table,
 )
 
-ENUMERATION_CAP = 10**8
-SOLVE_ENUMERATION_CAP = 10**6
+# most rows an exact walk visits (``_probability``)
+ENUMERATION_CAP = 10**6
 MC_DEFAULT_SAMPLES = 10**6
 # rows per draw_rows call or walked support slice; in _probability this only
 # bounds memory, but ensemble.run_ensemble seeds each batch of trials on its
@@ -181,7 +184,7 @@ def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# cyclic coverage probability
+# the support walk, and cyclic coverage
 # ---------------------------------------------------------------------------
 
 def multisets(size: int, r: int) -> tuple:
@@ -195,17 +198,6 @@ def multisets(size: int, r: int) -> tuple:
     return np.array(rows, dtype=np.int64), weights
 
 
-def cyclic_support(N: int, L: int) -> tuple:
-    """Start tuples of L arcs up to rotation and order, with their weights.
-
-    The first start is pinned at 0 (rotation invariance) and the other L-1
-    are ``multisets(N, L-1)``.  Returns an (M, L) start array and the
-    weights as Python ints; the weights sum to N^(L-1).
-    """
-    rests, weights = multisets(N, L - 1)
-    return np.insert(rests, 0, 0, axis=1), weights
-
-
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
     """|union of arcs| for each row of starts, via sorted gaps: each start
     covers min(gap to the next start, n) points."""
@@ -217,32 +209,30 @@ def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
 
 def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None, cap: int,
                  samples: int, rng, test, exact_only: bool = False) -> ProbabilityEstimate:
-    """Pr(``test``) over L packets placed by ``policy``; ``test`` maps an
-    array of at most ``BATCH`` rows, as ``draw_rows`` gives them, to a bool array.
+    """Pr(``test``) over L packets placed by ``policy``; ``test`` maps a
+    (B, L, n) packet array of at most ``BATCH`` rows, as ``draw_rows`` gives
+    them, to a bool array and must not depend on the packet order.
 
-    Exact when the ordered support (N^(L-1) start tuples with the first at
-    0, b^L block or C(N,n)^L n-subset tuples) is at most ``cap``; else,
-    unless ``exact_only``, ``samples`` draws from ``rng``.
+    Exact when the walk over multisets of ``packet_table`` rows visits at
+    most ``cap`` rows: C(s+r-1, r) for s table rows and r free packets.  All
+    L packets are free, except for cyclic placement, whose test must also not
+    change when the MUs are rotated: its first packet is pinned to arc 0.
+    Else, unless ``exact_only``, ``samples`` draws from ``rng``.
     """
-    if policy == "cyclic":
-        total = N ** (L - 1)
-    else:
-        # every packet is one of the design blocks or one of the n-subsets
-        total = (design.b if policy == "design" else comb(N, n)) ** L
-    if total <= cap:
-        if policy == "cyclic":
-            starts, weights = cyclic_support(N, L)
-        else:
-            support = np.array(design.blocks if policy == "design"
-                               else list(combinations(range(N), n)))
-            idx, weights = multisets(len(support), L)
+    pinned = int(policy == "cyclic")
+    size = comb(N, n) if policy == "uniform" else (N if pinned else design.b)
+    free = L - pinned
+    if comb(size + free - 1, free) <= cap:
+        table = packet_table(policy, N, n, design)
+        idx, weights = multisets(size, free)
+        idx = np.insert(idx, 0, 0, axis=1) if pinned else idx
         good = 0
         for lo in range(0, len(weights), BATCH):
-            rows = starts[lo:lo + BATCH] if policy == "cyclic" else support[idx[lo:lo + BATCH]]
-            good += sum(w for w, hit in zip(weights[lo:lo + BATCH], test(rows).tolist()) if hit)
-        return ProbabilityEstimate(float(Fraction(good, total)), EXACT_ENUMERATION, 0.0)
+            hits = test(table[idx[lo:lo + BATCH]]).tolist()
+            good += sum(w for w, hit in zip(weights[lo:lo + BATCH], hits) if hit)
+        return ProbabilityEstimate(float(Fraction(good, size**free)), EXACT_ENUMERATION, 0.0)
     if exact_only:
-        raise TooLarge(f"support of {policy} policy exceeds the cap {cap}")
+        raise TooLarge(f"walking the {policy} support takes more than {cap} rows")
     gen = _as_generator(rng)
     good = 0
     for lo in range(0, samples, BATCH):
@@ -260,20 +250,21 @@ def p_cover_cyclic(
     cap: int = ENUMERATION_CAP,
     samples: int = MC_DEFAULT_SAMPLES,
     rng=None,
+    exact_only: bool = False,
 ) -> ProbabilityEstimate:
     """Pr(L uniform arcs of length n cover at least kL of N circle points).
 
-    Exact enumeration over the N^L start tuples when that fits the cap
-    (walked up to rotation and order, see ``cyclic_support``), otherwise
-    Monte Carlo with a normal-approximation stderr.
+    Exact enumeration, up to rotation and order, when the walk fits the cap
+    (``_probability``), otherwise Monte Carlo with a normal-approximation
+    stderr unless ``exact_only`` is set.
     """
     _check_coverage(N, n, k, L)
     if samples < 1:
         raise BadParams(f"need samples >= 1, got {samples}")
-    # N^L <= cap iff the N^(L-1) pinned start tuples are at most cap // N
-    return _probability("cyclic", N, n, L, None, cap // N, samples,
+    # column 0 of an arc is its start
+    return _probability("cyclic", N, n, L, None, cap, samples,
                         rng if rng is not None else PlacementRng(0, 0),
-                        lambda starts: _arc_coverage(starts, N, n) >= k * L)
+                        lambda rows: _arc_coverage(rows[:, :, 0], N, n) >= k * L, exact_only)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +278,7 @@ def p_full_throughput_exact(
     k: int,
     L: int,
     design: BlockDesign | None = None,
-    cap: int = SOLVE_ENUMERATION_CAP,
+    cap: int = ENUMERATION_CAP,
     samples: int = MC_DEFAULT_SAMPLES,
     seed: int = 0,
     exact_only: bool = False,
@@ -296,22 +287,16 @@ def p_full_throughput_exact(
 
     All L packets can be served iff every packet subset J covers at least
     k|J| MUs (Hall's theorem for k-fold demands), so each row is tested by
-    ``hall_rows`` rather than solved.  Enumerates the whole placement support
-    when its ordered tuples (N^(L-1) start tuples, b^L block or C(N,n)^L
-    n-subset tuples) fit the cap, otherwise falls back to Monte Carlo unless
-    ``exact_only`` is set.  The condition does not depend on the packet
-    order, so every policy walks weighted multisets (``_probability``).
+    ``hall_rows`` rather than solved.  The condition depends neither on the
+    packet order nor, for arcs, on a rotation of the MUs, so the whole
+    placement support is walked as weighted multisets when the walk fits the
+    cap (``_probability``); otherwise Monte Carlo, unless ``exact_only`` is
+    set.
     """
     check_cell(policy, N, n, k)
     if L < 1 or samples < 1:
         raise BadParams(f"need L >= 1 and samples >= 1, got L={L}, samples={samples}")
     if policy == "design":
         check_design(design, N, n)
-
-    def full(rows):
-        # cyclic rows are arc starts: each packet is n consecutive MUs
-        return hall_rows((rows[:, :, None] + np.arange(n)) % N if policy == "cyclic" else rows,
-                         N, k)
-
-    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0), full,
-                        exact_only)
+    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0),
+                        lambda rows: hall_rows(rows, N, k), exact_only)

@@ -212,7 +212,8 @@ def _cmd_analyze(args) -> int:
         est = analysis.p_pair_design(args.b, args.L)
     elif what == "cover-cyc":
         est = analysis.p_cover_cyclic(
-            args.N, args.n, args.k, args.L, samples=args.trials, rng=PlacementRng(seed, 2)
+            args.N, args.n, args.k, args.L, samples=args.trials, rng=PlacementRng(seed, 2),
+            exact_only=args.exact_only,
         )
     else:  # full-tp
         design = BlockDesign.load(args.design) if args.design else None
@@ -408,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--policy", choices=POLICIES, default="cyclic")
     a.add_argument("--design", default=None)
     a.add_argument("--trials", type=int, default=analysis.MC_DEFAULT_SAMPLES)
-    a.add_argument("--exact-only", action="store_true")
+    a.add_argument("--exact-only", action="store_true",
+                   help="cover-cyc, full-tp: fail with TooLarge where the exact walk exceeds the cap")
     a.add_argument("--seed", type=int, default=None)
     a.set_defaults(func=_cmd_analyze)
 

@@ -17,6 +17,7 @@ comparisons use its floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import floor
@@ -29,16 +30,26 @@ from .model import Instance
 
 @dataclass(frozen=True)
 class IntersectionStats:
-    """Pairwise intersection matrix of an instance's MU sets.
+    """Pairwise intersections of an instance's MU sets.
 
-    ``pairwise[i][j] = |S_i intersect S_j|`` (diagonal = n).  ``phi(s, members)``
-    is the sum of |intersection over I| for all s-subsets I of ``members``,
-    the quantity driving the inclusion-exclusion form of the Hall condition.
+    ``max_pairwise`` is the largest |S_i intersect S_j| over i != j (0 for
+    fewer than two packets).  ``pairwise[i][j] = |S_i intersect S_j|``
+    (diagonal = n) is built on first use.  ``phi(s, members)`` is the sum of
+    |intersection over I| for all s-subsets I of ``members``, the quantity
+    driving the inclusion-exclusion form of the Hall condition.
     """
 
-    pairwise: np.ndarray
     max_pairwise: int
+    n: int
     _masks: tuple
+
+    @cached_property
+    def pairwise(self) -> np.ndarray:
+        masks = self._masks
+        pair = np.array([[(a & b).bit_count() for b in masks] for a in masks],
+                        dtype=np.int64).reshape(len(masks), len(masks))
+        np.fill_diagonal(pair, self.n)
+        return pair
 
     def phi(self, s: int, members=None) -> int:
         if members is None:
@@ -59,18 +70,8 @@ def _packet_masks(inst: Instance) -> tuple:
 
 def intersection_stats(inst: Instance) -> IntersectionStats:
     masks = _packet_masks(inst)
-    L = inst.L
-    pair = np.zeros((L, L), dtype=np.int64)
-    for i in range(L):
-        pair[i, i] = inst.n
-        for j in range(i + 1, L):
-            c = (masks[i] & masks[j]).bit_count()
-            pair[i, j] = pair[j, i] = c
-    mx = 0
-    if L >= 2:
-        off = pair[~np.eye(L, dtype=bool)]
-        mx = int(off.max())
-    return IntersectionStats(pairwise=pair, max_pairwise=mx, _masks=masks)
+    mx = max(((a & b).bit_count() for a, b in combinations(masks, 2)), default=0)
+    return IntersectionStats(max_pairwise=mx, n=inst.n, _masks=masks)
 
 
 def coverage_holds(inst: Instance) -> bool:
@@ -97,13 +98,7 @@ def pairwise_holds(inst: Instance) -> bool:
     """Sufficient condition: all pairwise intersections within floor(t_max)."""
     if inst.L < 2:
         raise DegenerateL(f"pairwise bound needs L >= 2, got L={inst.L}")
-    bound = floor(t_max(inst.n, inst.k, inst.L))
-    masks = _packet_masks(inst)
-    for i in range(inst.L):
-        for j in range(i + 1, inst.L):
-            if (masks[i] & masks[j]).bit_count() > bound:
-                return False
-    return True
+    return intersection_stats(inst).max_pairwise <= floor(t_max(inst.n, inst.k, inst.L))
 
 
 def max_matching(demands) -> dict:

@@ -10,9 +10,10 @@ A read cycle is modelled as a fresh instance draw; an experiment draws
 each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
 a fixed ExperimentSpec regardless of execution order.  Each batch of
-``analysis.BATCH`` trials is one ``placement.draw_rows`` call and one
-``l_stars`` step, with a per-cell cache unless the solver is greedy.
-``l_stars`` is the library's one loop that runs a read solver over rows.
+``analysis.BATCH`` trials is one ``placement.draw_rows`` call, a (B, L, n)
+packet array for every policy, and one ``l_stars`` step, with a per-cell
+cache unless the solver is greedy.  ``l_stars`` is the library's one loop
+that runs a read solver over rows.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -44,18 +45,11 @@ from .placement import (
     check_design,
     cyclic_class_keys,
     draw_rows,
-    instance_from_starts,
 )
-# the solve_* names are re-exported: benchmarks/test_bench.py checks that the
-# span tracer patches and restores their bindings in this module
-from .solvers import (  # noqa: F401
-    DEFAULT_ORACLE_CAP,
-    SOLVERS,
-    solve_cyclic,
-    solve_design,
-    solve_greedy,
-    solve_oracle,
-)
+from .solvers import DEFAULT_ORACLE_CAP, SOLVERS
+# unused here: benchmarks/test_bench.py checks that the span tracer patches and
+# restores this module's binding of solve_cyclic
+from .solvers import solve_cyclic  # noqa: F401
 
 _POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
 
@@ -169,38 +163,39 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
 
 def _row_keys(policy: str, rows: np.ndarray, N: int) -> np.ndarray:
     """One key per row, equal for rows with equal L*: the rotation class
-    (``cyclic_class_keys``) of arc starts, as L* does not change when the MUs
-    are rotated or the packets reordered, else the bytes of the packet tuple."""
+    (``cyclic_class_keys``) of the arc starts in column 0, as L* does not
+    change when the MUs are rotated or the packets reordered, else the bytes
+    of the packet tuple."""
     if policy == "cyclic":
-        return cyclic_class_keys(rows, N)
+        return cyclic_class_keys(rows[:, :, 0], N)
     flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
 def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
             cache: dict | None = None) -> np.ndarray:
-    """L* of each row of L packets placed by ``policy``, as ``draw_rows``
-    gives them: arc starts for cyclic, else packets.
+    """L* of each row of a (B, L, n) packet array placed by ``policy``, as
+    ``draw_rows`` gives it.
 
-    ``solve`` maps an Instance to its L*.  A cache, for a deterministic
-    ``solve``, is filled in place and shared by the calls of one (policy, N,
-    n, k, L) cell: each row key (``_row_keys``) not in it is solved once, from
-    its first row.  Without a cache every row is solved, in order.
+    ``solve`` maps an Instance, with sorted packets, to its L*.  A cache, for
+    a deterministic ``solve``, is filled in place and shared by the calls of
+    one (policy, N, n, k, L) cell: each row key (``_row_keys``) not in it is
+    solved once, from its first row.  Without a cache every row is solved, in
+    order.
     """
     if cache is None:
         keys, cache = np.arange(len(rows)), {}
     else:
         keys = _row_keys(policy, rows, N)
     keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    keys = keys.tolist()
-    for key, row in zip(keys, first.tolist()):
+    keys, first = keys.tolist(), first.tolist()
+    if policy == "cyclic":
+        # arcs are listed from their start: sort the rows to be solved at once
+        rows, first = np.sort(rows[first], axis=2), range(len(first))
+    for key, row in zip(keys, first):
         if key not in cache:
-            if policy == "cyclic":
-                inst = instance_from_starts(N, n, rows[row], k=k)
-            else:
-                # row by row: one tolist of a whole batch ran the garbage collector 6x as often
-                inst = Instance(N, k, n, rows[row].tolist(), policy)
-            cache[key] = solve(inst)
+            # row by row: one tolist of a whole batch ran the garbage collector 6x as often
+            cache[key] = solve(Instance(N, k, n, rows[row].tolist(), policy))
     return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
 
 

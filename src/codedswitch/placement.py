@@ -8,9 +8,11 @@ Three write-path policies decide which n MUs hold a packet's chunks:
   so that full throughput is guaranteed by construction for suitable L.
 
 ``draw`` places one instance; ``draw_rows`` makes many draws of every
-policy in one call, on the stream of as many ``draw`` calls: arc starts
-and block indices come from one ``Generator.integers`` call, and uniform
-n-subsets from ``uniform_rows``.  That replays
+policy in one call, on the stream of as many ``draw`` calls, as one
+(size, L, n) packet array for every policy.  ``packet_table`` lists every
+packet a policy can place; cyclic arcs and design blocks are its rows,
+picked by one ``Generator.integers`` call, and uniform n-subsets come from
+``uniform_rows``.  That replays
 ``Generator.choice(N, n, replace=False)`` exactly, state included, on any
 bit generator: ``choice`` runs Floyd's algorithm on numpy's bounded-integer
 draws, and one ``integers`` call over an array of bounds makes the same
@@ -188,7 +190,7 @@ def draw_cyclic(N: int, n: int, L: int, rng) -> Instance:
 
 
 def instance_from_starts(N: int, n: int, starts, k: int | None = None) -> Instance:
-    """Cyclic instance from explicit arc starts (helper for enumeration)."""
+    """Cyclic instance from explicit arc starts."""
     packets = tuple(tuple(sorted((int(s) + r) % N for r in range(n))) for s in starts)
     return Instance(N=N, k=n if k is None else k, n=n, packets=packets, placement="cyclic")
 
@@ -279,19 +281,32 @@ def draw(policy: str, N: int, n: int, k: int, L: int, rng,
     return with_k(inst, k)
 
 
+def packet_table(policy: str, N: int, n: int, design: BlockDesign | None = None) -> np.ndarray:
+    """Every packet ``policy`` can place, as an (s, n) array: for cyclic the
+    N arcs, row s starting at MU s and listed from its start, so column 0 is
+    the start; for design the blocks of ``design``; for uniform the C(N, n)
+    sorted n-subsets in lexicographic order."""
+    if policy == "cyclic":
+        return (np.arange(N)[:, None] + np.arange(n)) % N
+    if policy == "design":
+        check_design(design, N, n)
+        return np.array(design.blocks)
+    if policy == "uniform":
+        return np.array(list(combinations(range(N), n)))
+    raise BadParams(f"unknown policy {policy!r}")
+
+
 def draw_rows(policy: str, N: int, n: int, L: int, size: int, gen: np.random.Generator,
               design: BlockDesign | None = None) -> np.ndarray:
     """``size`` draws of L packets, on the stream of ``size`` ``draw`` calls
-    with the Generator ``gen``: a (size, L) array of arc starts for cyclic,
-    else a (size, L, n) array of packets (from ``design`` for design)."""
-    if policy == "cyclic":
-        return gen.integers(0, N, size=(size, L))
+    with the Generator ``gen``, as a (size, L, n) packet array.  Cyclic and
+    design packets are rows of ``packet_table`` picked by one
+    ``Generator.integers`` call (cyclic arcs listed from their start),
+    uniform ones come sorted from ``uniform_rows``."""
     if policy == "uniform":
         return uniform_rows(N, n, size * L, gen).reshape(size, L, n)
-    if policy == "design":
-        check_design(design, N, n)
-        return np.array(design.blocks)[gen.integers(0, design.b, size=(size, L))]
-    raise BadParams(f"unknown policy {policy!r}")
+    table = packet_table(policy, N, n, design)
+    return table[gen.integers(0, len(table), size=(size, L))]
 
 
 def is_prime(q: int) -> bool:

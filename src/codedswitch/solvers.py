@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import floor
 
-from .conditions import max_matching, t_max
+from .conditions import intersection_stats, max_matching, t_max
 from .errors import (
     BadParams,
     BlockNotInDesign,
@@ -478,11 +478,10 @@ def solve_design(inst: Instance, design: BlockDesign) -> Solution:
 
     if Lp >= 2:
         bound = floor(t_max(inst.n, inst.k, Lp))
-        worst = 0
-        sets = [set(inst.packets[i]) for i in sub]
-        for a in range(Lp):
-            for b in range(a + 1, Lp):
-                worst = max(worst, len(sets[a] & sets[b]))
+        distinct = inst
+        if duplicates:
+            distinct = Instance(inst.N, inst.k, inst.n, [inst.packets[i] for i in sub])
+        worst = intersection_stats(distinct).max_pairwise
         if worst > bound:
             raise ConditionViolated(
                 f"max pairwise intersection {worst} exceeds floor(t_max) = {bound} "

@@ -27,7 +27,6 @@ from codedswitch import (
 )
 from codedswitch import analysis
 from codedswitch.analysis import (
-    cyclic_support,
     multisets,
     union_cardinality_distribution,
 )
@@ -236,7 +235,8 @@ def test_cover_cyclic_monte_carlo_draws_in_batches(monkeypatch):
         return arc_coverage(starts, N, n)
 
     monkeypatch.setattr(analysis, "_arc_coverage", recording)
-    est = p_cover_cyclic(N, n, k, L, samples=samples, rng=PlacementRng(4))
+    # cap=1: the walk of this cell (278,256 rows) fits the default cap
+    est = p_cover_cyclic(N, n, k, L, cap=1, samples=samples, rng=PlacementRng(4))
     assert est.method == "monte_carlo"
     assert max(rows) <= analysis.BATCH and sum(rows) == samples
     starts = PlacementRng(4).generator().integers(0, N, size=(samples, L))
@@ -272,7 +272,7 @@ def test_sample_l_stars_continues_one_stream(fano, policy, cached):
 def _row_key(policy, row, N):
     # reference keys: the least rotation of the sorted starts, or the packet tuple
     if policy == "cyclic":
-        return min(tuple(sorted((s - a) % N for s in row)) for a in range(N))
+        return min(tuple(sorted((p[0] - a) % N for p in row)) for a in range(N))
     return tuple(map(tuple, row))
 
 
@@ -315,8 +315,8 @@ def test_l_stars_without_cache_solves_every_row_in_order(fano, policy):
         return next(calls)
 
     assert l_stars(policy, N, n, k, rows, solve).tolist() == list(range(m))
-    assert solved == [instance_from_starts(N, n, row).packets if policy == "cyclic"
-                      else tuple(map(tuple, row)) for row in rows.tolist()]
+    assert solved == [instance_from_starts(N, n, [p[0] for p in row]).packets
+                      if policy == "cyclic" else tuple(map(tuple, row)) for row in rows.tolist()]
 
 
 def recording(lens, inner, rows_arg):
@@ -365,10 +365,10 @@ def test_full_tp_uncoded_cyclic_equals_coverage():
 
 @pytest.mark.parametrize("N,L", [(5, 1), (5, 3), (4, 5), (9, 2)])
 def test_cyclic_support_weights_count_ordered_tuples(N, L):
-    starts, weights = cyclic_support(N, L)
-    assert (starts[:, 0] == 0).all()
+    # the cyclic walk pins arc 0 and takes the other L-1 arcs from multisets
+    rests, weights = multisets(N, L - 1)
     ordered = Counter(tuple(sorted(rest)) for rest in product(range(N), repeat=L - 1))
-    assert {tuple(r[1:]): w for r, w in zip(starts.tolist(), weights)} == ordered
+    assert {tuple(r): w for r, w in zip(rests.tolist(), weights)} == ordered
     rows, weights = multisets(N, L)
     ordered = Counter(tuple(sorted(t)) for t in product(range(N), repeat=L))
     assert {tuple(r): w for r, w in zip(rows.tolist(), weights)} == ordered
@@ -410,6 +410,37 @@ def test_full_tp_uniform_small_equals_coverage():
 def test_full_tp_exact_only_raises():
     with pytest.raises(TooLarge):
         p_full_throughput_exact("cyclic", 12, 4, 3, 9, cap=10, exact_only=True)
+
+
+@pytest.mark.parametrize("policy,cell,rows", [
+    ("cyclic", (12, 4, 3, 4), 364),  # arc 0 pinned, 3 free of 12: C(14, 3)
+    ("design", (7, 3, 2, 3), 84),  # 3 of the 7 Fano blocks: C(9, 3)
+    ("uniform", (6, 3, 2, 2), 210),  # 2 of the 20 3-subsets: C(21, 2)
+])
+def test_full_tp_cap_counts_the_rows_walked(fano, policy, cell, rows):
+    def method(cap):
+        return p_full_throughput_exact(policy, *cell, design=fano if policy == "design" else None,
+                                       cap=cap, samples=100).method
+
+    assert (method(rows), method(rows - 1)) == ("exact_enumeration", "monte_carlo")
+
+
+def test_cover_cyclic_cap_counts_the_rows_walked():
+    # arc 0 pinned, 5 free of 12: C(16, 5) rows
+    assert p_cover_cyclic(12, 4, 2, 6, cap=4368).method == "exact_enumeration"
+    assert p_cover_cyclic(12, 4, 2, 6, cap=4367, samples=100).method == "monte_carlo"
+    with pytest.raises(TooLarge):
+        p_cover_cyclic(12, 4, 2, 6, cap=4367, exact_only=True)
+
+
+def test_full_tp_uniform_n9_is_exact_within_4_se_of_its_monte_carlo_row():
+    # figure 8's uniform N=9 cell walks 341,376 rows, within the default cap;
+    # one row less gives the Monte-Carlo row figure 8 printed at 200 trials
+    exact = p_full_throughput_exact("uniform", 9, 5, 3, 3)
+    mc = p_full_throughput_exact("uniform", 9, 5, 3, 3, cap=341_375, samples=200, seed=5)
+    assert (exact.method, mc.method, mc.value) == ("exact_enumeration", "monte_carlo", 0.285)
+    assert f"{exact.value:.10g}" == "0.3665910809"
+    assert abs(exact.value - mc.value) <= 4 * mc.stderr
 
 
 def test_full_tp_monte_carlo_agrees_with_exact():

@@ -452,6 +452,18 @@ def test_analyze_monte_carlo_needs_a_positive_trial_count(capsys, argv, trials):
     assert err.startswith("error: BadParams:") and err.count("\n") == 1
 
 
+def test_analyze_cover_cyc_exact_only(capsys):
+    argv = ["analyze", "--what", "cover-cyc", "--n", "4", "--k", "2", "--L", "6", "--exact-only",
+            "--trials", "1000", "--seed", "1"]
+    # arc 0 pinned, 5 free: C(34, 5) = 278,256 rows fit the cap at N=30,
+    # C(64, 5) = 7,624,512 do not at N=60
+    assert main(argv + ["--N", "30"]) == 0
+    assert capsys.readouterr().out.split(",")[1:] == ["exact_enumeration", "0\n"]
+    assert main(argv + ["--N", "60"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooLarge:") and err.count("\n") == 1
+
+
 def test_analyze_full_tp_design_beyond_the_oracle_cap(tmp_path, capsys):
     blocks = tmp_path / "packing.blocks"
     assert main(["design", "build", "--kind", "packing", "--N", "17", "--n", "5",

@@ -127,10 +127,8 @@ def test_hall_matches_oracle_random():
 
 
 def _packet_rows(policy, design, L, B, seed):
-    """B draws of L packets over the design's geometry, arcs expanded."""
-    N, n = design.N, design.n
-    rows = draw_rows(policy, N, n, L, B, PlacementRng(seed).generator(), design)
-    return (rows[:, :, None] + np.arange(n)) % N if policy == "cyclic" else rows
+    """B draws of L packets over the design's geometry."""
+    return draw_rows(policy, design.N, design.n, L, B, PlacementRng(seed).generator(), design)
 
 
 def _matched(packets, N, k):

@@ -143,8 +143,8 @@ FIGURE_ARTIFACTS = {
         "figure7_whp_lstar_n6.svg": "490b2f3ed8d9eaa852adbf05a8abb2c80bc36c48b9b6a54fcf3e8b79fe35b237",
     }),
     8: (200, {
-        "figure8_full_tp_vs_N.csv": "4c4efcc924e6a4b12e55e557fa454e09ba18b5a44ae42d4f6c722c930d351026",
-        "figure8_full_tp_vs_N.svg": "43a7e6f067f824ee666739f96542d18d2a17dad40e8f0247c6b209666f985907",
+        "figure8_full_tp_vs_N.csv": "db3cf21c21bd3cf8c9a4b9df053e403ca37b445f8951539874a72d1a93fe6996",
+        "figure8_full_tp_vs_N.svg": "b925fc1e232ccf7d3144bce6f5a21c7b2b339fa33d709f94dfe05ac0b317b972",
     }),
 }
 

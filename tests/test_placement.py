@@ -238,6 +238,19 @@ def test_batched_cyclic_draws_match_per_instance_draws(N, n, L):
         assert draw_cyclic(N, n, L, gen).packets == instance_from_starts(N, n, row).packets
 
 
+def test_packet_table_lists_every_packet(fano):
+    # arcs are listed from their start, so column 0 is the start
+    assert placement.packet_table("cyclic", 5, 3).tolist() == [
+        [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]
+    assert placement.packet_table("design", 7, 3, fano).tolist() == list(map(list, fano.blocks))
+    assert placement.packet_table("uniform", 6, 3).tolist() == list(
+        map(list, combinations(range(6), 3)))
+    with pytest.raises(BadParams):
+        placement.packet_table("design", 7, 3)
+    with pytest.raises(BadParams):
+        placement.packet_table("custom", 7, 3)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_draw_rows_are_successive_draws(fano, policy):
     # 22 draws of L = 3 packets are 66 uniform rows, past uniform_rows' 64-row gate
@@ -247,11 +260,10 @@ def test_draw_rows_are_successive_draws(fano, policy):
             batch_gen = np.random.Generator(bit_generator(size))
             gen = np.random.Generator(bit_generator(size))
             rows = placement.draw_rows(policy, N, n, L, size, batch_gen, fano)
+            assert rows.shape == (size, L, n)
             if policy == "cyclic":
-                assert rows.shape == (size, L)
-                rows = [instance_from_starts(N, n, starts).packets for starts in rows]
+                rows = [instance_from_starts(N, n, packets[:, 0]).packets for packets in rows]
             else:
-                assert rows.shape == (size, L, n)
                 rows = [tuple(map(tuple, packets)) for packets in rows.tolist()]
             assert rows == [placement.draw(policy, N, n, k, L, gen, fano).packets
                             for _ in range(size)]
