@@ -19,7 +19,7 @@ Closed forms and bounds:
   enumerating the placement support, or Monte Carlo beyond the cap.
 
 The last two share one walk, ``_probability``, and differ only in their
-test of a batch of rows.  Every row is a (L, n) array of packets for every
+test of a batch of rows.  Every row is an (L, n) array of packets for every
 policy, as ``placement.draw_rows`` gives it.  The walk visits multisets of
 ``placement.packet_table`` rows weighted by their numbers of orderings
 (``multisets``; cyclic placement also pins its first packet to arc 0) when
