@@ -24,8 +24,8 @@ policy, as ``placement.draw_rows`` gives it.  The walk visits multisets of
 ``placement.packet_table`` rows weighted by their numbers of orderings
 (``multisets``; cyclic placement also pins its first packet to arc 0) when
 it takes at most ``ENUMERATION_CAP`` rows, and ``BATCH``-row ``draw_rows``
-batches otherwise.  No read solver runs here: rows are solved only by
-``ensemble.l_stars``.
+batches otherwise; either way it holds one ``BATCH``-row slice at a time.
+No read solver runs here: rows are solved only by ``ensemble.l_stars``.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.
@@ -33,11 +33,10 @@ converted to float only at the boundary.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial, perm, prod, sqrt
+from itertools import chain, combinations_with_replacement
+from math import comb, factorial, perm, sqrt
 
 import numpy as np
 
@@ -57,8 +56,9 @@ from .placement import (
 ENUMERATION_CAP = 10**6
 MC_DEFAULT_SAMPLES = 10**6
 # rows per draw_rows call or walked support slice; in _probability this only
-# bounds memory, but ensemble.run_ensemble seeds each batch of trials on its
-# own (seed, policy, L, batch index), so BATCH is part of every report
+# bounds memory, as the walk holds one slice at a time, but
+# ensemble.run_ensemble seeds each batch of trials on its own (seed, policy,
+# L, batch index), so BATCH is part of every report
 BATCH = 4096
 
 CLOSED_FORM = "closed_form"
@@ -187,15 +187,18 @@ def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
 # the support walk, and cyclic coverage
 # ---------------------------------------------------------------------------
 
-def multisets(size: int, r: int) -> tuple:
-    """Multisets of r indices from range(size), with their numbers of orderings.
-
-    Returns a sorted (M, r) index array and the weights r!/prod(m_i!) as
-    Python ints; the weights sum to size^r.
-    """
-    rows = list(combinations_with_replacement(range(size), r))
-    weights = [factorial(r) // prod(map(factorial, Counter(row).values())) for row in rows]
-    return np.array(rows, dtype=np.int64), weights
+def multisets(size: int, r: int):
+    """Multisets of r indices from range(size), lexicographic, in ``BATCH``-row
+    slices: a sorted (M, r) int64 index array and each row's number of
+    orderings r!/prod(m_i!) as Python ints; these sum to size^r."""
+    rows = chain.from_iterable(combinations_with_replacement(range(size), r))
+    total, col = comb(size + r - 1, r), np.arange(r)
+    for lo in range(0, total, BATCH):
+        m = min(BATCH, total - lo)
+        idx = np.fromiter(rows, np.int64, m * r).reshape(m, r)
+        # col + 1 - first: each entry's place in its run of equal entries
+        first = np.maximum.accumulate(np.where(np.diff(idx, prepend=-1) != 0, col, 0), axis=1)
+        yield idx, factorial(r) // np.prod((col + 1 - first).astype(object), axis=1)
 
 
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
@@ -224,12 +227,9 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     free = L - pinned
     if comb(size + free - 1, free) <= cap:
         table = packet_table(policy, N, n, design)
-        idx, weights = multisets(size, free)
-        idx = np.insert(idx, 0, 0, axis=1) if pinned else idx
-        good = 0
-        for lo in range(0, len(weights), BATCH):
-            hits = test(table[idx[lo:lo + BATCH]]).tolist()
-            good += sum(w for w, hit in zip(weights[lo:lo + BATCH], hits) if hit)
+        # cyclic rows get the pinned arc 0 as their first column
+        good = sum(orders[test(table[np.pad(idx, ((0, 0), (pinned, 0)))])].sum()
+                   for idx, orders in multisets(size, free))
         return ProbabilityEstimate(float(Fraction(good, size**free)), EXACT_ENUMERATION, 0.0)
     if exact_only:
         raise TooLarge(f"walking the {policy} support takes more than {cap} rows")

@@ -216,6 +216,8 @@ def _cmd_analyze(args) -> int:
             exact_only=args.exact_only,
         )
     else:  # full-tp
+        if args.policy == "design" and not args.design:
+            raise WrongParams("--policy design requires --design FILE")
         design = BlockDesign.load(args.design) if args.design else None
         est = analysis.p_full_throughput_exact(
             args.policy, args.N, args.n, args.k, args.L,
@@ -237,7 +239,7 @@ def _cmd_simulate(args) -> int:
             N=int(obj["N"]),
             k=int(obj["k"]),
             n=int(obj["n"]),
-            L_range=tuple(obj["L_range"]),
+            L_range=obj["L_range"],
             trials=int(obj.get("trials", ensemble.ExperimentSpec.trials)),
             seed=int(obj.get("seed", ensemble.ExperimentSpec.seed)),
             solver=obj.get("solver", ensemble.ExperimentSpec.solver),

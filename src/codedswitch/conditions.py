@@ -165,4 +165,6 @@ def hall_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
             extend(grown, i + 1, size + 1)
 
     extend(np.zeros(B, dtype=np.uint64), 0, 1)
+    # ``extend`` refers to itself: unbind it to free ``masks`` now, not at the next gc
+    extend = None
     return ok

@@ -68,7 +68,11 @@ class ExperimentSpec:
     design_source: BlockDesign | str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "L_range", tuple(int(x) for x in self.L_range))
+        loads = tuple(self.L_range)
+        if not loads or any(isinstance(L, bool) or not isinstance(L, (int, np.integer))
+                            for L in loads):
+            raise BadParams(f"L_range must be a non-empty list of integers, got {self.L_range!r}")
+        object.__setattr__(self, "L_range", tuple(map(int, loads)))
         check_cell(self.policy, self.N, self.n, self.k)
         if self.solver not in SOLVERS:
             raise BadParams(f"unknown solver {self.solver!r}")

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count, product
-from math import factorial, floor
+from itertools import combinations, combinations_with_replacement, count, product
+from math import comb, factorial, floor
 
 import numpy as np
 import pytest
@@ -366,12 +367,57 @@ def test_full_tp_uncoded_cyclic_equals_coverage():
 @pytest.mark.parametrize("N,L", [(5, 1), (5, 3), (4, 5), (9, 2)])
 def test_cyclic_support_weights_count_ordered_tuples(N, L):
     # the cyclic walk pins arc 0 and takes the other L-1 arcs from multisets
-    rests, weights = multisets(N, L - 1)
+    rests, weights = concatenated(multisets(N, L - 1))
     ordered = Counter(tuple(sorted(rest)) for rest in product(range(N), repeat=L - 1))
     assert {tuple(r): w for r, w in zip(rests.tolist(), weights)} == ordered
-    rows, weights = multisets(N, L)
+    rows, weights = concatenated(multisets(N, L))
     ordered = Counter(tuple(sorted(t)) for t in product(range(N), repeat=L))
     assert {tuple(r): w for r, w in zip(rows.tolist(), weights)} == ordered
+
+
+def concatenated(slices):
+    """The index rows and orderings of all ``multisets`` slices, in order."""
+    idx, orders = zip(*slices)
+    return np.concatenate(idx), np.concatenate(orders)
+
+
+@pytest.mark.parametrize("size,r", [(5, 0), (5, 1), (4, 5), (9, 4), (12, 6)])
+def test_multisets_walk_lexicographic_batch_slices(monkeypatch, size, r):
+    monkeypatch.setattr(analysis, "BATCH", 7)
+    slices = list(multisets(size, r))
+    assert all(len(idx) == len(orders) <= 7 for idx, orders in slices)
+    rows, orders = concatenated(slices)
+    assert rows.dtype == np.int64 and rows.shape == (comb(size + r - 1, r), r)
+    assert rows.tolist() == [list(t) for t in combinations_with_replacement(range(size), r)]
+    assert sum(orders) == size**r
+
+
+def test_multisets_orderings_are_exact_python_ints_past_int64():
+    # r! passes 2^63 at r = 21; the largest weight here, C(70, 35), does too
+    rows, orders = concatenated(multisets(2, 70))
+    assert all(type(w) is int for w in orders)
+    assert sum(orders) == 2**70 and max(orders) == comb(70, 35) > 2**63
+    assert orders.tolist() == [comb(70, int(row.sum())) for row in rows]
+
+
+def test_exact_walk_holds_one_slice_at_a_time():
+    # figure 8's uniform N=9 cell walks 341,376 rows (at ~45 MB if the walk
+    # were held whole)
+    tracemalloc.start()
+    try:
+        p_full_throughput_exact("uniform", 9, 5, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_cyclic_single_packet_walks_one_row(monkeypatch):
+    # L = 1 leaves no free packet: the walk is the pinned arc 0 alone
+    lens = []
+    monkeypatch.setattr(analysis, "hall_rows", recording(lens, hall_rows, 0))
+    est = p_full_throughput_exact("cyclic", 7, 3, 2, 1)
+    assert (est.value, est.method, lens) == (1.0, "exact_enumeration", [1])
 
 
 @pytest.mark.parametrize("policy,q,N,n,k,L", [

@@ -142,6 +142,8 @@ def test_analyze_pair_cyclic_single_packet(capsys):
      "--kind packing requires --N --n --t-max"),
     (["analyze", "--what", "full-tp", "--n", "3", "--k", "2", "--L", "2"],
      "--what full-tp requires --N"),
+    (["analyze", "--what", "full-tp", "--policy", "design", "--N", "7", "--n", "3", "--k", "2",
+      "--L", "2"], "--policy design requires --design FILE"),
 ])
 def test_missing_options_exit_2(tmp_path, capsys, argv, line):
     out = tmp_path / "out"
@@ -359,6 +361,19 @@ def test_simulate_design_source_of_wrong_type_exit_1(tmp_path, capsys):
     assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: BadParams:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("L_range", [[], "12", [2.7], [True], [2, "3"]])
+def test_simulate_L_range_not_a_list_of_integers_exit_1(tmp_path, capsys, L_range):
+    # each once ran: [] wrote a header-only report, "12" loads 1 and 2,
+    # [2.7] load 2 and [true] load 1
+    spec, out = tmp_path / "spec.json", tmp_path / "r.csv"
+    spec.write_text(json.dumps({"policy": "cyclic", "N": 12, "k": 3, "n": 4,
+                                "L_range": L_range, "trials": 10}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams: L_range") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

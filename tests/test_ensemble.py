@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from codedswitch import (
@@ -131,6 +132,12 @@ def test_spec_validation():
             _spec(**kw)
     with pytest.raises(BadParams):
         p_full_throughput_exact("cyclic", 5, 5, 2, 2)
+
+
+@pytest.mark.parametrize("L_range", [range(2, 4), (2, 3), [2, 3], np.arange(2, 4)])
+def test_spec_takes_any_sequence_of_integer_loads(L_range):
+    spec = _spec(L_range=L_range)
+    assert spec.L_range == (2, 3) and all(type(L) is int for L in spec.L_range)
 
 
 # -- figure artifacts ---------------------------------------------------------------

@@ -20,7 +20,13 @@ failed.
 --seed 5`` (default trials) once in each checkout, one process per side, and
 compares the SHA-256 of the CSV and SVG files the two sides write.  The
 k-th figure given runs the parent first when k is odd.  Its times go into
-the same JSON, under ``figures``.  Uses the standard library only.
+the same JSON, under ``figures``.
+
+``--trace W``, also repeatable, runs ``benchmarks/run.py --workload W --seed
+3 --seconds 8 --trace 1`` once in each checkout, the parent first for the
+odd-numbered ones as above, and writes each side's per-layer values and its
+operations attempted and failed under ``traced_round``.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -39,13 +45,19 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SEED0 = 2001  # seed of pair 1; earlier BENCH files used seeds 2001-2010
 FIGURE_SEED = 5
+TRACE_SEED, TRACE_SECONDS = 3, 8
 REPRODUCE = "import sys; from codedswitch.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def order(i: int) -> tuple:
+    """The sides in the order the i-th pair, figure or trace runs them."""
+    return SIDES if i % 2 else SIDES[::-1]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``run.py`` process; its JSON result, or a failed result on error."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -92,10 +104,9 @@ def summarise(metric: dict, results: dict) -> dict | None:
 def run_pairs(dirs: dict, workload: str, pairs: int, seconds: float, metrics: list) -> dict:
     results = {side: [] for side in SIDES}
     for i in range(1, pairs + 1):
-        order = SIDES if i % 2 else SIDES[::-1]
-        for side in order:
+        for side in order(i):
             results[side].append(run_once(dirs[side], workload, SEED0 + i - 1, seconds))
-        print(f"{workload} pair {i}/{pairs} done ({order[0]} first)", file=sys.stderr)
+        print(f"{workload} pair {i}/{pairs} done ({order(i)[0]} first)", file=sys.stderr)
     summary = {
         "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
@@ -127,10 +138,9 @@ def time_figure(checkout: Path, fig: int) -> dict:
 def time_figures(dirs: dict, figures: list) -> dict:
     timed = {}
     for i, fig in enumerate(figures, 1):
-        order = SIDES if i % 2 else SIDES[::-1]
-        runs = {side: time_figure(dirs[side], fig) for side in order}
+        runs = {side: time_figure(dirs[side], fig) for side in order(i)}
         timed[str(fig)] = {
-            "order": list(order),
+            "order": list(order(i)),
             "wall_s": {side: runs[side]["wall_s"] for side in SIDES},
             "exit": {side: runs[side]["exit"] for side in SIDES},
             "files": len(runs["change"]["sha256"]),
@@ -138,6 +148,24 @@ def time_figures(dirs: dict, figures: list) -> dict:
         }
         print(f"figure {fig}: {timed[str(fig)]}", file=sys.stderr)
     return timed
+
+
+def trace_rounds(dirs: dict, workloads: list) -> dict:
+    """Per side, the per-layer values of one traced round of each workload,
+    with the operations it attempted and failed."""
+    traced = {}
+    for i, workload in enumerate(workloads, 1):
+        runs = {side: run_once(dirs[side], workload, TRACE_SEED, TRACE_SECONDS, trace=1)
+                for side in order(i)}
+        traced[workload] = {
+            "order": list(order(i)),
+            **{side: {"attempted": runs[side]["attempted"], "failed": runs[side]["failed"],
+                      "values": {name: m["value"] for name, m in runs[side]["metrics"].items()}}
+               for side in SIDES},
+        }
+        print(f"traced {workload}: attempted {[runs[s]['attempted'] for s in SIDES]},"
+              f" failed {[runs[s]['failed'] for s in SIDES]}", file=sys.stderr)
+    return traced
 
 
 def print_summary(workload: str, summary: dict) -> None:
@@ -158,14 +186,15 @@ def main(argv=None) -> int:
     ap.add_argument("change_dir", type=Path)
     ap.add_argument("--workload", action="append", default=[])
     ap.add_argument("--figure", action="append", type=int, default=[])
+    ap.add_argument("--trace", action="append", default=[], metavar="WORKLOAD")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=28)
     ap.add_argument("--out", type=Path, default=Path("bench_pairs.json"))
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
-    if not args.workload and not args.figure:
-        ap.error("give at least one --workload or --figure")
+    if not (args.workload or args.figure or args.trace):
+        ap.error("give at least one --workload, --figure or --trace")
     dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
     metrics = json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     report = {
@@ -186,6 +215,13 @@ def main(argv=None) -> int:
             "command": f"codedswitch reproduce --figure F --seed {FIGURE_SEED} --out DIR"
                        " (default trials), one process per side, wall seconds",
             "values": time_figures(dirs, args.figure),
+        }
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if args.trace:
+        report["traced_round"] = {
+            "command": f"python3 benchmarks/run.py --workload W --seed {TRACE_SEED}"
+                       f" --seconds {TRACE_SECONDS} --trace 1",
+            "values": trace_rounds(dirs, args.trace),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
