@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import BadConfig, DecodeFailure, MalformedFile, NotABurst, TooFewChunks
-from .model import Instance, Solution
+from .model import Instance, Solution, arc_start
 
 # -- GF(256) arithmetic, x^8 + x^4 + x^3 + x^2 + 1 --------------------------
 
@@ -240,14 +240,13 @@ def default_generator(n: int, r: int) -> int:
 
 
 def is_cyclic_burst_mask(absent: Sequence[int], n: int, max_len: int) -> bool:
-    """True iff the absent positions form one cyclic run of length <= max_len."""
+    """True iff the absent positions form one cyclic run of length <= max_len.
+
+    No position absent is the empty burst; all n absent is no burst.
+    """
     absent = set(absent)
-    if not absent:
-        return True
-    if len(absent) > max_len:
-        return False
-    # one cyclic run <=> exactly one absent position follows a present one
-    return sum(1 for i in absent if (i - 1) % n not in absent) == 1
+    return not absent or (len(absent) <= min(max_len, n - 1)
+                          and arc_start(absent, len(absent), n) is not None)
 
 
 # -- the linear map: one encoder, one decoder ---------------------------------

@@ -156,15 +156,17 @@ def hall_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
                         dtype=bool)
     masks = np.bitwise_or.reduce(np.uint64(1) << packets.astype(np.uint64), axis=2)
     ok = np.ones(B, dtype=bool)
-
-    def extend(union, first: int, size: int) -> None:
-        nonlocal ok
-        for i in range(first, L):
-            grown = union | masks[:, i]
-            ok &= np.bitwise_count(grown) >= k * size
-            extend(grown, i + 1, size + 1)
-
-    extend(np.zeros(B, dtype=np.uint64), 0, 1)
-    # ``extend`` refers to itself: unbind it to free ``masks`` now, not at the next gc
-    extend = None
+    _clear_short_unions(ok, masks, k, np.zeros(B, dtype=np.uint64), 0)
     return ok
+
+
+def _clear_short_unions(ok: np.ndarray, masks: np.ndarray, k: int, union: np.ndarray,
+                        first: int, size: int = 1) -> None:
+    """One depth-first step of ``hall_rows``.  ``union`` holds the MU masks
+    of a subset of size - 1 packets, all before ``first``.  Grow it by each
+    later packet in turn, and clear ``ok`` in every row where the grown
+    subset covers fewer than k MUs per packet."""
+    for i in range(first, masks.shape[1]):
+        grown = union | masks[:, i]
+        ok &= np.bitwise_count(grown) >= k * size
+        _clear_short_unions(ok, masks, k, grown, i + 1, size + 1)

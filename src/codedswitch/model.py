@@ -7,7 +7,10 @@ read cycle, so served packets must use pairwise disjoint k-subsets.  The
 instantaneous throughput of a read cycle is the fraction of MUs actively
 serving packets, ``rho = l_star * k / N``.
 
-MU sets are canonical sorted tuples of indices in [0, N).  Instances and
+MU sets are canonical sorted tuples of indices in [0, N).  A cyclic arc
+is a set {s, s+1, ..., s+n-1} mod N; ``arc_start`` is the one test for
+it and returns s.  Instance validation, the cyclic read solver and the
+binary cyclic codec's burst check all use it.  Instances and
 solutions are immutable after construction and safe to share across
 threads; throughput is computed in exact rational arithmetic and exported
 as a float.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from .errors import (
     BadParams,
@@ -182,30 +185,20 @@ def bipartite_view(inst: Instance) -> BipartiteView:
     return BipartiteView(packet_count=inst.L, mu_count=inst.N, edges=edges)
 
 
-def is_cyclic_arc(mus: Sequence[int], n: int, N: int) -> bool:
-    """True iff ``mus`` equals {s, s+1, ..., s+n-1} mod N for some s."""
-    if len(mus) != n or n > N:
-        return False
-    s = set(mus)
-    if len(s) != n:
-        return False
+def arc_start(mus: Collection[int], n: int, N: int) -> int | None:
+    """The s for which ``mus`` lists {s, s+1, ..., s+n-1} mod N, each MU
+    once and in any order: 0 for the full circle (n == N), None when
+    ``mus`` is no such arc."""
+    members = set(mus)
+    if len(mus) != n or len(members) != n:
+        return None
+    if members and not 0 <= min(members) <= max(members) < N:
+        return None
     if n == N:
-        return True
-    for m in mus:
-        if (m - 1) % N not in s:
-            return all((m + r) % N in s for r in range(n))
-    return False  # every predecessor present but n < N: impossible
-
-
-def arc_start(mus: Sequence[int], N: int) -> int:
-    """Start index of a cyclic arc (the member whose predecessor is absent)."""
-    s = set(mus)
-    if len(s) == N:
         return 0
-    for m in mus:
-        if (m - 1) % N not in s:
-            return m
-    raise NotCyclicArc(f"{tuple(mus)} is not a cyclic arc mod {N}")
+    # a proper subset of the circle is one run iff one member lacks its predecessor
+    heads = [m for m in members if (m - 1) % N not in members]
+    return heads[0] if len(heads) == 1 else None
 
 
 def validate_instance(inst: Instance) -> None:
@@ -228,7 +221,7 @@ def validate_instance(inst: Instance) -> None:
                 raise IndexOutOfRange(f"packet {i}: MU index {m} not in [0, {inst.N})")
         if tuple(p) != tuple(sorted(p)):
             raise BadParams(f"packet {i} is not sorted ascending")
-        if inst.placement == "cyclic" and not is_cyclic_arc(p, inst.n, inst.N):
+        if inst.placement == "cyclic" and arc_start(p, inst.n, inst.N) is None:
             raise NotCyclicArc(f"packet {i} = {p} is not an arc of length {inst.n}")
 
 

@@ -38,7 +38,7 @@ from .errors import (
     UnequalCardinality,
     WrongParams,
 )
-from .model import Instance, Solution, arc_start, empty_solution, is_cyclic_arc
+from .model import Instance, Solution, arc_start, empty_solution
 from .placement import BlockDesign, _as_generator
 
 DEFAULT_ORACLE_CAP = 24
@@ -281,11 +281,10 @@ def cyclic_starts(inst: Instance) -> list:
     """Arc start of every packet; WrongParams if any packet is not an arc."""
     if inst.n >= inst.N:
         raise WrongParams(f"cyclic solver needs n < N, got n={inst.n}, N={inst.N}")
-    starts = []
-    for i, p in enumerate(inst.packets):
-        if not is_cyclic_arc(p, inst.n, inst.N):
-            raise WrongParams(f"packet {i} = {p} is not a cyclic arc")
-        starts.append(arc_start(p, inst.N))
+    starts = [arc_start(p, inst.n, inst.N) for p in inst.packets]
+    if None in starts:
+        i = starts.index(None)
+        raise WrongParams(f"packet {i} = {inst.packets[i]} is not a cyclic arc")
     return starts
 
 
@@ -313,8 +312,11 @@ def solve_cyclic(inst: Instance) -> Solution:
     serve each packet whose arc still contains k consecutive free MUs,
     taking the earliest such run (clockwise within the arc).  The best
     anchor wins; the first anchor reaching the maximum is kept.  Anchors
-    with equal starts sweep identically, so each start is swept once.  Runs
-    in O(L^2) time after one sort.
+    with equal starts sweep identically, so each distinct start is swept
+    once, in order of first appearance.  The used MUs are one int bit mask,
+    and each start's n-k+1 runs are masks built once per call, so a packet
+    costs at most n-k+1 ANDs and the sweeps O(L^2 (n-k+1)) mask operations
+    after one sort.
 
     Serving consecutive runs means the n-k unread chunk positions of every
     served packet form a single cyclic burst, which is what lets cheap
@@ -322,40 +324,30 @@ def solve_cyclic(inst: Instance) -> Solution:
     """
     starts = cyclic_starts(inst)
     N, n, k, L = inst.N, inst.n, inst.k, inst.L
-    if L == 0:
-        return empty_solution(inst)
-    arcs = [tuple((s + r) % N for r in range(n)) for s in starts]
+    full, run = (1 << N) - 1, (1 << k) - 1
+    # (first MU, mask) of each k-run of the arc at s, earliest first
+    windows = {s: [(t, (run << t | run >> (N - t)) & full)
+                   for t in ((s + r) % N for r in range(n - k + 1))]
+               for s in set(starts)}
 
-    best_count = -1
-    best_assign: dict = {}
+    best: dict = {}
     for order in _sweeps(starts).values():
-        used = bytearray(N)
-        assign: dict = {}
+        used = 0
+        taken: dict = {}
         for i in order:
-            arc = arcs[i]
-            run = 0
-            found = -1
-            for t in range(n):
-                if used[arc[t]]:
-                    run = 0
-                else:
-                    run += 1
-                    if run == k:
-                        found = t - k + 1
-                        break
-            if found >= 0:
-                window = arc[found : found + k]
-                for m in window:
-                    used[m] = 1
-                assign[i] = tuple(sorted(window))
-        if len(assign) > best_count:
-            best_count = len(assign)
-            best_assign = assign
-            if best_count == L:
+            for t, window in windows[starts[i]]:
+                if not used & window:
+                    used |= window
+                    taken[i] = t
+                    break
+        if len(taken) > len(best):
+            best = taken
+            if len(best) == L:
                 break
 
-    assignments = tuple(best_assign.get(i) for i in range(L))
-    return Solution(assignments=assignments)
+    return Solution(assignments=tuple(
+        None if i not in best else tuple(sorted((best[i] + r) % N for r in range(k)))
+        for i in range(L)))
 
 
 # ---------------------------------------------------------------------------

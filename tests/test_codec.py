@@ -82,6 +82,26 @@ def test_burst_mask_detection():
     assert not is_cyclic_burst_mask([0, 1, 2], 6, 2)  # too long
 
 
+def _burst_reference(absent, n, max_len):
+    # one cyclic run <=> exactly one absent position follows a present one
+    absent = set(absent)
+    if not absent:
+        return True
+    if len(absent) > max_len:
+        return False
+    return sum(1 for i in absent if (i - 1) % n not in absent) == 1
+
+
+def test_burst_mask_equals_run_count_on_every_absent_set():
+    for n in range(1, 13):
+        for mask in range(1 << n):
+            absent = [i for i in range(n) if mask >> i & 1]
+            for max_len in range(n + 1):
+                expected = _burst_reference(absent, n, max_len)
+                assert is_cyclic_burst_mask(absent, n, max_len) == expected
+        assert not is_cyclic_burst_mask(range(n), n, n)  # nothing left to read
+
+
 # -- MDS ----------------------------------------------------------------------
 
 def test_mds_uncoded_identity():

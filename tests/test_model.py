@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from codedswitch import (
     validate_instance,
     validate_solution,
 )
+from codedswitch.model import arc_start
 from codedswitch.errors import (
     BadParams,
     CardinalityMismatch,
@@ -67,6 +69,43 @@ def test_validate_instance_not_cyclic_arc():
 def test_validate_instance_cyclic_wraparound_ok():
     inst = Instance(N=5, k=1, n=3, packets=((0, 3, 4),), placement="cyclic")
     validate_instance(inst)
+
+
+def _brute_arc_start(mus, n, N):
+    """The least s with set(mus) == {s, ..., s+n-1} mod N, MUs listed once."""
+    if len(set(mus)) != len(mus):
+        return None
+    return next((s for s in range(N) if set(mus) == {(s + r) % N for r in range(n)}), None)
+
+
+def test_arc_start_equals_brute_force_on_every_subset():
+    for N in range(1, 11):
+        for size in range(N + 1):
+            for mus in combinations(range(N), size):
+                for n in range(1, N + 1):
+                    expected = _brute_arc_start(mus, n, N)
+                    assert arc_start(mus, n, N) == expected
+                    assert arc_start(mus[::-1], n, N) == expected
+    assert arc_start((0, 2), 2, 5) is None
+    assert arc_start((4, 0), 2, 5) == 4
+
+
+def test_arc_start_rejects_repeats_and_outsiders():
+    assert arc_start((1, 1, 2), 3, 5) is None
+    assert arc_start((1, 2, 2), 3, 5) is None
+    assert arc_start((4, 5), 2, 5) is None  # 5 is no MU of Z_5
+    assert arc_start((-1, 0), 2, 5) is None
+
+
+def test_validate_instance_cyclic_full_circle_ok():
+    inst = Instance(N=4, k=2, n=4, packets=((0, 1, 2, 3),) * 2, placement="cyclic")
+    validate_instance(inst)
+
+
+def test_validate_instance_cyclic_repeated_mu():
+    inst = Instance(N=5, k=1, n=3, packets=((0, 1, 1),), placement="cyclic")
+    with pytest.raises(DuplicateIndex):
+        validate_instance(inst)
 
 
 def test_validate_instance_cardinality():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,48 @@ def test_cyclic_scales_quadratically():
     t1000 = solve_time(1000)
     # quadratic prediction from the smaller point, with generous slack
     assert t1000 <= 6 * t250 * (1000 / 250) ** 2 + 0.05
+
+
+def _seeded_cyclic_instances():
+    """Six seeded arc instances per (N, n, k, L), N = 2..14, n < N, k <= n,
+    L = 0..7; about one packet in four lists its arc in reverse order."""
+    gen = np.random.default_rng(20141)
+    for N in range(2, 15):
+        for n in range(1, N):
+            for k in range(1, n + 1):
+                for L in range(8):
+                    for _ in range(6):
+                        starts = gen.integers(0, N, L).tolist()
+                        flips = (gen.random(L) < 0.25).tolist()
+                        packets = [sorted((s + r) % N for r in range(n))[::-1 if f else 1]
+                                   for s, f in zip(starts, flips)]
+                        yield Instance(N=N, k=k, n=n, packets=packets, placement="cyclic")
+
+
+def test_cyclic_solutions_and_errors_pinned():
+    # which window each packet gets, under the documented tie rules: sweep
+    # anchors in order of first appearance, (start, index) sweep order, the
+    # earliest free k-run of each arc, the first anchor reaching the maximum
+    digest = hashlib.sha256()
+    count = 0
+    for inst in _seeded_cyclic_instances():
+        count += 1
+        digest.update(solve_cyclic(inst).to_json().encode())
+        if inst.L:
+            digest.update(repr(cyclic_anchor_order(inst, inst.L - 1)).encode())
+    bad = [Instance(N=6, k=1, n=3, packets=((1, 2, 3), (0, 2, 4))),
+           Instance(N=6, k=1, n=3, packets=((5, 0, 1), (4, 3, 1))),
+           Instance(N=6, k=1, n=3, packets=((1, 1, 2),)),
+           Instance(N=6, k=1, n=2, packets=((5, 6),)),
+           Instance(N=6, k=1, n=6, packets=((0, 1, 2, 3, 4, 5),)),
+           Instance(N=5, k=2, n=7, packets=())]
+    for inst in bad:
+        with pytest.raises(WrongParams) as err:
+            solve_cyclic(inst)
+        digest.update(str(err.value).encode())
+    assert count == 21840
+    assert digest.hexdigest() == (
+        "cd12116d53b33670021b2586f53ca17e149e27736af201a749ff3e7a22bb1741")
 
 
 # -- balanced orientation ----------------------------------------------------------
