@@ -25,7 +25,7 @@ policy, as ``placement.draw_rows`` gives it.  The walk visits multisets of
 (``multisets``; cyclic placement also pins its first packet to arc 0) when
 it takes at most ``ENUMERATION_CAP`` rows, and ``BATCH``-row ``draw_rows``
 batches otherwise; either way it holds one ``BATCH``-row slice at a time.
-No read solver runs here: rows are solved only by ``ensemble.l_stars``.
+No read solver runs here: rows are solved only in ``ensemble``.
 
 Binomial-heavy quantities are computed in exact rational arithmetic and
 converted to float only at the boundary.

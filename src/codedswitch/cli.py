@@ -37,7 +37,7 @@ from .codec import (
     write_chunk_file,
 )
 from .conditions import coverage_holds, hall_full_throughput, pairwise_holds, t_max
-from .errors import CodedSwitchError, MalformedFile, WrongParams
+from .errors import BadParams, CodedSwitchError, MalformedFile, WrongParams
 from .model import Instance, Solution, throughput, validate_instance, validate_solution
 from .placement import (
     POLICIES,
@@ -74,8 +74,10 @@ def _write_manifest(path, t0: float, seed: int | None = None, inputs=(), outputs
 def _resolve_seed(args) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = secrets.randbits(63)
-    return int(seed)
+        return secrets.randbits(63)
+    if seed < 0:
+        raise BadParams(f"--seed must be >= 0, got {seed}")
+    return seed
 
 
 def _read_text(path) -> str:
@@ -233,15 +235,15 @@ def _cmd_simulate(args) -> int:
     try:
         obj = json.loads(Path(args.spec).read_text())
         if seed_override is not None:
-            obj["seed"] = int(seed_override)
+            obj["seed"] = seed_override
         spec = ensemble.ExperimentSpec(
             policy=obj["policy"],
             N=int(obj["N"]),
             k=int(obj["k"]),
             n=int(obj["n"]),
             L_range=obj["L_range"],
-            trials=int(obj.get("trials", ensemble.ExperimentSpec.trials)),
-            seed=int(obj.get("seed", ensemble.ExperimentSpec.seed)),
+            trials=obj.get("trials", ensemble.ExperimentSpec.trials),
+            seed=obj.get("seed", ensemble.ExperimentSpec.seed),
             solver=obj.get("solver", ensemble.ExperimentSpec.solver),
             design_source=obj.get("design_source"),
         )

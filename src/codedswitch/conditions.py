@@ -154,10 +154,16 @@ def hall_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
     if N > 64 or 2**L > 8 * B:
         return np.array([hall_full_throughput(Instance(N, k, n, row)) for row in packets.tolist()],
                         dtype=bool)
-    masks = np.bitwise_or.reduce(np.uint64(1) << packets.astype(np.uint64), axis=2)
+    masks = mu_masks(packets)
     ok = np.ones(B, dtype=bool)
     _clear_short_unions(ok, masks, k, np.zeros(B, dtype=np.uint64), 0)
     return ok
+
+
+def mu_masks(packets: np.ndarray) -> np.ndarray:
+    """The uint64 MU bit mask of each packet of a (B, L, n) packet array
+    on at most 64 MUs, as a (B, L) array."""
+    return np.bitwise_or.reduce(np.uint64(1) << packets.astype(np.uint64), axis=2)
 
 
 def _clear_short_unions(ok: np.ndarray, masks: np.ndarray, k: int, union: np.ndarray,

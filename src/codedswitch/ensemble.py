@@ -1,7 +1,7 @@
 """Monte-Carlo experiment harness for average-throughput studies.
 
 A read cycle is modelled as a fresh instance draw; an experiment draws
-``trials`` instances per load L, solves each, and aggregates
+``trials`` instances per load L, solves them, and aggregates
 
 * mean L* and the average throughput ``rho_bar = mean(L*) * k / N``;
 * the largest L* value observed with at least 95% probability (w.h.p. L*);
@@ -11,9 +11,12 @@ each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
 a fixed ExperimentSpec regardless of execution order.  Each batch of
 ``analysis.BATCH`` trials is one ``placement.draw_rows`` call, a (B, L, n)
-packet array for every policy, and one ``l_stars`` step, with a per-cell
-cache unless the solver is greedy.  ``l_stars`` is the library's one loop
-that runs a read solver over rows.
+packet array for every policy, solved in one step (``_batch_solver``).
+Oracle cells that ``solvers.oracle_rows_take`` (N <= 64 MUs, L <= 11) go to
+the row solver ``solvers.oracle_rows``, and greedy cells, the oracle's cap
+fallback included, to ``solvers.greedy_rows`` on the batch's solver stream.
+The other cells go to ``l_stars``, the one loop that runs a per-instance
+read solver over rows, with a per-cell cache.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -46,7 +49,7 @@ from .placement import (
     cyclic_class_keys,
     draw_rows,
 )
-from .solvers import DEFAULT_ORACLE_CAP, SOLVERS
+from .solvers import DEFAULT_ORACLE_CAP, SOLVERS, greedy_rows, oracle_rows, oracle_rows_take
 # unused here: benchmarks/test_bench.py checks that the span tracer patches and
 # restores this module's binding of solve_cyclic
 from .solvers import solve_cyclic  # noqa: F401
@@ -73,11 +76,18 @@ class ExperimentSpec:
                             for L in loads):
             raise BadParams(f"L_range must be a non-empty list of integers, got {self.L_range!r}")
         object.__setattr__(self, "L_range", tuple(map(int, loads)))
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         check_cell(self.policy, self.N, self.n, self.k)
         if self.solver not in SOLVERS:
             raise BadParams(f"unknown solver {self.solver!r}")
         if self.trials < 1 or any(L < 1 for L in self.L_range):
             raise BadParams("trials and every L must be >= 1")
+        if self.seed < 0:
+            raise BadParams(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.design_source, (type(None), BlockDesign, str, os.PathLike)):
             raise BadParams(
                 f"design_source must be a block design or a path, got {self.design_source!r}"
@@ -185,7 +195,8 @@ def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
     a deterministic ``solve``, is filled in place and shared by the calls of
     one (policy, N, n, k, L) cell: each row key (``_row_keys``) not in it is
     solved once, from its first row.  Without a cache every row is solved, in
-    order.
+    order.  ``run_ensemble`` sends here only the cells that no row solver
+    takes (see ``_batch_solver``).
     """
     if cache is None:
         keys, cache = np.arange(len(rows)), {}
@@ -222,6 +233,26 @@ def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
     return kind, kind
 
 
+def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign | None):
+    """solve(rows, gen): the L* of each row of one batch of ``draw_rows``
+    packets at load L, by the spec solver ``name`` with the batch's solver
+    Generator.  Greedy cells, and oracle cells within ``oracle_rows``' gate,
+    go to a row solver; the other cells to ``l_stars``, with a cache shared
+    by the cell's batches."""
+    N, k = spec.N, spec.k
+    if name == "greedy":
+        # greedy reads each packet's first free MUs: arcs are listed from their start
+        def solve(rows, gen):
+            rows = np.sort(rows, axis=2) if spec.policy == "cyclic" else rows
+            return greedy_rows(rows, N, k, gen).any(axis=2).sum(axis=1)
+        return solve
+    if name == "oracle" and oracle_rows_take(N, L):
+        return lambda rows, gen: oracle_rows(rows, N, k)
+    solver, cache = SOLVERS[name], {}
+    return lambda rows, gen: l_stars(spec.policy, N, spec.n, k, rows,
+                                     lambda inst: solver(inst, design, gen).l_star, cache)
+
+
 def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
     """Draw, solve and aggregate; deterministic for a fixed spec."""
     design = spec.design()
@@ -230,9 +261,7 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
     rows = []
     for L in spec.L_range:
         name, label = _resolve_solver(spec, L, design)
-        solver = SOLVERS[name]
-        # greedy's visit order is random, so only the other solvers are cached
-        cache = None if name == "greedy" else {}
+        solve_batch = _batch_solver(spec, name, L, design)
         counts = np.zeros(L + 1, dtype=np.int64)
         for batch_idx, lo in enumerate(range(0, spec.trials, analysis.BATCH)):
             ss = np.random.SeedSequence([spec.seed, _POLICY_CODE[spec.policy], L, batch_idx])
@@ -244,9 +273,7 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
             solve_gen = np.random.Generator(np.random.PCG64(solve_ss))
             drawn = draw_rows(spec.policy, spec.N, spec.n, L,
                               min(analysis.BATCH, spec.trials - lo), draw_gen, design)
-            ls = l_stars(spec.policy, spec.N, spec.n, spec.k, drawn,
-                         lambda inst: solver(inst, design, solve_gen).l_star, cache)
-            counts += np.bincount(ls, minlength=L + 1)
+            counts += np.bincount(solve_batch(drawn, solve_gen), minlength=L + 1)
 
         T = spec.trials
         sum_l = sum(v * c for v, c in enumerate(counts.tolist()))

@@ -377,6 +377,41 @@ def test_simulate_L_range_not_a_list_of_integers_exit_1(tmp_path, capsys, L_rang
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--spec", "{spec}", "--out", "{out}", "--seed", "-3"],
+    ["simulate", "--spec", "{negative}", "--out", "{out}"],
+    ["reproduce", "--figure", "6", "--out", "{out}", "--seed", "-3"],
+    ["generate", "--policy", "cyclic", "--N", "12", "--n", "4", "--L", "3", "--out", "{out}",
+     "--seed", "-3"],
+    ["solve", "--algo", "greedy", "--in", "{inst}", "--out", "{out}", "--seed", "-3"],
+    ["analyze", "--what", "full-tp", "--policy", "uniform", "--N", "12", "--n", "4", "--k", "3",
+     "--L", "3", "--seed", "-3"],
+])
+def test_negative_seed_exit_1(tmp_path, capsys, argv):
+    # each once escaped numpy's "expected non-negative integer" as a traceback
+    subs = {"{spec}": tmp_path / "spec.json", "{negative}": tmp_path / "negative.json",
+            "{inst}": tmp_path / "inst.json", "{out}": tmp_path / "out"}
+    subs["{spec}"].write_text(json.dumps(_SPEC))
+    subs["{negative}"].write_text(json.dumps({**_SPEC, "seed": -1}))
+    subs["{inst}"].write_text(Instance(N=5, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParams:") and "seed" in err and err.count("\n") == 1
+    assert not subs["{out}"].exists()
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+@pytest.mark.parametrize("value", [2.5, True, "100"])
+def test_simulate_trials_and_seed_must_be_integers_exit_1(tmp_path, capsys, field, value):
+    # each once ran: 2.5 as 2, true as 1 and "100" as 100
+    spec, out = tmp_path / "spec.json", tmp_path / "r.csv"
+    spec.write_text(json.dumps({**_SPEC, field: value}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: BadParams: {field}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "--what", "full-tp", "--policy", "cyclic", "--N", "5", "--n", "5", "--k", "2",
      "--L", "2"],
     ["simulate", "--spec", "{spec}", "--out", "{out}"],

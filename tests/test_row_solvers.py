@@ -1,0 +1,179 @@
+"""Row solvers: ``oracle_rows`` and ``greedy_rows`` against the per-instance
+solvers, and the ensemble cells that run them."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from codedswitch import ExperimentSpec, Instance, run_ensemble, solve_greedy, solve_oracle
+from codedswitch import ensemble, solvers
+from codedswitch.ensemble import l_stars
+from codedswitch.errors import TooLarge
+from codedswitch.placement import (
+    build_lexicographic_packing,
+    build_projective_plane,
+    draw_rows,
+)
+from codedswitch.solvers import ORACLE_ROWS_MAX_L, greedy_rows, oracle_rows
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64, np.random.PCG64DXSM)
+
+
+def _oracle_l_stars(rows, N, k):
+    n = rows.shape[2]
+    return [solve_oracle(Instance(N, k, n, row), cap=10**9).l_star for row in rows.tolist()]
+
+
+def _cells():
+    """(policy, N, n, design) of the oracle_rows equivalence: uniform and
+    cyclic rows on 6, 8, 12, 20 and 64 MUs, and three designs."""
+    for N in (6, 8, 12, 20, 64):
+        for n in (1, 3, 5):
+            yield "uniform", N, n, None
+            yield "cyclic", N, n, None
+    yield "design", 7, 3, build_projective_plane(2)
+    yield "design", 13, 4, build_projective_plane(3)
+    yield "design", 17, 5, build_lexicographic_packing(17, 5, 2)
+
+
+# -- oracle_rows ------------------------------------------------------------------
+
+@pytest.mark.parametrize("policy,N,n,design", list(_cells()),
+                         ids=lambda v: getattr(v, "source", v))
+def test_oracle_rows_equal_solve_oracle(policy, N, n, design):
+    gen = np.random.default_rng([N, n, len(policy)])
+    for k in range(1, n + 1):
+        for L in range(1, ORACLE_ROWS_MAX_L + 1):
+            # the oracle's search grows fast with n*L: fewer rows for long ones
+            rows = draw_rows(policy, N, n, L, 12 if n * L <= 24 else 3, gen, design)
+            assert oracle_rows(rows, N, k).tolist() == _oracle_l_stars(rows, N, k), (k, L)
+
+
+def test_oracle_rows_use_mu_63():
+    rows = np.array([[[61, 62, 63], [62, 63, 0]], [[63, 1, 2], [60, 61, 62]]])
+    assert oracle_rows(rows, 64, 2).tolist() == [2, 2]
+    assert oracle_rows(rows, 64, 3).tolist() == [1, 2]
+
+
+def test_oracle_rows_slices(monkeypatch):
+    rows = draw_rows("uniform", 12, 4, 5, 300, np.random.default_rng(3))
+    whole = oracle_rows(rows, 12, 2)
+    monkeypatch.setattr(solvers, "_SLICE_ENTRIES", 7 * 2**5)
+    assert oracle_rows(rows, 12, 2).tolist() == whole.tolist() == _oracle_l_stars(rows, 12, 2)
+
+
+def test_oracle_rows_refuse_past_the_gate():
+    with pytest.raises(TooLarge):
+        oracle_rows(np.zeros((1, 2, 1), dtype=np.int64), 65, 1)
+    with pytest.raises(TooLarge):
+        oracle_rows(np.zeros((1, ORACLE_ROWS_MAX_L + 1, 1), dtype=np.int64), 12, 1)
+
+
+@pytest.mark.parametrize("N,n,k,L,by_rows", [
+    (12, 2, 2, ORACLE_ROWS_MAX_L, True),
+    (64, 2, 1, 3, True),
+    (65, 2, 1, 3, False),
+    (12, 2, 2, ORACLE_ROWS_MAX_L + 1, False),
+])
+def test_oracle_cells_past_the_gate_run_solve_oracle_with_the_cache(monkeypatch, N, n, k, L,
+                                                                    by_rows):
+    solved, caches = [], []
+
+    def counted(inst, cap=solvers.DEFAULT_ORACLE_CAP):
+        solved.append(inst)
+        return solve_oracle(inst, cap)
+
+    def spied(policy, N, n, k, rows, solve, cache=None):
+        caches.append(cache)
+        return l_stars(policy, N, n, k, rows, solve, cache)
+
+    monkeypatch.setattr(solvers, "solve_oracle", counted)
+    monkeypatch.setattr(ensemble, "l_stars", spied)
+    spec = ExperimentSpec(policy="uniform", N=N, k=k, n=n, L_range=(L,), trials=300, seed=4)
+    assert run_ensemble(spec).rows[0].solver == "oracle"
+    if by_rows:
+        assert solved == [] and caches == []
+    else:
+        # one solve per key of the cell's cache
+        assert len(caches) == 1 and len(caches[0]) == len(solved) > 0
+
+
+# -- greedy_rows ------------------------------------------------------------------
+
+def _greedy_by_permutation(inst, gen):
+    """The per-instance greedy rule, by one gen.permutation call: the
+    first k free MUs of each visited packet."""
+    used = set()
+    assignments = [None] * inst.L
+    for i in gen.permutation(inst.L).tolist():
+        free = [m for m in inst.packets[i] if m not in used]
+        if len(free) >= inst.k:
+            assignments[i] = tuple(free[:inst.k])
+            used.update(free[:inst.k])
+    return assignments
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("L", [1, 2, 3, 6, 9])
+@pytest.mark.parametrize("n", [1, 3, 5, 6])
+def test_greedy_rows_replay_solve_greedy(bit_generator, L, n):
+    N, B = 12, 150
+    rows = draw_rows("uniform", N, n, L, B, np.random.default_rng([L, n]))
+    for k in sorted({1, (n + 1) // 2, n}):
+        gen, one, ref = (np.random.Generator(bit_generator(L * 100 + n * 10 + k))
+                         for _ in range(3))
+        take = greedy_rows(rows, N, k, gen)
+        instances = [Instance(N, k, n, row) for row in rows.tolist()]
+        assert take.any(axis=2).sum(axis=1).tolist() == [
+            solve_greedy(inst, one).l_star for inst in instances]
+        assert [[tuple(np.asarray(p)[t]) if t.any() else None for p, t in zip(inst.packets, tk)]
+                for inst, tk in zip(instances, take)] == [
+            _greedy_by_permutation(inst, ref) for inst in instances]
+        # each generator is left where B permutation calls leave it
+        after = [(g.random(), g.integers(0, 2**40)) for g in (gen, one, ref)]
+        assert after[0] == after[1] == after[2]
+
+
+def test_greedy_rows_slices(monkeypatch):
+    rows = draw_rows("uniform", 12, 5, 6, 300, np.random.default_rng(8))
+    whole = greedy_rows(rows, 12, 3, np.random.default_rng(9))
+    monkeypatch.setattr(solvers, "_SLICE_ENTRIES", 12 * 7)
+    assert (greedy_rows(rows, 12, 3, np.random.default_rng(9)) == whole).all()
+
+
+# -- ensemble cells ---------------------------------------------------------------
+
+def _per_instance_solver(spec, name, L, design):
+    """``l_stars`` with the per-instance solver, as every cell once ran:
+    the oracle with the cell's cache, greedy on every row in order."""
+    if name == "oracle":
+        cache, solve = {}, lambda inst, gen: solve_oracle(inst, cap=10**9)
+    else:
+        cache, solve = None, solve_greedy
+    return lambda rows, gen: l_stars(spec.policy, spec.N, spec.n, spec.k, rows,
+                                     lambda inst: solve(inst, gen).l_star, cache)
+
+
+@pytest.mark.parametrize("solver", ["oracle", "greedy"])
+@pytest.mark.parametrize("policy,N,n,k,loads,trials", [
+    # uniform n=4 at L=7, cyclic n=5 at L=5, 6 and design n=3 at L=9 fall back
+    # to greedy; 5000 trials are two batches
+    ("uniform", 12, 4, 2, range(1, 8), 300),
+    ("uniform", 12, 3, 3, (3, 6), 5000),
+    ("cyclic", 12, 5, 3, range(1, 7), 300),
+    ("design", 7, 3, 2, range(1, 10), 300),
+])
+def test_cells_equal_the_per_instance_solvers(monkeypatch, fano, solver, policy, N, n, k, loads,
+                                              trials):
+    spec = ExperimentSpec(policy=policy, N=N, k=k, n=n, L_range=tuple(loads), trials=trials,
+                          seed=12, solver=solver,
+                          design_source=fano if policy == "design" else None)
+    rows = run_ensemble(spec).rows
+    monkeypatch.setattr(ensemble, "_batch_solver", _per_instance_solver)
+    assert run_ensemble(spec).rows == rows
+    if solver == "oracle":
+        assert [r.solver for r in rows] == [
+            "oracle" if r.L * n <= solvers.DEFAULT_ORACLE_CAP else "greedy(oracle-cap-fallback)"
+            for r in rows]

@@ -131,6 +131,44 @@ def test_greedy_never_beats_oracle_and_sometimes_loses():
     assert strict, "expected at least one instance where greedy is suboptimal"
 
 
+def _seeded_greedy_cases():
+    """(instance, rng) pairs: two seeded draws per (N, n, k, L), N = 1..10,
+    n <= min(N, 5), k <= n, L = 0..7; every other packet lists its MUs in
+    draw order, not sorted.  The rng is a seed, a PlacementRng or a
+    Generator on one of five bit generators, in turn."""
+    gen = np.random.default_rng(20151)
+    bit_generators = (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                      np.random.SFC64, np.random.PCG64DXSM)
+    turn = 0
+    for N in range(1, 11):
+        for n in range(1, min(N, 5) + 1):
+            for k in range(1, n + 1):
+                for L in range(8):
+                    for _ in range(2):
+                        packets = [gen.choice(N, n, replace=False).tolist() for _ in range(L)]
+                        packets = [p if i % 2 else sorted(p) for i, p in enumerate(packets)]
+                        turn += 1
+                        rng = (turn if turn % 3 == 0 else PlacementRng(turn) if turn % 3 == 1
+                               else np.random.Generator(bit_generators[turn % 5](turn)))
+                        yield Instance(N=N, k=k, n=n, packets=packets), rng
+
+
+def test_greedy_solutions_and_streams_pinned():
+    # greedy's documented rule: one gen.permutation(L) visit order, then the
+    # first k free MUs of each visited packet, in the packet's listed order;
+    # a Generator is left where that permutation leaves it
+    digest = hashlib.sha256()
+    count = 0
+    for inst, rng in _seeded_greedy_cases():
+        count += 1
+        digest.update(solve_greedy(inst, rng).to_json().encode())
+        if isinstance(rng, np.random.Generator):
+            digest.update(repr(rng.integers(0, 2**32, size=2).tolist()).encode())
+    assert count == 1760
+    assert digest.hexdigest() == (
+        "17411199def2318bc479a8b5b473488ab3f5ef01b141ca1c525a13aa1272e56a")
+
+
 def test_greedy_suboptimal_witness():
     # chain {0,1},{1,2},{2,3}: starting in the middle blocks both ends
     inst = Instance(N=4, k=2, n=2, packets=((0, 1), (1, 2), (2, 3)))
