@@ -19,7 +19,7 @@ import secrets
 import sys
 import time
 from itertools import combinations
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
 
 from . import __version__, analysis, ensemble
@@ -85,6 +85,14 @@ def _read_text(path) -> str:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number as a float; one beyond the float range is malformed."""
+    value = float(text)
+    if not isfinite(value):
+        raise OverflowError(f"number {text} is out of range")
+    return value
 
 
 def _manifest_path(first_output: Path) -> Path:
@@ -233,14 +241,14 @@ def _cmd_simulate(args) -> int:
     seed_override = getattr(args, "seed", None)
     t0 = time.perf_counter()
     try:
-        obj = json.loads(Path(args.spec).read_text())
+        obj = json.loads(Path(args.spec).read_text(), parse_float=_finite_float)
         if seed_override is not None:
             obj["seed"] = seed_override
         spec = ensemble.ExperimentSpec(
             policy=obj["policy"],
-            N=int(obj["N"]),
-            k=int(obj["k"]),
-            n=int(obj["n"]),
+            N=obj["N"],
+            k=obj["k"],
+            n=obj["n"],
             L_range=obj["L_range"],
             trials=obj.get("trials", ensemble.ExperimentSpec.trials),
             seed=obj.get("seed", ensemble.ExperimentSpec.seed),

@@ -20,9 +20,12 @@ data chunks as they are when all of them are present; otherwise it inverts
 the k x k submatrix of k independent present columns by Gauss-Jordan over
 GF(256), once per code and erasure pattern, and combines the present chunks
 by each row of the inverse.  ``_combine`` is the only routine that touches
-chunk bytes: coefficient 0 skips a chunk, 1 is a whole-buffer XOR, and any
-other coefficient first maps the chunk through its GF(256) multiplication
-table with ``bytes.translate``.
+chunk bytes.  A column whose one nonzero coefficient is 1 (a systematic
+column, or the inverse row of a surviving data chunk) returns that chunk
+itself.  Otherwise the chunks are XORed into one numpy uint8 buffer:
+coefficient 0 skips a chunk, 1 XORs it in as it is, and any other
+coefficient first maps it through its GF(256) multiplication table with
+``bytes.translate``.
 
 Errors: a chunk whose length is not B raises BadConfig; fewer than k
 present chunks raise TooFewChunks; a cyclic erasure pattern that is not one
@@ -36,6 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import BadConfig, DecodeFailure, MalformedFile, NotABurst, TooFewChunks
 from .model import Instance, Solution, arc_start
@@ -74,15 +79,20 @@ def _mul_row(c: int) -> bytes:
 
 
 def _combine(coeffs: Sequence[int], chunks: Sequence[bytes]) -> bytes:
-    """The GF(256) combination sum_i coeffs[i] * chunks[i] of equal-length chunks."""
-    acc = 0
-    for c, chunk in zip(coeffs, chunks):
-        if c == 0:
-            continue
+    """The GF(256) combination sum_i coeffs[i] * chunks[i] of equal-length chunks.
+
+    A column with one nonzero coefficient, 1, returns that chunk object
+    itself: ``bytes`` are immutable, so the result may share it.
+    """
+    terms = [(c, chunk) for c, chunk in zip(coeffs, chunks) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    acc = np.zeros(len(chunks[0]), np.uint8)
+    for c, chunk in terms:
         if c != 1:
             chunk = chunk.translate(_mul_row(c))
-        acc ^= int.from_bytes(chunk, "little")
-    return acc.to_bytes(len(chunks[0]), "little")
+        acc ^= np.frombuffer(chunk, np.uint8)
+    return acc.tobytes()
 
 
 # -- configuration and chunk container ---------------------------------------

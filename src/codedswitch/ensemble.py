@@ -76,7 +76,7 @@ class ExperimentSpec:
                             for L in loads):
             raise BadParams(f"L_range must be a non-empty list of integers, got {self.L_range!r}")
         object.__setattr__(self, "L_range", tuple(map(int, loads)))
-        for name in ("trials", "seed"):
+        for name in ("N", "k", "n", "trials", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise BadParams(f"{name} must be an integer, got {value!r}")

@@ -53,6 +53,10 @@ class PlacementRng:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise BadParams(f"seed and stream_id must be >= 0, got {self.seed}, {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence([int(self.seed), int(self.stream_id)])
         return np.random.Generator(np.random.PCG64(ss))

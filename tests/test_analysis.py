@@ -96,6 +96,12 @@ def test_cover_uniform_bad_params():
         p_cover_uniform(5, 3, 2, 3)  # kL > N
 
 
+def test_full_throughput_negative_seed_raises_bad_params():
+    # once escaped numpy's "expected non-negative integer" ValueError
+    with pytest.raises(BadParams, match="seed"):
+        p_full_throughput_exact("uniform", 12, 4, 3, 3, seed=-1)
+
+
 def test_cover_uniform_monte_carlo_agreement():
     # sample pairs of 3-subsets of 5 by index table
     rng = PlacementRng(60).generator()

@@ -411,6 +411,20 @@ def test_simulate_trials_and_seed_must_be_integers_exit_1(tmp_path, capsys, fiel
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("N", 12.7), ("N", "12"), ("k", True), ("k", 3.0), ("n", "4"), ("n", 4.2),
+])
+def test_simulate_cell_sizes_must_be_integers_exit_1(tmp_path, capsys, field, value):
+    # "N": 12.7, "k": true and "n": "4" once ran as the cell (12, 1, 4)
+    spec, out = tmp_path / "spec.json", tmp_path / "r.csv"
+    spec.write_text(json.dumps({**_SPEC, field: value}))
+    assert main(["simulate", "--spec", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: BadParams: {field} must be an integer")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--what", "full-tp", "--policy", "cyclic", "--N", "5", "--n", "5", "--k", "2",
      "--L", "2"],

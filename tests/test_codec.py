@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -224,6 +224,38 @@ def test_binary_family_never_multiplies(monkeypatch):
     cfg = CodecConfig(k=2, n=4, B=8, family=MDS)
     with pytest.raises(AssertionError):
         mds_encode(_payload(2, 8), cfg)
+
+
+_COEFFS = (0, 1, 2, 0x8E, 255)
+
+
+def _combine_by_int(coeffs, chunks, tables):
+    # the combination on Python integers: each term a whole-buffer XOR
+    acc = 0
+    for c, chunk in zip(coeffs, chunks):
+        if c:
+            acc ^= int.from_bytes(chunk if c == 1 else chunk.translate(tables[c]), "little")
+    return acc.to_bytes(len(chunks[0]), "little")
+
+
+@pytest.mark.parametrize("B", [1, 5, 63, 64, 65537])
+def test_combine_matches_integer_xor(B):
+    tables = {c: bytes(codec.gf_mul(c, b) for b in range(256)) for c in _COEFFS}
+    chunks = _payload(5, B, seed=B)
+    for size in range(1, 6):
+        for coeffs in product(_COEFFS, repeat=size):
+            out = codec._combine(coeffs, chunks[:size])
+            assert type(out) is bytes
+            assert out == _combine_by_int(coeffs, chunks[:size], tables), coeffs
+
+
+def test_combine_passes_unit_columns_through_and_zero_columns_as_zeros():
+    chunks = _payload(4, 33, seed=2)
+    for j in range(4):
+        column = tuple(int(i == j) for i in range(4))
+        assert codec._combine(column, chunks) is chunks[j]
+    assert codec._combine((0, 0, 0, 0), chunks) == bytes(33)
+    assert type(codec._combine((0, 0, 0, 0), chunks)) is bytes
 
 
 @pytest.mark.parametrize("family", [MDS, BINARY_CYCLIC])

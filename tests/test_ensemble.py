@@ -147,6 +147,12 @@ def test_reproduce_unknown_figure(tmp_path):
         reproduce_figure(9, tmp_path)
 
 
+def test_reproduce_figure_negative_seed_raises_bad_params(tmp_path):
+    # once escaped numpy's "expected non-negative integer" ValueError
+    with pytest.raises(BadParams, match="seed"):
+        reproduce_figure(8, tmp_path, seed=-3)
+
+
 def test_reproduce_figure5_files(tmp_path):
     paths = reproduce_figure(5, tmp_path, trials=120, seed=2)
     csvs = [p for p in paths if p.suffix == ".csv"]

@@ -51,6 +51,13 @@ def test_rng_streams_differ():
     assert not (a == b).all()
 
 
+@pytest.mark.parametrize("make", [lambda: PlacementRng(-1), lambda: PlacementRng(0, -2),
+                                  lambda: placement.draw_cyclic(12, 4, 3, -5)])
+def test_negative_seed_raises_bad_params(make):
+    with pytest.raises(BadParams, match="seed"):
+        make()
+
+
 # -- uniform draws ---------------------------------------------------------------
 
 def test_uniform_support_is_all_subsets():
