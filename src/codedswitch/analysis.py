@@ -14,9 +14,10 @@ Closed forms and bounds:
   block cannot serve two packets (k > n/2).
 * ``p_cover_cyclic``   coverage probability for arcs, by exact enumeration
   or Monte Carlo; an upper bound for cyclic placement.
-* ``p_full_throughput_exact``  Pr(L* = L) itself, which is the probability
-  that the extended Hall condition holds (``conditions.hall_rows``), by
-  enumerating the placement support, or Monte Carlo beyond the cap.
+* ``p_full_throughput_exact``  Pr(L* = L) itself, the probability that
+  the extended Hall condition holds (``conditions.hall_rows``, a reader of
+  the Hall subset-union table), by enumerating the placement support, or
+  Monte Carlo beyond the cap.
 
 The last two share one walk, ``_probability``, and differ only in their
 test of a batch of rows.  Every row is an (L, n) array of packets for every

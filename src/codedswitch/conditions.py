@@ -7,8 +7,12 @@ checks of increasing precision:
 * pairwise: max_{i!=j} |S_i intersect S_j| <= 2(n-k)/(L-1), sufficient;
 * extended Hall: |union over J| >= k*|J| for every packet subset J,
   necessary and sufficient (L* = L); decided by matching k copies of every
-  packet to distinct MUs (``hall_full_throughput``), or for many rows at
-  once on MU bit masks (``hall_rows``, behind Pr(L* = L) in ``analysis``).
+  packet to distinct MUs (``hall_full_throughput``).
+
+For many rows at once, one table holds the MU-mask unions of all packet
+subsets of each row; a subset J is short when its union has fewer than k|J|
+MUs.  ``hall_rows`` (Pr(L* = L) in ``analysis``) and ``hall_l_stars`` (the
+``oracle`` cells of ``ensemble``) read it.
 
 The pairwise bound is kept as an exact rational; integer set-cardinality
 comparisons use its floor.
@@ -24,7 +28,7 @@ from math import floor
 
 import numpy as np
 
-from .errors import DegenerateL
+from .errors import DegenerateL, TooLarge
 from .model import Instance
 
 
@@ -139,25 +143,46 @@ def hall_full_throughput(inst: Instance) -> bool:
     return len(max_matching(demands)) == len(demands)
 
 
-def hall_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
-    """``hall_full_throughput`` of each row of a (B, L, n) packet array.
+# Unions in one slice of the Hall table: rows x 2^L packet subsets
+_SLICE_ENTRIES = 2**16
 
-    Every packet subset J of all B rows at once: the OR of its rows' uint64
-    MU masks must have at least k|J| bits set.  Subsets are visited depth
-    first, each union from the union of the subset less its last packet, so
-    memory is O(B·L).  A pass of one subset over B <= 4096 rows costs about
-    4-25 us, and matching one row about 80-400 us (N=12, n=4, L=3..8, on a
-    2-core Xeon), so rows are matched one by one when 2^L > 8B, and when
-    N > 64 as the MUs do not fit a mask.
-    """
-    B, L, n = packets.shape
-    if N > 64 or 2**L > 8 * B:
+
+def hall_table_takes(N: int, L: int) -> bool:
+    """Whether the Hall table takes rows of L packets on N MUs: the masks
+    are uint64, and a slice holds one row's 2^L unions at least."""
+    return N <= 64 and 2**L <= _SLICE_ENTRIES
+
+
+def hall_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
+    """``hall_full_throughput`` of each row of a (B, L, n) packet array: a
+    row passes iff none of its packet subsets is short in the Hall table.
+    Past ``hall_table_takes`` the rows are matched one by one."""
+    _, L, n = packets.shape
+    if not hall_table_takes(N, L):
         return np.array([hall_full_throughput(Instance(N, k, n, row)) for row in packets.tolist()],
                         dtype=bool)
-    masks = mu_masks(packets)
-    ok = np.ones(B, dtype=bool)
-    _clear_short_unions(ok, masks, k, np.zeros(B, dtype=np.uint64), 0)
-    return ok
+    return np.concatenate([~short.any(axis=0) for short in _short_subsets(packets, k)])
+
+
+def hall_l_stars(packets: np.ndarray, N: int, k: int) -> np.ndarray:
+    """``solvers.solve_oracle``'s L* of each row of a (B, L, n) packet
+    array, as an int64 array, where ``hall_table_takes(N, L)``.
+
+    By Hall's theorem for k-fold demands, a packet set J can be served iff
+    none of its subsets is short.  So the short marks are closed upward, one
+    pass per packet, and L* is the size of the largest subset left unmarked.
+    """
+    L = packets.shape[1]
+    if not hall_table_takes(N, L):
+        raise TooLarge(f"the Hall table takes N <= 64, 2^L <= {_SLICE_ENTRIES}; got N={N}, L={L}")
+    sizes = np.bitwise_count(np.arange(1 << L, dtype=np.uint16))[:, None]  # uint8
+    l_stars = []
+    for short in _short_subsets(packets, k):
+        for i in range(L):
+            halves = short.reshape(-1, 2, short.shape[1] << i)
+            halves[:, 1] |= halves[:, 0]
+        l_stars.append(np.where(short, 0, sizes).max(axis=0))
+    return np.concatenate(l_stars).astype(np.int64)
 
 
 def mu_masks(packets: np.ndarray) -> np.ndarray:
@@ -166,13 +191,17 @@ def mu_masks(packets: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(np.uint64(1) << packets.astype(np.uint64), axis=2)
 
 
-def _clear_short_unions(ok: np.ndarray, masks: np.ndarray, k: int, union: np.ndarray,
-                        first: int, size: int = 1) -> None:
-    """One depth-first step of ``hall_rows``.  ``union`` holds the MU masks
-    of a subset of size - 1 packets, all before ``first``.  Grow it by each
-    later packet in turn, and clear ``ok`` in every row where the grown
-    subset covers fewer than k MUs per packet."""
-    for i in range(first, masks.shape[1]):
-        grown = union | masks[:, i]
-        ok &= np.bitwise_count(grown) >= k * size
-        _clear_short_unions(ok, masks, k, grown, i + 1, size + 1)
+def _short_subsets(packets: np.ndarray, k: int):
+    """The Hall table of a (B, L, n) packet array, in slices of at most
+    ``_SLICE_ENTRIES`` unions (one empty slice if B = 0): short[s, r] says
+    that subset s (of the packets i whose bit i is set in s) of the slice's
+    row r covers fewer than k|s| MUs."""
+    B, L, _ = packets.shape
+    need = k * np.bitwise_count(np.arange(1 << L, dtype=np.uint16)).astype(np.int16)[:, None]
+    step = _SLICE_ENTRIES >> L
+    for lo in range(0, max(B, 1), step):
+        masks = mu_masks(packets[lo:lo + step]).T
+        union = np.zeros((1 << L, masks.shape[1]), dtype=np.uint64)
+        for i in range(L):  # the subsets holding packet i: those below, each with packet i
+            np.bitwise_or(union[:1 << i], masks[i], out=union[1 << i:2 << i])
+        yield np.bitwise_count(union) < need

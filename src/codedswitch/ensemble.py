@@ -12,9 +12,10 @@ is derived from (seed, policy, L, batch), so reports are bit-identical for
 a fixed ExperimentSpec regardless of execution order.  Each batch of
 ``analysis.BATCH`` trials is one ``placement.draw_rows`` call, a (B, L, n)
 packet array for every policy, solved in one step (``_batch_solver``).
-Oracle cells that ``solvers.oracle_rows_take`` (N <= 64 MUs, L <= 11) go to
-the row solver ``solvers.oracle_rows``, and greedy cells, the oracle's cap
-fallback included, to ``solvers.greedy_rows`` on the batch's solver stream.
+Oracle cells on N <= 64 MUs at L <= ``ORACLE_TABLE_MAX_L`` read their L*
+from the Hall subset-union table (``conditions.hall_l_stars``), and greedy
+cells, the oracle's cap fallback included, go to ``solvers.greedy_rows`` on
+the batch's solver stream.
 The other cells go to ``l_stars``, the one loop that runs a per-instance
 read solver over rows, with a per-cell cache.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import analysis
 from ._svg import line_chart
-from .conditions import t_max
+from .conditions import hall_l_stars, hall_table_takes, t_max
 from .errors import BadParams, EmptySamples, IncompatibleSolver, UnknownFigure
 from .model import Instance
 from .placement import (
@@ -49,12 +50,18 @@ from .placement import (
     cyclic_class_keys,
     draw_rows,
 )
-from .solvers import DEFAULT_ORACLE_CAP, SOLVERS, greedy_rows, oracle_rows, oracle_rows_take
+from .solvers import DEFAULT_ORACLE_CAP, SOLVERS, greedy_rows
 # unused here: benchmarks/test_bench.py checks that the span tracer patches and
 # restores this module's binding of solve_cyclic
 from .solvers import solve_cyclic  # noqa: F401
 
 _POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
+# Largest L at which oracle cells read the Hall table.  The table costs about
+# 2^L * 10 ns per row.  Against ``solve_oracle`` with a cell's cache it was at
+# least 2x faster at L <= 11 on every shape tried (uniform, cyclic and design
+# cells, n = 1..6, N = 7..64), as fast for uniform n = 1 at L = 12, and
+# 1.5-2.5x slower for uniform n <= 2 at L = 13 (2-core Xeon).
+ORACLE_TABLE_MAX_L = 11
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -236,9 +243,9 @@ def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
 def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign | None):
     """solve(rows, gen): the L* of each row of one batch of ``draw_rows``
     packets at load L, by the spec solver ``name`` with the batch's solver
-    Generator.  Greedy cells, and oracle cells within ``oracle_rows``' gate,
-    go to a row solver; the other cells to ``l_stars``, with a cache shared
-    by the cell's batches."""
+    Generator.  Greedy cells go to ``greedy_rows``, oracle cells that read
+    the Hall table to ``hall_l_stars``, and the other cells to ``l_stars``,
+    with a cache shared by the cell's batches."""
     N, k = spec.N, spec.k
     if name == "greedy":
         # greedy reads each packet's first free MUs: arcs are listed from their start
@@ -246,8 +253,8 @@ def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign |
             rows = np.sort(rows, axis=2) if spec.policy == "cyclic" else rows
             return greedy_rows(rows, N, k, gen).any(axis=2).sum(axis=1)
         return solve
-    if name == "oracle" and oracle_rows_take(N, L):
-        return lambda rows, gen: oracle_rows(rows, N, k)
+    if name == "oracle" and hall_table_takes(N, L) and L <= ORACLE_TABLE_MAX_L:
+        return lambda rows, gen: hall_l_stars(rows, N, k)
     solver, cache = SOLVERS[name], {}
     return lambda rows, gen: l_stars(spec.policy, N, spec.n, k, rows,
                                      lambda inst: solver(inst, design, gen).l_star, cache)
@@ -421,7 +428,10 @@ def reproduce_figure(fig: int, out_dir, trials: int | None = None, seed: int = 0
     """Write the CSV and SVG artifacts of one experiment family; returns paths."""
     if fig not in FIGURES:
         raise UnknownFigure(f"figure must be one of {sorted(FIGURES)}, got {fig}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    t = FIGURE_DEFAULT_TRIALS[fig] if trials is None else int(trials)
-    return FIGURES[fig](out, t, seed)
+    t = FIGURE_DEFAULT_TRIALS[fig] if trials is None else trials
+    # checked before the output directory is made, so a refused call leaves none
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least
+           for v, least in ((t, 1), (seed, 0))):
+        raise BadParams(f"need integers trials >= 1 and seed >= 0, got {t!r} and {seed!r}")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return FIGURES[fig](Path(out_dir), int(t), int(seed))

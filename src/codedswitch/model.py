@@ -55,6 +55,13 @@ def muset(indices: Iterable[int]) -> MuSet:
     return out
 
 
+def _json_int(value, name: str = "an MU index") -> int:
+    """``value`` if JSON parsed it as an integer, else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Instance:
     """One read-cycle problem: L packets stored over N memory units.
@@ -94,10 +101,10 @@ class Instance:
         try:
             obj = json.loads(text)
             return cls(
-                N=int(obj["N"]),
-                k=int(obj["k"]),
-                n=int(obj["n"]),
-                packets=tuple(muset(p) for p in obj["packets"]),
+                N=_json_int(obj["N"], "N"),
+                k=_json_int(obj["k"], "k"),
+                n=_json_int(obj["n"], "n"),
+                packets=tuple(muset(map(_json_int, p)) for p in obj["packets"]),
                 placement=str(obj.get("placement", "custom")),
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -141,20 +148,20 @@ class Solution:
             obj = json.loads(text)
             sol = cls(
                 assignments=tuple(
-                    None if a is None else muset(a) for a in obj["assignments"]
+                    None if a is None else muset(map(_json_int, a)) for a in obj["assignments"]
                 )
             )
             # Optional declared statistics are cross-checked on load.
-            if "l_star" in obj and int(obj["l_star"]) != sol.l_star:
+            if "l_star" in obj and _json_int(obj["l_star"], "l_star") != sol.l_star:
                 raise RhoMismatch(
                     f"declared l_star {obj['l_star']} != derived {sol.l_star}"
                 )
+            k, N = (None if obj.get(name) is None else _json_int(obj[name], name)
+                    for name in ("k", "N"))
             if "rho" in obj:
                 declared = float(obj["rho"])
-                k = obj.get("k")
-                N = obj.get("N")
                 if k is not None and N is not None:
-                    actual = sol.l_star * int(k) / int(N)
+                    actual = sol.l_star * k / N
                     if abs(declared - actual) > 1e-12:
                         raise RhoMismatch(f"declared rho {declared} != {actual}")
             return sol

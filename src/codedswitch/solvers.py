@@ -6,10 +6,9 @@ with pairwise disjoint k-subsets.  The general problem is NP-hard once
 packing), so this module provides:
 
 * ``solve_oracle``   exhaustive branch-and-bound, exact on any instance
-                     small enough to enumerate; the reference for tests;
-* ``oracle_rows``    the same L* for a whole (B, L, n) array of packet
-                     rows, from one table of packet-subset unions (Hall's
-                     theorem), for N <= 64 and L <= ``ORACLE_ROWS_MAX_L``;
+                     small enough to enumerate; the reference for tests.
+                     ``conditions.hall_l_stars`` gives the same L* for a
+                     whole (B, L, n) array of packet rows (Hall's theorem);
 * ``greedy_rows``    the natural baseline over a whole packet array,
                      optimal only by luck; ``solve_greedy`` is its
                      one-row case;
@@ -37,7 +36,7 @@ from math import floor
 
 import numpy as np
 
-from .conditions import intersection_stats, max_matching, mu_masks, t_max
+from .conditions import intersection_stats, max_matching, t_max
 from .errors import (
     BadParams,
     BlockNotInDesign,
@@ -137,56 +136,8 @@ def solve_oracle(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     return Solution(assignments=tuple(assignments))
 
 
-# Entries of one slice of a row solver's table: rows x 2^L subset unions
-# for ``oracle_rows``, rows x N used MUs for ``greedy_rows``
+# Entries of one slice of ``greedy_rows``' table: rows x N used MUs
 _SLICE_ENTRIES = 2**16
-# Largest L that ``oracle_rows`` takes.  Its table costs about 2^L * 10 ns
-# per row.  Against ``solve_oracle`` with a cell's cache it was at least 2x
-# faster at L <= 11 on every shape tried (uniform, cyclic and design cells,
-# n = 1..6, N = 7..64), as fast for uniform n = 1 at L = 12, and 1.5-2.5x
-# slower for uniform n <= 2 at L = 13 (2-core Xeon).
-ORACLE_ROWS_MAX_L = 11
-
-
-def oracle_rows_take(N: int, L: int) -> bool:
-    """Whether ``oracle_rows`` takes rows of L packets on N MUs: its masks
-    are uint64, and its table holds 2^L unions per row."""
-    return N <= 64 and L <= ORACLE_ROWS_MAX_L
-
-
-def oracle_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
-    """``solve_oracle``'s L* of each row of a (B, L, n) packet array, as an
-    int64 array, where ``oracle_rows_take(N, L)``.
-
-    By Hall's theorem for k-fold demands, a packet set J can be served iff
-    every subset I of J covers at least k|I| MUs.  So the rows' MU masks
-    (``conditions.mu_masks``) are ORed into the unions of all 2^L packet
-    subsets, one OR per packet; a subset is bad when its union is short;
-    the bad marks are closed upward, one pass per packet; and L* is the size
-    of the largest subset left good.  Rows go in slices of at most
-    ``_SLICE_ENTRIES`` unions.
-    """
-    B, L, _ = packets.shape
-    if not oracle_rows_take(N, L):
-        raise TooLarge(f"oracle_rows takes N <= 64 and L <= {ORACLE_ROWS_MAX_L}, "
-                       f"got N={N}, L={L}")
-    # subset s holds packet i iff bit i of s is set; the table is (subset, row)
-    sizes = np.bitwise_count(np.arange(1 << L, dtype=np.uint16))
-    need = k * sizes.astype(np.int16)[:, None]
-    out = np.empty(B, dtype=np.int64)
-    step = max(1, _SLICE_ENTRIES >> L)
-    for lo in range(0, B, step):
-        masks = mu_masks(packets[lo:lo + step]).T
-        b = masks.shape[1]
-        union = np.zeros((1 << L, b), dtype=np.uint64)
-        for i in range(L):
-            np.bitwise_or(union[:1 << i], masks[i], out=union[1 << i:2 << i])
-        bad = np.bitwise_count(union) < need
-        for i in range(L):
-            halves = bad.reshape(-1, 2, b << i)
-            halves[:, 1] |= halves[:, 0]
-        out[lo:lo + step] = np.where(bad, 0, sizes[:, None]).max(axis=0)
-    return out
 
 
 # ---------------------------------------------------------------------------

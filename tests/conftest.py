@@ -10,6 +10,7 @@ from codedswitch import (
     Instance,
     build_lexicographic_packing,
     build_projective_plane,
+    solve_oracle,
 )
 
 # the three-packet contention instance on five MUs used throughout
@@ -76,3 +77,9 @@ def brute_force_l_star(packets, k) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def oracle_l_stars(rows, N, k) -> list:
+    """``solve_oracle``'s L*, uncapped, of each row of a (B, L, n) packet array."""
+    n = rows.shape[2]
+    return [solve_oracle(Instance(N, k, n, row), cap=10**9).l_star for row in rows.tolist()]

@@ -478,6 +478,27 @@ def test_overflowing_numbers_exit_1(tmp_path, capsys, argv, text):
     assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["check", "--in", "{bad}"],
+     '{"N": 12.7, "k": true, "n": "2", "packets": [[0.9, 1.2], [3, 4]]}'),
+    (["check", "--in", "{bad}"], '{"N": 5, "k": 2, "n": 3, "packets": [[0, 1, 2.0]]}'),
+    (["check", "--in", "{ok}", "--solution", "{bad}"], '{"assignments": [[1.7], null]}'),
+    (["check", "--in", "{ok}", "--solution", "{bad}"], '{"assignments": [[0, 1]], "l_star": "1"}'),
+    (["solve", "--algo", "oracle", "--in", "{bad}", "--out", "{out}"],
+     '{"N": 5, "k": 2, "n": 3, "packets": [[0, 1, true]]}'),
+])
+def test_non_integer_numbers_exit_1(tmp_path, capsys, argv, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    ok = tmp_path / "ok.json"
+    ok.write_text(Instance(N=5, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    subs = {"{bad}": bad, "{ok}": ok, "{out}": tmp_path / "out"}
+    assert main([str(subs.get(a, a)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and "must be an integer" in err
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--in", "{bad}"],
     ["check", "--in", "{ok}", "--solution", "{bad}"],

@@ -19,11 +19,16 @@ from codedswitch import (
     t_max,
 )
 from codedswitch import conditions
-from codedswitch.conditions import hall_rows
-from codedswitch.errors import DegenerateL
+from codedswitch.conditions import hall_l_stars, hall_rows, hall_table_takes
+from codedswitch.errors import DegenerateL, TooLarge
 from codedswitch.placement import POLICIES, draw_rows
 
-from conftest import CLASSIC_TRIPLE_SYSTEM, CONTENTION_PACKETS, brute_force_l_star
+from conftest import (
+    CLASSIC_TRIPLE_SYSTEM,
+    CONTENTION_PACKETS,
+    brute_force_l_star,
+    oracle_l_stars,
+)
 
 
 def _inst(N, k, n, packets):
@@ -136,8 +141,7 @@ def _matched(packets, N, k):
     return [hall_full_throughput(_inst(N, k, n, row)) for row in packets.tolist()]
 
 
-# (L, B) on both sides of the selector 2^L > 8B: (4, 1) and (6, 7) match rows
-# one by one, (4, 2), (6, 8) and (3, 50) take the subset pass
+# (L, B): one to fifty rows of three to six packets
 @pytest.mark.parametrize("L,B", [(4, 1), (4, 2), (6, 7), (6, 8), (3, 50)])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("q", [2, 3])
@@ -158,12 +162,11 @@ def matched_rows(monkeypatch):
     return calls
 
 
-def test_hall_rows_matches_one_row_and_passes_subsets_of_two(matched_rows):
-    packets = _packet_rows("uniform", build_projective_plane(2), 4, 2, seed=3)
-    one = hall_rows(packets[:1], 7, 2)
-    assert len(matched_rows) == 1
-    assert hall_rows(packets, 7, 2).tolist() == [one[0]] + _matched(packets[1:], 7, 2)
-    assert len(matched_rows) == 1  # the two rows took the subset pass
+def test_hall_rows_match_no_row_inside_the_gate(matched_rows):
+    for L in (4, 16):
+        packets = _packet_rows("uniform", build_projective_plane(2), L, 1, seed=3)
+        assert hall_rows(packets, 7, 1).tolist() == _matched(packets, 7, 1)
+    assert matched_rows == []
 
 
 def test_hall_rows_top_mask_bit_and_past_the_mask(matched_rows):
@@ -186,6 +189,28 @@ def test_hall_rows_of_no_rows():
     for N in (7, 65):
         out = hall_rows(np.zeros((0, 3, 2), dtype=np.int64), N, 1)
         assert out.shape == (0,) and out.dtype == bool
+
+
+@pytest.mark.parametrize("N", [40, 64, 65])
+@pytest.mark.parametrize("L", range(1, 18))
+def test_hall_table_readers_equal_matching_and_the_oracle(monkeypatch, N, L):
+    """Both readers of the one Hall table, in whole and in forced 3-row
+    slices, and past its gate (L = 17, N = 65)."""
+    rows = draw_rows("uniform", N, 3, L, 7, np.random.default_rng([N, L]))
+    rows[:, 0] = [N - 3, N - 2, N - 1]  # MU 63 is the top mask bit at N = 64
+    for k in (1, 2, 3):
+        l_stars = oracle_l_stars(rows, N, k)
+        full = [s == L for s in l_stars]
+        assert hall_rows(rows, N, k).tolist() == full == _matched(rows, N, k)
+        if not hall_table_takes(N, L):
+            with pytest.raises(TooLarge):
+                hall_l_stars(rows, N, k)
+            continue
+        assert hall_l_stars(rows, N, k).tolist() == l_stars
+        with monkeypatch.context() as m:
+            m.setattr(conditions, "_SLICE_ENTRIES", 3 << L)
+            assert hall_rows(rows, N, k).tolist() == full
+            assert hall_l_stars(rows, N, k).tolist() == l_stars
 
 
 def test_implication_chain_random():

@@ -153,6 +153,16 @@ def test_reproduce_figure_negative_seed_raises_bad_params(tmp_path):
         reproduce_figure(8, tmp_path, seed=-3)
 
 
+@pytest.mark.parametrize("fig,trials,seed", [
+    (4, None, -3), (8, None, -3), (5, 0, 0), (5, None, -1), (8, 0, 0), (6, 2.5, 0), (7, 10, True),
+])
+def test_refused_reproduce_figure_leaves_no_directory(tmp_path, fig, trials, seed):
+    out = tmp_path / "out"
+    with pytest.raises(BadParams):
+        reproduce_figure(fig, out, trials=trials, seed=seed)
+    assert not out.exists()
+
+
 def test_reproduce_figure5_files(tmp_path):
     paths = reproduce_figure(5, tmp_path, trials=120, seed=2)
     csvs = [p for p in paths if p.suffix == ".csv"]

@@ -40,3 +40,9 @@ def test_internal_import_graph_is_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_probabilities_and_conditions_run_no_read_solver():
+    # analysis and conditions share the Hall table; neither reaches a read solver
+    assert "solvers" not in _imported_modules(PACKAGE / "analysis.py")
+    assert not {"solvers", "ensemble"} & _imported_modules(PACKAGE / "conditions.py")

@@ -214,6 +214,41 @@ def test_solution_json_malformed_is_typed(text):
         Solution.from_json(text)
 
 
+# JSON integers only: no bool, float or string is coerced
+@pytest.mark.parametrize("text", [
+    '{"N": 12.7, "k": 1, "n": 2, "packets": []}',
+    '{"N": 12.0, "k": 1, "n": 2, "packets": []}',
+    '{"N": 12, "k": true, "n": 2, "packets": []}',
+    '{"N": 12, "k": 1, "n": "2", "packets": []}',
+    '{"N": 12, "k": 1, "n": 2, "packets": [[0.9, 1.2], [3, 4]]}',
+    '{"N": 12, "k": 1, "n": 2, "packets": [[false, 1]]}',
+    '{"N": 12, "k": 1, "n": 2, "packets": ["12"]}',
+])
+def test_instance_json_takes_only_integers(text):
+    with pytest.raises(MalformedFile, match="must be an integer"):
+        Instance.from_json(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"assignments": [[1.7], null]}',
+    '{"assignments": [[true], null]}',
+    '{"assignments": ["01"]}',
+    '{"assignments": [[1], null], "l_star": 1.0}',
+    '{"assignments": [[1], null], "l_star": true}',
+    '{"assignments": [[1], null], "k": "1"}',
+    '{"assignments": [[1], null], "k": 1, "N": 4.0, "rho": 0.25}',
+])
+def test_solution_json_takes_only_integers(text):
+    with pytest.raises(MalformedFile, match="must be an integer"):
+        Solution.from_json(text)
+
+
+def test_solution_json_integer_statistics_load():
+    sol = Solution.from_json('{"assignments": [[1], null], "l_star": 1, "k": 1, "N": 4, '
+                             '"rho": 0.25}')
+    assert sol.assignments == ((1,), None)
+
+
 def test_bipartite_view_edges(contention_instance):
     view = bipartite_view(contention_instance)
     assert len(view.edges) == contention_instance.n * contention_instance.L

@@ -1,5 +1,5 @@
-"""Row solvers: ``oracle_rows`` and ``greedy_rows`` against the per-instance
-solvers, and the ensemble cells that run them."""
+"""Row solvers: the Hall table's ``hall_l_stars`` and ``greedy_rows``
+against the per-instance solvers, and the ensemble cells that run them."""
 
 from __future__ import annotations
 
@@ -7,27 +7,25 @@ import numpy as np
 import pytest
 
 from codedswitch import ExperimentSpec, Instance, run_ensemble, solve_greedy, solve_oracle
-from codedswitch import ensemble, solvers
-from codedswitch.ensemble import l_stars
+from codedswitch import conditions, ensemble, solvers
+from codedswitch.conditions import hall_l_stars, hall_table_takes
+from codedswitch.ensemble import ORACLE_TABLE_MAX_L, l_stars
 from codedswitch.errors import TooLarge
 from codedswitch.placement import (
     build_lexicographic_packing,
     build_projective_plane,
     draw_rows,
 )
-from codedswitch.solvers import ORACLE_ROWS_MAX_L, greedy_rows, oracle_rows
+from codedswitch.solvers import greedy_rows
+
+from conftest import oracle_l_stars
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
                   np.random.SFC64, np.random.PCG64DXSM)
 
 
-def _oracle_l_stars(rows, N, k):
-    n = rows.shape[2]
-    return [solve_oracle(Instance(N, k, n, row), cap=10**9).l_star for row in rows.tolist()]
-
-
 def _cells():
-    """(policy, N, n, design) of the oracle_rows equivalence: uniform and
+    """(policy, N, n, design) of the hall_l_stars equivalence: uniform and
     cyclic rows on 6, 8, 12, 20 and 64 MUs, and three designs."""
     for N in (6, 8, 12, 20, 64):
         for n in (1, 3, 5):
@@ -38,44 +36,48 @@ def _cells():
     yield "design", 17, 5, build_lexicographic_packing(17, 5, 2)
 
 
-# -- oracle_rows ------------------------------------------------------------------
+# -- hall_l_stars -----------------------------------------------------------------
 
 @pytest.mark.parametrize("policy,N,n,design", list(_cells()),
                          ids=lambda v: getattr(v, "source", v))
 def test_oracle_rows_equal_solve_oracle(policy, N, n, design):
     gen = np.random.default_rng([N, n, len(policy)])
     for k in range(1, n + 1):
-        for L in range(1, ORACLE_ROWS_MAX_L + 1):
+        for L in range(1, ORACLE_TABLE_MAX_L + 1):
             # the oracle's search grows fast with n*L: fewer rows for long ones
             rows = draw_rows(policy, N, n, L, 12 if n * L <= 24 else 3, gen, design)
-            assert oracle_rows(rows, N, k).tolist() == _oracle_l_stars(rows, N, k), (k, L)
+            assert hall_l_stars(rows, N, k).tolist() == oracle_l_stars(rows, N, k), (k, L)
 
 
 def test_oracle_rows_use_mu_63():
     rows = np.array([[[61, 62, 63], [62, 63, 0]], [[63, 1, 2], [60, 61, 62]]])
-    assert oracle_rows(rows, 64, 2).tolist() == [2, 2]
-    assert oracle_rows(rows, 64, 3).tolist() == [1, 2]
+    assert hall_l_stars(rows, 64, 2).tolist() == [2, 2]
+    assert hall_l_stars(rows, 64, 3).tolist() == [1, 2]
 
 
 def test_oracle_rows_slices(monkeypatch):
     rows = draw_rows("uniform", 12, 4, 5, 300, np.random.default_rng(3))
-    whole = oracle_rows(rows, 12, 2)
-    monkeypatch.setattr(solvers, "_SLICE_ENTRIES", 7 * 2**5)
-    assert oracle_rows(rows, 12, 2).tolist() == whole.tolist() == _oracle_l_stars(rows, 12, 2)
+    whole = hall_l_stars(rows, 12, 2)
+    monkeypatch.setattr(conditions, "_SLICE_ENTRIES", 7 * 2**5)
+    assert hall_l_stars(rows, 12, 2).tolist() == whole.tolist() == oracle_l_stars(rows, 12, 2)
 
 
-def test_oracle_rows_refuse_past_the_gate():
+def test_hall_l_stars_refuse_past_the_gate():
+    # uint64 masks, and a 2^16-union slice holds one row of L <= 16 packets
+    assert hall_table_takes(64, 16)
+    assert hall_l_stars(np.zeros((1, 16, 1), dtype=np.int64), 64, 1).tolist() == [1]
+    assert not hall_table_takes(65, 1) and not hall_table_takes(64, 17)
     with pytest.raises(TooLarge):
-        oracle_rows(np.zeros((1, 2, 1), dtype=np.int64), 65, 1)
+        hall_l_stars(np.zeros((1, 2, 1), dtype=np.int64), 65, 1)
     with pytest.raises(TooLarge):
-        oracle_rows(np.zeros((1, ORACLE_ROWS_MAX_L + 1, 1), dtype=np.int64), 12, 1)
+        hall_l_stars(np.zeros((1, 17, 1), dtype=np.int64), 12, 1)
 
 
 @pytest.mark.parametrize("N,n,k,L,by_rows", [
-    (12, 2, 2, ORACLE_ROWS_MAX_L, True),
+    (12, 2, 2, ORACLE_TABLE_MAX_L, True),
     (64, 2, 1, 3, True),
     (65, 2, 1, 3, False),
-    (12, 2, 2, ORACLE_ROWS_MAX_L + 1, False),
+    (12, 2, 2, ORACLE_TABLE_MAX_L + 1, False),
 ])
 def test_oracle_cells_past_the_gate_run_solve_oracle_with_the_cache(monkeypatch, N, n, k, L,
                                                                     by_rows):
