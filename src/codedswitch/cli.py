@@ -18,6 +18,7 @@ import json
 import secrets
 import sys
 import time
+from functools import cache
 from itertools import combinations
 from math import floor, isfinite
 from pathlib import Path
@@ -361,6 +362,7 @@ def _cmd_codec(args) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
+@cache  # parsing leaves the parser as it was, and building it costs ~2 ms
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="codedswitch",

@@ -183,10 +183,11 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
 
 
 def _row_keys(policy: str, rows: np.ndarray, N: int) -> np.ndarray:
-    """One key per row, equal for rows with equal L*: the rotation class
-    (``cyclic_class_keys``) of the arc starts in column 0, as L* does not
-    change when the MUs are rotated or the packets reordered, else the bytes
-    of the packet tuple."""
+    """One key per row, equal for rows with equal L*: the class
+    (``cyclic_class_keys``) of the arc starts in column 0 under rotation and
+    reflection of the MUs and reordering of the packets, as none of these
+    changes L* and every solver that reaches cyclic rows here is optimal,
+    else the bytes of the packet tuple."""
     if policy == "cyclic":
         return cyclic_class_keys(rows[:, :, 0], N)
     flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
@@ -199,9 +200,10 @@ def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
     ``draw_rows`` gives it.
 
     ``solve`` maps an Instance, with sorted packets, to its L*.  A cache, for
-    a deterministic ``solve``, is filled in place and shared by the calls of
-    one (policy, N, n, k, L) cell: each row key (``_row_keys``) not in it is
-    solved once, from its first row.  Without a cache every row is solved, in
+    a ``solve`` that gives all rows of one key (``_row_keys``) the same L*,
+    as an optimal solver does, is filled in place and shared by the calls of
+    one (policy, N, n, k, L) cell: each row key not in it is solved once,
+    from its first row.  Without a cache every row is solved, in
     order.  ``run_ensemble`` sends here only the cells that no row solver
     takes (see ``_batch_solver``).
     """

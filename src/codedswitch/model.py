@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 from typing import Collection, Iterable
 
 from .errors import (
@@ -60,6 +61,17 @@ def _json_int(value, name: str = "an MU index") -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float if JSON parsed it as a finite number, else
+    TypeError or ValueError (Python's parser also reads NaN and Infinity,
+    which JSON does not have)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,7 @@ class Solution:
             k, N = (None if obj.get(name) is None else _json_int(obj[name], name)
                     for name in ("k", "N"))
             if "rho" in obj:
-                declared = float(obj["rho"])
+                declared = _json_number(obj["rho"], "rho")
                 if k is not None and N is not None:
                     actual = sol.l_star * k / N
                     if abs(declared - actual) > 1e-12:

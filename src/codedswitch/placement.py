@@ -200,22 +200,31 @@ def instance_from_starts(N: int, n: int, starts, k: int | None = None) -> Instan
 
 
 def cyclic_class_keys(starts, N: int) -> np.ndarray:
-    """Rotation- and order-invariant key of each row of a (B, L) array of arc starts.
+    """Rotation-, reflection- and order-invariant key of each row of a (B, L)
+    array of arc starts.
 
-    A row's key is the smallest, over its starts a, of the sorted tuple
-    ((s - a) mod N for s in the row), read as a base-N integer.  Two rows get
-    the same key iff one is a rotation of the MUs and a reordering of the
-    packets of the other, so instances with equal keys have equal L*.
+    A row's key is the smallest, over its starts a and over the row and its
+    mirror image (-s mod N for each start s), of the sorted tuple
+    ((s - a) mod N for s in that row), read as a base-N integer.  Two rows
+    get the same key iff one is a rotation and reflection of the MUs and a
+    reordering of the packets of the other.  A reflection m -> -m relabels
+    the MUs and maps the arc at s onto the arc at -s-n+1, a rotation of
+    -s, so instances with equal keys have equal L*.
     """
     starts = np.asarray(starts, dtype=np.int64)
     L = starts.shape[1]
     # keys stay below N**L; past int64 they are kept exact as Python ints
     dtype = np.int64 if N ** L < 2**63 else object
-    rel = starts[:, None, :] - starts[:, :, None]  # (B, anchor, L)
+    both = np.concatenate([starts, -starts % N], axis=1).reshape(-1, 2, L)
+    both.sort(axis=2)
+    # From the i-th smallest start the tuple read clockwise is the sorted row
+    # turned to begin at i.  Where a start repeats, only the turn at its first
+    # copy is sorted, and the others are larger, so the minimum is the same.
+    turn = (np.arange(L)[:, None] + np.arange(L)) % L
+    rel = both[:, :, turn] - both[:, :, :, None]  # (B, mirror, anchor, L)
     rel %= N
-    rel.sort(axis=2)
     weights = np.array([N ** (L - 1 - j) for j in range(L)], dtype=dtype)
-    return (rel.astype(dtype, copy=False) @ weights).min(axis=1)
+    return (rel.astype(dtype, copy=False) @ weights).reshape(len(starts), 2 * L).min(axis=1)
 
 
 def with_k(inst: Instance, k: int) -> Instance:

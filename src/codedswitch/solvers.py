@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import floor
 
@@ -326,7 +327,7 @@ def _sweeps(starts: list) -> dict:
     """Distinct arc start -> packets by start clockwise from it, ties broken
     by index, keyed in order of first appearance.  Each order is the one
     (start, index) sort rotated to begin at that start."""
-    order = sorted(range(len(starts)), key=lambda i: (starts[i], i))
+    order = sorted(range(len(starts)), key=starts.__getitem__)  # stable: ties by index
     sorted_starts = [starts[i] for i in order]
     positions = {s0: bisect_left(sorted_starts, s0) for s0 in starts}
     return {s0: order[pos:] + order[:pos] for s0, pos in positions.items()}
@@ -339,6 +340,26 @@ def cyclic_anchor_order(inst: Instance, anchor: int) -> list:
     return _sweeps(starts)[starts[anchor]]
 
 
+@lru_cache(maxsize=64)
+def _arc_tables(N: int, n: int, k: int) -> tuple:
+    """Two tables of one (N, n, k) cyclic cell, filled as ``solve_cyclic``
+    meets arcs: sorted arc tuple -> start, and start -> the (MU tuple, bit
+    mask) of each k-run of the arc, earliest first.  Each holds at most N
+    entries."""
+    return {}, {}
+
+
+def _arc_runs(N: int, n: int, k: int, s: int) -> tuple:
+    """(MU tuple, bit mask) of each k-run of the arc at s, earliest first,
+    in Python ints whatever int type the first caller passed, as the tables
+    serve every later call."""
+    N, k, s = int(N), int(k), int(s)
+    full, run = (1 << N) - 1, (1 << k) - 1
+    return tuple((tuple(sorted((t + r) % N for r in range(k))),
+                  (run << t | run >> (N - t)) & full)
+                 for t in ((s + r) % N for r in range(n - k + 1)))
+
+
 def solve_cyclic(inst: Instance) -> Solution:
     """Optimal read for cyclic placements.
 
@@ -348,40 +369,44 @@ def solve_cyclic(inst: Instance) -> Solution:
     anchor wins; the first anchor reaching the maximum is kept.  Anchors
     with equal starts sweep identically, so each distinct start is swept
     once, in order of first appearance.  The used MUs are one int bit mask,
-    and each start's n-k+1 runs are masks built once per call, so a packet
-    costs at most n-k+1 ANDs and the sweeps O(L^2 (n-k+1)) mask operations
-    after one sort.
+    so a packet costs at most n-k+1 ANDs and the sweeps O(L^2 (n-k+1)) mask
+    operations after one sort.  Each packet's start, and each start's runs
+    as (MU tuple, mask) pairs, come from tables kept per (N, n, k) cell
+    (``_arc_tables``), so a call builds no run and tests no arc it has met
+    before.  A call with n >= N, or with a packet not in the table (met
+    first, listed out of order, or no arc at all), goes through
+    ``cyclic_starts``, which raises WrongParams for n >= N and then for the
+    first packet that is no arc.
 
     Serving consecutive runs means the n-k unread chunk positions of every
     served packet form a single cyclic burst, which is what lets cheap
     binary cyclic codes replace MDS codes on the write path.
     """
-    starts = cyclic_starts(inst)
     N, n, k, L = inst.N, inst.n, inst.k, inst.L
-    full, run = (1 << N) - 1, (1 << k) - 1
-    # (first MU, mask) of each k-run of the arc at s, earliest first
-    windows = {s: [(t, (run << t | run >> (N - t)) & full)
-                   for t in ((s + r) % N for r in range(n - k + 1))]
-               for s in set(starts)}
+    starts_of, runs_of = _arc_tables(N, n, k)
+    starts = [starts_of.get(p) for p in inst.packets]
+    if n >= N or None in starts:
+        starts = cyclic_starts(inst)
+        starts_of.update((tuple(sorted(p)), s) for p, s in zip(inst.packets, starts))
+    for s in set(starts).difference(runs_of):
+        runs_of[s] = _arc_runs(N, n, k, s)
 
     best: dict = {}
     for order in _sweeps(starts).values():
         used = 0
         taken: dict = {}
         for i in order:
-            for t, window in windows[starts[i]]:
+            for mus, window in runs_of[starts[i]]:
                 if not used & window:
                     used |= window
-                    taken[i] = t
+                    taken[i] = mus
                     break
         if len(taken) > len(best):
             best = taken
             if len(best) == L:
                 break
 
-    return Solution(assignments=tuple(
-        None if i not in best else tuple(sorted((best[i] + r) % N for r in range(k)))
-        for i in range(L)))
+    return Solution(assignments=tuple(map(best.get, range(L))))
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,11 @@ def test_sample_l_stars_continues_one_stream(fano, policy, cached):
 
 
 def _row_key(policy, row, N):
-    # reference keys: the least rotation of the sorted starts, or the packet tuple
+    # reference keys: the least rotation of the sorted starts or of their
+    # mirror image, or the packet tuple
     if policy == "cyclic":
-        return min(tuple(sorted((p[0] - a) % N for p in row)) for a in range(N))
+        return min(tuple(sorted((m * p[0] - a) % N for p in row))
+                   for a in range(N) for m in (1, -1))
     return tuple(map(tuple, row))
 
 

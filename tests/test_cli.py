@@ -218,6 +218,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process: a usage error leaves it as it was
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--algo", "nonsense", "--in", "x.json"])
+        return exc.value.code, capsys.readouterr().err
+
+    first = usage_error()
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--policy", "cyclic", "--N", "8", "--n", "3",
+                 "--L", "2", "--seed", "5", "--out", str(out)]) == 0
+    assert Instance.from_json(out.read_text()).L == 2
+    capsys.readouterr()
+    assert usage_error() == first
+    assert first[0] == 2 and "invalid choice: 'nonsense'" in first[1]
+    assert _build_parser() is _build_parser()
+
+
 @pytest.mark.parametrize("argv,name,text", [
     (["solve", "--algo", "oracle", "--in", "{bad}", "--out", "{out}"], "bad.json", '{"N":5}'),
     (["check", "--in", "{ok}", "--solution", "{bad}"], "bad.json", '{"assignments": 3}'),
@@ -497,6 +515,20 @@ def test_non_integer_numbers_exit_1(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err
     assert err.startswith("error: MalformedFile:") and "must be an integer" in err
     assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rho", ['"0.25"', "true", "NaN"])
+def test_declared_rho_must_be_a_number_exit_1(tmp_path, capsys, rho):
+    # rho 0.25 is the true value of this solution, so only its type is at fault
+    ok = tmp_path / "ok.json"
+    ok.write_text(Instance(N=8, k=2, n=3, packets=((0, 1, 2),)).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"assignments": [[0, 1]], "k": 2, "N": 8, "rho": {rho}}}')
+    assert main(["check", "--in", str(ok), "--solution", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and err.count("\n") == 1
+    bad.write_text('{"assignments": [[0, 1]], "k": 2, "N": 8, "rho": 0.25}')
+    assert main(["check", "--in", str(ok), "--solution", str(bad)]) == 0
 
 
 @pytest.mark.parametrize("argv", [

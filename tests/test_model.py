@@ -243,6 +243,17 @@ def test_solution_json_takes_only_integers(text):
         Solution.from_json(text)
 
 
+@pytest.mark.parametrize("rho,match", [
+    ('"0.25"', "must be a number"), ("true", "must be a number"), ("[0.25]", "must be a number"),
+    ("NaN", "must be finite"), ("Infinity", "must be finite"),
+])
+def test_solution_json_rho_must_be_a_number(rho, match):
+    # 0.25 is this solution's true rho: a coerced string or bool must not load or mismatch
+    with pytest.raises(MalformedFile, match=match):
+        Solution.from_json(f'{{"assignments": [[1], null], "k": 1, "N": 4, "rho": {rho}}}')
+    assert Solution.from_json('{"assignments": [[1], null], "rho": 0.25}').l_star == 1
+
+
 def test_solution_json_integer_statistics_load():
     sol = Solution.from_json('{"assignments": [[1], null], "l_star": 1, "k": 1, "N": 4, '
                              '"rho": 0.25}')

@@ -296,17 +296,28 @@ def test_class_key_invariant_under_rotation_and_order(case):
     assert a == b
 
 
+@given(_start_rows())
+@settings(max_examples=300, deadline=None)
+def test_class_key_invariant_under_reflection(case):
+    N, row, shift, perm = case
+    mirrored = [(shift - row[i]) % N for i in perm]
+    a, b = cyclic_class_keys([row, mirrored], N).tolist()
+    assert a == b
+
+
 def test_class_keys_separate_classes():
-    # all start tuples of 3 arcs on 7 MUs: the keys split them into exactly
-    # the orbits of rotation and reordering
-    rows = list(product(range(7), repeat=3))
-    keys = cyclic_class_keys(rows, 7).tolist()
-    orbit = {r: min(tuple(sorted((s + a) % 7 for s in r)) for a in range(7)) for r in rows}
-    assert len(set(keys)) == len(set(orbit.values()))
-    by_key = {}
-    for r, key in zip(rows, keys):
-        by_key.setdefault(key, set()).add(orbit[r])
-    assert all(len(orbits) == 1 for orbits in by_key.values())
+    # all start tuples of L arcs on N MUs: the keys split them into exactly
+    # the orbits of rotation, reflection and reordering
+    for N, L in ((7, 3), (8, 4), (6, 5)):
+        rows = list(product(range(N), repeat=L))
+        keys = cyclic_class_keys(rows, N).tolist()
+        orbit = {r: min(tuple(sorted((m * s + a) % N for s in r))
+                        for a in range(N) for m in (1, -1)) for r in rows}
+        assert len(set(keys)) == len(set(orbit.values()))
+        by_key = {}
+        for r, key in zip(rows, keys):
+            by_key.setdefault(key, set()).add(orbit[r])
+        assert all(len(orbits) == 1 for orbits in by_key.values())
 
 
 # -- projective planes ------------------------------------------------------------

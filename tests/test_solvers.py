@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from codedswitch.errors import (
     UnequalCardinality,
     WrongParams,
 )
+from codedswitch.solvers import _arc_tables
 
 from conftest import CONTENTION_PACKETS, brute_force_l_star
 
@@ -296,6 +298,44 @@ def test_cyclic_rejects_non_arcs():
     inst = Instance(N=5, k=1, n=3, packets=((0, 2, 4),))
     with pytest.raises(WrongParams):
         solve_cyclic(inst)
+
+
+def test_cyclic_packet_listed_out_of_order():
+    # the start table holds sorted arcs; other listings go through cyclic_starts
+    sorted_inst = Instance(N=12, k=2, n=3, packets=((0, 1, 11), (1, 2, 3)))
+    listed = Instance(N=12, k=2, n=3, packets=((11, 0, 1), (3, 1, 2)))
+    _arc_tables.cache_clear()
+    for _ in range(2):  # cold, then with both arcs in the table
+        assert solve_cyclic(listed) == solve_cyclic(sorted_inst)
+    assert solve_cyclic(listed).assignments == ((0, 11), (1, 2))
+    with pytest.raises(WrongParams, match=r"packet 1 = \(0, 2, 4\) is not a cyclic arc"):
+        solve_cyclic(Instance(N=12, k=2, n=3, packets=((11, 0, 1), (0, 2, 4))))
+    with pytest.raises(WrongParams, match="needs n < N"):
+        solve_cyclic(Instance(N=3, k=1, n=3, packets=()))
+
+
+def test_cyclic_tables_hold_python_ints():
+    # the per-cell tables serve later calls: numpy ints met first must not
+    # leak into them (N = 70 masks overflow int64; JSON takes no numpy int)
+    first = Instance(N=np.int64(70), k=np.int64(2), n=np.int64(3),
+                     packets=[np.array([68, 69, 0]), np.array([1, 2, 3])])
+    later = Instance(N=70, k=2, n=3, packets=((0, 68, 69), (1, 2, 3)))
+    assert solve_cyclic(first) == solve_cyclic(later)
+    assert solve_cyclic(later).to_json() == '{"assignments":[[68,69],[1,2]]}'
+
+
+def test_cyclic_l_star_equal_on_mirror_image():
+    # a reflection m -> -m relabels the MUs and maps the arc at s onto the
+    # arc at -s-n+1, so L* must not change; every multiset of starts, the
+    # mirror image listed in the same packet order
+    for N in range(2, 10):
+        for L in range(1, 5):
+            for starts in combinations_with_replacement(range(N), L):
+                for n in range(1, N):
+                    mirror = [(-s - n + 1) % N for s in starts]
+                    for k in range(1, n + 1):
+                        assert (solve_cyclic(instance_from_starts(N, n, starts, k=k)).l_star
+                                == solve_cyclic(instance_from_starts(N, n, mirror, k=k)).l_star)
 
 
 def _is_circle_run(mus, N):
