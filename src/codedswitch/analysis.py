@@ -28,16 +28,16 @@ it takes at most ``ENUMERATION_CAP`` rows, and ``BATCH``-row ``draw_rows``
 batches otherwise; either way it holds one ``BATCH``-row slice at a time.
 No read solver runs here: rows are solved only in ``ensemble``.
 
-Binomial-heavy quantities are computed in exact rational arithmetic and
-converted to float only at the boundary.
+Exact quantities are counted in integers (the walk's weights, the union
+chain's draws) or kept as Fractions, and divided and converted to float
+only at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
-from math import comb, factorial, perm, sqrt
+from math import comb, perm, sqrt
 
 import numpy as np
 
@@ -90,9 +90,9 @@ class UnionModelMatrix:
 
     Entry (i, j) is the probability that the union of a fixed i-set and a
     fresh uniform n-subset of an N-element ground set has exactly j
-    elements: the n-subset meets the i-set in m = i+n-j elements, which is
-    hypergeometric, C(i, m) C(N-i, n-m) / C(N, n).  Rows are exact
-    rationals summing to one, supported on max(i, n) <= j <= min(i+n, N).
+    elements, ``_union_counts(N, n, i)[j - i]`` of the C(N, n) subsets.
+    Rows are exact rationals summing to one, supported on
+    max(i, n) <= j <= min(i+n, N).
     """
 
     N: int
@@ -100,35 +100,52 @@ class UnionModelMatrix:
     gamma: tuple  # (N+1) x (N+1) nested tuples of Fraction
 
 
-def union_model_matrix(N: int, n: int) -> UnionModelMatrix:
+def _check_subset_size(N: int, n: int) -> None:
+    """BadParams unless an n-subset of N elements exists with n >= 1."""
     if not (1 <= n <= N):
         raise BadParams(f"need 1 <= n <= N, got n={n}, N={N}")
-    denom = comb(N, n)
-    rows = []
+
+
+def _union_counts(N: int, n: int, i: int) -> list:
+    """Entry d: the n-subsets of an N-element ground set whose union with a
+    fixed i-set has exactly i+d elements.  Such a subset takes d elements
+    outside the i-set and n-d inside it, so there are C(N-i, d) C(i, n-d) of
+    them (hypergeometric); the entries sum to C(N, n)."""
+    return [comb(N - i, d) * comb(i, n - d) for d in range(min(n, N - i) + 1)]
+
+
+def union_model_matrix(N: int, n: int) -> UnionModelMatrix:
+    _check_subset_size(N, n)
+    denom, rows = comb(N, n), []
     for i in range(N + 1):
         row = [Fraction(0)] * (N + 1)
-        for j in range(max(i, n), min(i + n, N) + 1):
-            m = i + n - j
-            row[j] = Fraction(comb(i, m) * comb(N - i, n - m), denom)
+        for d, c in enumerate(_union_counts(N, n, i)):
+            row[i + d] = Fraction(c, denom)
         rows.append(tuple(row))
     return UnionModelMatrix(N=N, n=n, gamma=tuple(rows))
 
 
-def union_cardinality_distribution(N: int, n: int, L: int):
-    """Exact distribution of |union of L uniform n-subsets| as Fractions."""
-    gamma = union_model_matrix(N, n).gamma
-    row = [Fraction(0)] * (N + 1)
-    row[0] = Fraction(1)
+def _union_cardinality_counts(N: int, n: int, L: int) -> list:
+    """Entry j: the ordered draws of L n-subsets, of C(N, n)^L, whose union
+    has exactly j elements (the union-cardinality chain in integer counts)."""
+    _check_subset_size(N, n)
+    if L < 0:
+        raise BadParams(f"need L >= 0, got L={L}")
+    row = [1] + [0] * N
     for _ in range(L):
-        nxt = [Fraction(0)] * (N + 1)
-        for i, pi in enumerate(row):
-            if pi == 0:
-                continue
-            gi = gamma[i]
-            for j in range(max(i, n), min(i + n, N) + 1):
-                nxt[j] += pi * gi[j]
+        nxt = [0] * (N + 1)
+        for i, c in enumerate(row):
+            if c:
+                for d, step in enumerate(_union_counts(N, n, i)):
+                    nxt[i + d] += c * step
         row = nxt
     return row
+
+
+def union_cardinality_distribution(N: int, n: int, L: int):
+    """Exact distribution of |union of L uniform n-subsets| as Fractions."""
+    denom = comb(N, n) ** L
+    return [Fraction(c, denom) for c in _union_cardinality_counts(N, n, L)]
 
 
 def _check_coverage(N: int, n: int, k: int, L: int) -> None:
@@ -142,8 +159,8 @@ def _check_coverage(N: int, n: int, k: int, L: int) -> None:
 def p_cover_uniform(N: int, n: int, k: int, L: int) -> ProbabilityEstimate:
     """Pr(|union of L uniform n-subsets| >= kL), exact."""
     _check_coverage(N, n, k, L)
-    dist = union_cardinality_distribution(N, n, L)
-    return _exact(1 - sum(dist[: k * L], Fraction(0)))
+    counts = _union_cardinality_counts(N, n, L)
+    return _exact(Fraction(sum(counts[k * L:]), comb(N, n) ** L))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +208,45 @@ def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
 def multisets(size: int, r: int):
     """Multisets of r indices from range(size), lexicographic, in ``BATCH``-row
     slices: a sorted (M, r) int64 index array and each row's number of
-    orderings r!/prod(m_i!) as Python ints; these sum to size^r."""
-    rows = chain.from_iterable(combinations_with_replacement(range(size), r))
-    total, col = comb(size + r - 1, r), np.arange(r)
+    orderings r!/prod(m_i!), which sum to size^r.  The orderings are int64
+    when size^r < 2^63 and exact Python ints otherwise.
+
+    Each slice unranks its consecutive ranks one column at a time (the
+    combinatorial number system).  ``below[t][v]`` counts the multisets of t
+    indices whose least index is below v, so ``searchsorted`` finds a
+    column's index v, and the rank then moves to the multisets that fill the
+    other t-1 columns from v up.  A row's orderings gain the factor
+    C(j, run) when a run of equal indices ends at column j - 1 (C(r, run)
+    for the last run); each partial product counts the orderings of a
+    prefix, so none exceeds size^r.
+    """
+    dtype = np.int64 if size**r < 2**63 else object
+    # C(size+t-1, t) multisets of t indices, C(size-v+t-1, t) of them from v up
+    below = [np.zeros(size + 1, dtype)] + [
+        np.array([comb(size + t - 1, t) - comb(size - v + t - 1, t) for v in range(size + 1)],
+                 dtype) for t in range(1, r + 1)]
+    binom = np.array([[comb(a, b) for b in range(r + 1)] for a in range(r + 1)], dtype)
+    total = comb(size + r - 1, r)
     for lo in range(0, total, BATCH):
         m = min(BATCH, total - lo)
-        idx = np.fromiter(rows, np.int64, m * r).reshape(m, r)
-        # col + 1 - first: each entry's place in its run of equal entries
-        first = np.maximum.accumulate(np.where(np.diff(idx, prepend=-1) != 0, col, 0), axis=1)
-        yield idx, factorial(r) // np.prod((col + 1 - first).astype(object), axis=1)
+        rank = np.arange(lo, lo + m).astype(dtype, copy=False)
+        idx = np.empty((m, r), np.int64)
+        orders, run = np.ones(m, dtype), np.ones(m, np.int64)
+        for j in range(r):
+            # rank: below[t][u] plus the rank among the multisets of t
+            # indices from u up, u the index of column j - 1 (0 at j = 0)
+            t = r - j
+            v = np.searchsorted(below[t], rank, "right") - 1
+            rank -= below[t][v] - below[t - 1][v]
+            idx[:, j] = v
+            if j:
+                same = v == idx[:, j - 1]
+                # C(j, run) where a run ended at column j - 1, else C(j, 0) = 1
+                orders *= binom[j, run * ~same]
+                run = run * same + 1
+        if r:
+            orders *= binom[r, run]
+        yield idx, orders
 
 
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
@@ -229,7 +276,8 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     if comb(size + free - 1, free) <= cap:
         table = packet_table(policy, N, n, design)
         # cyclic rows get the pinned arc 0 as their first column
-        good = sum(orders[test(table[np.pad(idx, ((0, 0), (pinned, 0)))])].sum()
+        pin = np.zeros((BATCH, pinned), np.int64)
+        good = sum(int(orders[test(table[np.concatenate((pin[:len(idx)], idx), axis=1)])].sum())
                    for idx, orders in multisets(size, free))
         return ProbabilityEstimate(float(Fraction(good, size**free)), EXACT_ENUMERATION, 0.0)
     if exact_only:

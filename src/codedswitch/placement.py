@@ -218,11 +218,14 @@ def cyclic_class_keys(starts, N: int) -> np.ndarray:
     both = np.concatenate([starts, -starts % N], axis=1).reshape(-1, 2, L)
     both.sort(axis=2)
     # From the i-th smallest start the tuple read clockwise is the sorted row
-    # turned to begin at i.  Where a start repeats, only the turn at its first
-    # copy is sorted, and the others are larger, so the minimum is the same.
-    turn = (np.arange(L)[:, None] + np.arange(L)) % L
-    rel = both[:, :, turn] - both[:, :, :, None]  # (B, mirror, anchor, L)
-    rel %= N
+    # turned to begin at i, read from the doubled row (s, then s + N) so that
+    # no entry needs a mod.  Where a start repeats, a turn at a later copy
+    # reads the earlier copies as N rather than 0; its first entry is still
+    # 0, so its key stays below N**L, and it has fewer leading zeros than the
+    # turn at the first copy, so it is larger and the minimum is the same.
+    turn = np.arange(L)[:, None] + np.arange(L)
+    rel = np.concatenate([both, both + N], axis=2)[:, :, turn]  # (B, mirror, anchor, L)
+    rel -= both[:, :, :, None]
     weights = np.array([N ** (L - 1 - j) for j in range(L)], dtype=dtype)
     return (rel.astype(dtype, copy=False) @ weights).reshape(len(starts), 2 * L).min(axis=1)
 

@@ -8,6 +8,8 @@ from math import comb, factorial, floor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from codedswitch import (
     Instance,
@@ -73,6 +75,34 @@ def test_union_distribution_matches_direct_enumeration():
     total = len(subsets) ** 2
     for j in range(N + 1):
         assert dist[j] == Fraction(counts.get(j, 0), total)
+
+
+def test_union_distribution_is_the_fraction_chain_over_the_matrix():
+    # the distribution runs in integer counts; the matrix rows are Fractions
+    for N in range(1, 10):
+        for n in range(1, N + 1):
+            gamma = union_model_matrix(N, n).gamma
+            row = [Fraction(1)] + [Fraction(0)] * N
+            for L in range(5):
+                assert union_cardinality_distribution(N, n, L) == row
+                row = [sum((row[i] * gamma[i][j] for i in range(N + 1)), Fraction(0))
+                       for j in range(N + 1)]
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_union_chain_refuses_n_outside_1_to_N(n):
+    with pytest.raises(BadParams):
+        union_model_matrix(5, n)
+    with pytest.raises(BadParams):
+        union_cardinality_distribution(5, n, 2)
+    with pytest.raises(BadParams):
+        p_cover_uniform(5, n, 1, 1)
+
+
+def test_union_distribution_refuses_negative_L():
+    # once returned the point mass at 0, as if no subset were drawn
+    with pytest.raises(BadParams):
+        union_cardinality_distribution(5, 3, -1)
 
 
 # -- uniform coverage ---------------------------------------------------------
@@ -398,6 +428,40 @@ def test_multisets_walk_lexicographic_batch_slices(monkeypatch, size, r):
     assert rows.dtype == np.int64 and rows.shape == (comb(size + r - 1, r), r)
     assert rows.tolist() == [list(t) for t in combinations_with_replacement(range(size), r)]
     assert sum(orders) == size**r
+
+
+def multinomial(row):
+    """r!/prod(m_i!) for a row of r indices, one binomial per distinct index."""
+    orders, placed = 1, 0
+    for m in Counter(row).values():
+        placed += m
+        orders *= comb(placed, m)
+    return orders
+
+
+@pytest.mark.parametrize("size,r,dtype", [(2, 62, np.int64), (2, 63, object),
+                                          (3, 39, np.int64), (3, 40, object)])
+def test_multisets_orderings_dtype_boundary(size, r, dtype):
+    # int64 while size^r < 2^63.  At (2, 62), 62 C(61, 30) > 2^63, so a
+    # weight built as w * (j + 1) // run would wrap there
+    rows, orders = concatenated(multisets(size, r))
+    assert orders.dtype == dtype
+    assert sum(orders.tolist()) == size**r
+    assert orders.tolist() == [multinomial(row) for row in rows.tolist()]
+
+
+@given(size=st.integers(1, 12), r=st.integers(0, 6), batch=st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_multisets_match_itertools_for_any_batch(size, r, batch):
+    assume(size**r <= 20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "BATCH", batch)
+        slices = list(multisets(size, r))
+    assert all(0 < len(idx) == len(orders) <= batch for idx, orders in slices)
+    rows, orders = concatenated(slices)
+    assert rows.tolist() == [list(t) for t in combinations_with_replacement(range(size), r)]
+    ordered = Counter(tuple(sorted(t)) for t in product(range(size), repeat=r))
+    assert dict(zip(map(tuple, rows.tolist()), orders.tolist())) == ordered
 
 
 def test_multisets_orderings_are_exact_python_ints_past_int64():

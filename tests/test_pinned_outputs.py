@@ -94,6 +94,23 @@ COVER_CYCLIC = (
 )
 
 
+# figure 4's uniform coverage bounds: k = 2..7, N = k^2+k+1, n = k+1, L = 3
+COVER_UNIFORM = (
+    ((7, 3, 2, 3), 0.6122448979591837),
+    ((13, 4, 3, 3), 0.5763215805173847),
+    ((21, 5, 4, 3), 0.5775547619394169),
+    ((31, 6, 5, 3), 0.5839886966031043),
+    ((43, 7, 6, 3), 0.5905140059563186),
+    ((57, 8, 7, 3), 0.5962252138477157),
+)
+
+
+@pytest.mark.parametrize("args,value", COVER_UNIFORM)
+def test_cover_uniform_pinned(args, value):
+    est = analysis.p_cover_uniform(*args)
+    assert (est.value, est.method, est.stderr) == (value, "closed_form", 0.0)
+
+
 @pytest.mark.parametrize("args,kw,value,method", FULL_TP_CYCLIC)
 def test_full_tp_cyclic_pinned(args, kw, value, method):
     est = analysis.p_full_throughput_exact("cyclic", *args, **kw)
