@@ -12,7 +12,8 @@ checks of increasing precision:
 For many rows at once, one table holds the MU-mask unions of all packet
 subsets of each row; a subset J is short when its union has fewer than k|J|
 MUs.  ``hall_rows`` (Pr(L* = L) in ``analysis``) and ``hall_l_stars`` (the
-``oracle`` cells of ``ensemble``) read it.
+``oracle`` cells of ``ensemble``) read it, from packet rows or from the
+(B, L) ``mu_masks`` of their packets, which ``analysis`` gathers by index.
 
 The pairwise bound is kept as an exact rational; integer set-cardinality
 comparisons use its floor.
@@ -153,31 +154,32 @@ def hall_table_takes(N: int, L: int) -> bool:
     return N <= 64 and 2**L <= _SLICE_ENTRIES
 
 
-def hall_rows(packets: np.ndarray, N: int, k: int) -> np.ndarray:
-    """``hall_full_throughput`` of each row of a (B, L, n) packet array: a
-    row passes iff none of its packet subsets is short in the Hall table.
-    Past ``hall_table_takes`` the rows are matched one by one."""
-    _, L, n = packets.shape
-    if not hall_table_takes(N, L):
-        return np.array([hall_full_throughput(Instance(N, k, n, row)) for row in packets.tolist()],
+def hall_rows(rows: np.ndarray, N: int, k: int) -> np.ndarray:
+    """``hall_full_throughput`` of each row of a (B, L, n) packet array, or of
+    a (B, L) array of their ``mu_masks``: a row passes iff none of its packet
+    subsets is short in the Hall table.  Past ``hall_table_takes`` packet
+    rows are matched one by one."""
+    if rows.ndim == 3 and not hall_table_takes(N, rows.shape[1]):
+        _, _, n = rows.shape
+        return np.array([hall_full_throughput(Instance(N, k, n, row)) for row in rows.tolist()],
                         dtype=bool)
-    return np.concatenate([~short.any(axis=0) for short in _short_subsets(packets, k)])
+    return np.concatenate([~short.any(axis=0) for short in _short_subsets(_row_masks(rows, N), k)])
 
 
-def hall_l_stars(packets: np.ndarray, N: int, k: int) -> np.ndarray:
-    """``solvers.solve_oracle``'s L* of each row of a (B, L, n) packet
-    array, as an int64 array, where ``hall_table_takes(N, L)``.
+def hall_l_stars(rows: np.ndarray, N: int, k: int) -> np.ndarray:
+    """``solvers.solve_oracle``'s L* of each row of a (B, L, n) packet array,
+    or of a (B, L) array of their ``mu_masks``, as an int64 array, where
+    ``hall_table_takes(N, L)``.
 
     By Hall's theorem for k-fold demands, a packet set J can be served iff
     none of its subsets is short.  So the short marks are closed upward, one
     pass per packet, and L* is the size of the largest subset left unmarked.
     """
-    L = packets.shape[1]
-    if not hall_table_takes(N, L):
-        raise TooLarge(f"the Hall table takes N <= 64, 2^L <= {_SLICE_ENTRIES}; got N={N}, L={L}")
+    masks = _row_masks(rows, N)
+    L = masks.shape[1]
     sizes = np.bitwise_count(np.arange(1 << L, dtype=np.uint16))[:, None]  # uint8
     l_stars = []
-    for short in _short_subsets(packets, k):
+    for short in _short_subsets(masks, k):
         for i in range(L):
             halves = short.reshape(-1, 2, short.shape[1] << i)
             halves[:, 1] |= halves[:, 0]
@@ -186,22 +188,37 @@ def hall_l_stars(packets: np.ndarray, N: int, k: int) -> np.ndarray:
 
 
 def mu_masks(packets: np.ndarray) -> np.ndarray:
-    """The uint64 MU bit mask of each packet of a (B, L, n) packet array
-    on at most 64 MUs, as a (B, L) array."""
-    return np.bitwise_or.reduce(np.uint64(1) << packets.astype(np.uint64), axis=2)
+    """The uint64 MU bit mask of each packet of an (..., n) packet array on
+    at most 64 MUs, reducing the last axis: an (s, n) packet table gives (s,)
+    masks, which a walk gathers by index, and a (B, L, n) array (B, L).
+    One OR per column: ``np.bitwise_or.reduce`` over the short last axis
+    took 8x as long at (2500, 6, 6)."""
+    masks = np.zeros(packets.shape[:-1], dtype=np.uint64)
+    for j in range(packets.shape[-1]):
+        masks |= np.uint64(1) << packets[..., j].astype(np.uint64)
+    return masks
 
 
-def _short_subsets(packets: np.ndarray, k: int):
-    """The Hall table of a (B, L, n) packet array, in slices of at most
+def _row_masks(rows: np.ndarray, N: int) -> np.ndarray:
+    """The (B, L) masks of a (B, L, n) packet array, or the (B, L) masks
+    given; TooLarge unless ``hall_table_takes(N, L)``."""
+    L = rows.shape[1]
+    if not hall_table_takes(N, L):
+        raise TooLarge(f"the Hall table takes N <= 64, 2^L <= {_SLICE_ENTRIES}; got N={N}, L={L}")
+    return mu_masks(rows) if rows.ndim == 3 else rows
+
+
+def _short_subsets(masks: np.ndarray, k: int):
+    """The Hall table of a (B, L) array of packet masks, in slices of at most
     ``_SLICE_ENTRIES`` unions (one empty slice if B = 0): short[s, r] says
     that subset s (of the packets i whose bit i is set in s) of the slice's
     row r covers fewer than k|s| MUs."""
-    B, L, _ = packets.shape
+    B, L = masks.shape
     need = k * np.bitwise_count(np.arange(1 << L, dtype=np.uint16)).astype(np.int16)[:, None]
     step = _SLICE_ENTRIES >> L
     for lo in range(0, max(B, 1), step):
-        masks = mu_masks(packets[lo:lo + step]).T
-        union = np.zeros((1 << L, masks.shape[1]), dtype=np.uint64)
+        part = masks[lo:lo + step].T
+        union = np.zeros((1 << L, part.shape[1]), dtype=np.uint64)
         for i in range(L):  # the subsets holding packet i: those below, each with packet i
-            np.bitwise_or(union[:1 << i], masks[i], out=union[1 << i:2 << i])
+            np.bitwise_or(union[:1 << i], part[i], out=union[1 << i:2 << i])
         yield np.bitwise_count(union) < need

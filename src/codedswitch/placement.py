@@ -209,7 +209,8 @@ def cyclic_class_keys(starts, N: int) -> np.ndarray:
     get the same key iff one is a rotation and reflection of the MUs and a
     reordering of the packets of the other.  A reflection m -> -m relabels
     the MUs and maps the arc at s onto the arc at -s-n+1, a rotation of
-    -s, so instances with equal keys have equal L*.
+    -s, so instances with equal keys have equal L*.  Each turn's key follows
+    from the last in O(1) array steps, so a row takes O(L) work and memory.
     """
     starts = np.asarray(starts, dtype=np.int64)
     L = starts.shape[1]
@@ -217,17 +218,24 @@ def cyclic_class_keys(starts, N: int) -> np.ndarray:
     dtype = np.int64 if N ** L < 2**63 else object
     both = np.concatenate([starts, -starts % N], axis=1).reshape(-1, 2, L)
     both.sort(axis=2)
-    # From the i-th smallest start the tuple read clockwise is the sorted row
-    # turned to begin at i, read from the doubled row (s, then s + N) so that
-    # no entry needs a mod.  Where a start repeats, a turn at a later copy
-    # reads the earlier copies as N rather than 0; its first entry is still
-    # 0, so its key stays below N**L, and it has fewer leading zeros than the
-    # turn at the first copy, so it is larger and the minimum is the same.
-    turn = np.arange(L)[:, None] + np.arange(L)
-    rel = np.concatenate([both, both + N], axis=2)[:, :, turn]  # (B, mirror, anchor, L)
-    rel -= both[:, :, :, None]
-    weights = np.array([N ** (L - 1 - j) for j in range(L)], dtype=dtype)
-    return (rel.astype(dtype, copy=False) @ weights).reshape(len(starts), 2 * L).min(axis=1)
+    both = both.astype(dtype, copy=False)
+    # From the i-th smallest start s_i the tuple read clockwise is the sorted
+    # row turned to begin at i, (s_{i+j} - s_i for j < L), read from the
+    # doubled row (s, then s + N) so that no entry needs a mod.  Its key P_i
+    # gives the next: P_{i+1} = N P_i - (s_{i+1} - s_i) R + N with
+    # R = sum of N**j for j < L, computed as N (P_i - d r) - d + N with
+    # r = (R - 1) / N and d = s_{i+1} - s_i, so that no intermediate leaves
+    # (-N, N**L).  Where a start repeats, a turn at a later copy reads the
+    # earlier copies as N rather than 0; its first entry is still 0, so its
+    # key stays below N**L, and it has fewer leading zeros than the turn at
+    # the first copy, so it is larger and the minimum is the same.
+    key = (both - both[:, :, :1]) @ np.array([N ** (L - 1 - j) for j in range(L)], dtype=dtype)
+    best, r = key.copy(), sum(N ** j for j in range(L - 1))
+    for i in range(L - 1):
+        d = both[:, :, i + 1] - both[:, :, i]
+        key = N * (key - d * r) - d + N
+        np.minimum(best, key, out=best)
+    return best.min(axis=1)
 
 
 def with_k(inst: Instance, k: int) -> Instance:

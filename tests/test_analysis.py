@@ -28,7 +28,7 @@ from codedswitch import (
     t_max,
     union_model_matrix,
 )
-from codedswitch import analysis
+from codedswitch import analysis, conditions
 from codedswitch.analysis import (
     multisets,
     union_cardinality_distribution,
@@ -36,7 +36,7 @@ from codedswitch.analysis import (
 from codedswitch.conditions import hall_rows
 from codedswitch.ensemble import l_stars
 from codedswitch.errors import BadParams, TooLarge
-from codedswitch.placement import POLICIES, draw, draw_rows
+from codedswitch.placement import POLICIES, draw, draw_rows, packet_table
 
 
 # -- union-cardinality matrix -------------------------------------------------
@@ -490,6 +490,53 @@ def test_cyclic_single_packet_walks_one_row(monkeypatch):
     monkeypatch.setattr(analysis, "hall_rows", recording(lens, hall_rows, 0))
     est = p_full_throughput_exact("cyclic", 7, 3, 2, 1)
     assert (est.value, est.method, lens) == (1.0, "exact_enumeration", [1])
+
+
+@pytest.mark.parametrize("policy,N,n,k,L", [
+    ("cyclic", 7, 3, 2, 3), ("design", 7, 3, 2, 3), ("uniform", 6, 3, 2, 2),
+])
+def test_exact_walk_computes_masks_once_on_the_table(fano, monkeypatch, policy, N, n, k, L):
+    # the walk gathers each slice's (B, L) masks by index from the table's
+    full_tp = p_full_throughput_exact(policy, N, n, k, L, design=fano)
+    shapes = []
+    inner = conditions.mu_masks
+
+    def recording(packets):
+        shapes.append(packets.shape)
+        return inner(packets)
+
+    monkeypatch.setattr(analysis, "BATCH", 5)
+    monkeypatch.setattr(conditions, "mu_masks", recording)
+    monkeypatch.setattr(analysis, "mu_masks", recording, raising=False)
+    assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
+    assert shapes == [packet_table(policy, N, n, fano).shape]
+
+
+@pytest.mark.parametrize("policy,N,n,k,L", [("cyclic", 3, 2, 1, 17), ("uniform", 2, 1, 1, 17)])
+def test_exact_walk_past_the_hall_table_length(policy, N, n, k, L):
+    # 2^17 subsets overflow a Hall table slice: the walk matches packets
+    est = p_full_throughput_exact(policy, N, n, k, L, exact_only=True)
+    assert (est.value, est.method) == (0.0, "exact_enumeration")
+
+
+def test_exact_walk_past_the_hall_table_masks():
+    # 65 MUs do not fit a uint64 mask: the walk matches packets
+    N, n, k, L = 65, 2, 1, 3
+    est = p_full_throughput_exact("cyclic", N, n, k, L, exact_only=True)
+    good = sum(hall_full_throughput(instance_from_starts(N, n, (0, a, b), k=k))
+               for a in range(N) for b in range(N))
+    assert est.method == "exact_enumeration"
+    assert est.value == good / N**2 == 0.9997633136094675
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_cover_walk_past_64_mus(k):
+    # arc starts, not masks: the coverage walk has no 64-MU gate
+    N, n, L = 70, 3, 3
+    est = p_cover_cyclic(N, n, k, L, exact_only=True)
+    starts = np.indices((N,) * L).reshape(L, -1).T
+    good = np.count_nonzero(analysis._arc_coverage(starts, N, n) >= k * L)
+    assert est.method == "exact_enumeration" and est.value == good / N**L
 
 
 @pytest.mark.parametrize("policy,q,N,n,k,L", [

@@ -19,7 +19,7 @@ from codedswitch import (
     t_max,
 )
 from codedswitch import conditions
-from codedswitch.conditions import hall_l_stars, hall_rows, hall_table_takes
+from codedswitch.conditions import hall_l_stars, hall_rows, hall_table_takes, mu_masks
 from codedswitch.errors import DegenerateL, TooLarge
 from codedswitch.placement import POLICIES, draw_rows
 
@@ -189,6 +189,24 @@ def test_hall_rows_of_no_rows():
     for N in (7, 65):
         out = hall_rows(np.zeros((0, 3, 2), dtype=np.int64), N, 1)
         assert out.shape == (0,) and out.dtype == bool
+
+
+@pytest.mark.parametrize("N,L", [(12, 1), (40, 5), (64, 16)])
+def test_hall_table_readers_take_masks(N, L):
+    # a (B, L) array of packet masks reads as its packets
+    rows = draw_rows("uniform", N, 3, L, 9, np.random.default_rng([N, L]))
+    rows[:, 0] = [N - 3, N - 2, N - 1]  # MU 63 is the top mask bit at N = 64
+    masks = mu_masks(rows)
+    assert masks.shape == (9, L) and masks.dtype == np.uint64
+    assert mu_masks(rows[0]).tolist() == masks[0].tolist()
+    for k in (1, 2, 3):
+        assert hall_rows(masks, N, k).tolist() == hall_rows(rows, N, k).tolist()
+        assert hall_l_stars(masks, N, k).tolist() == hall_l_stars(rows, N, k).tolist()
+
+
+def test_hall_rows_refuse_masks_past_the_gate():
+    with pytest.raises(TooLarge):
+        hall_rows(np.zeros((1, 17), dtype=np.uint64), 12, 1)
 
 
 @pytest.mark.parametrize("N", [40, 64, 65])

@@ -320,6 +320,19 @@ def test_class_keys_separate_classes():
         assert all(len(orbits) == 1 for orbits in by_key.values())
 
 
+@pytest.mark.parametrize("N,L", [(2, 61), (2, 62), (2, 63), (3, 39), (3, 40)])
+def test_class_keys_at_the_int64_switch(N, L):
+    # int64 keys while N**L < 2**63, Python ints from there; turns anchored
+    # at a repeated start read up to N**L, next to the switch
+    rows = np.random.default_rng([N, L]).integers(0, N, size=(20, L))
+    rows[:10, 1] = rows[:10, 0]
+    keys = cyclic_class_keys(rows, N)
+    assert keys.dtype == (np.int64 if N**L < 2**63 else object)
+    for row, key in zip(rows.tolist(), keys.tolist()):
+        orbit = min(tuple(sorted((m * s + a) % N for s in row)) for a in range(N) for m in (1, -1))
+        assert key == sum(d * N ** (L - 1 - j) for j, d in enumerate(orbit))
+
+
 # -- projective planes ------------------------------------------------------------
 
 def test_plane_q2_is_seven_triples(fano):
