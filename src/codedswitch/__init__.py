@@ -64,7 +64,6 @@ from .placement import (
     PlacementRng,
     build_lexicographic_packing,
     build_projective_plane,
-    cyclic_class_keys,
     draw,
     draw_cyclic,
     draw_design,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm, sqrt
 
 import numpy as np
@@ -208,6 +209,19 @@ def p_pair_design(b: int, L: int) -> ProbabilityEstimate:
 # the support walk, and cyclic coverage
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _multiset_tables(size: int, r: int) -> tuple:
+    """``multisets``' orderings dtype and its read-only tables, built once
+    per (size, r)."""
+    dtype = np.int64 if size**r < 2**63 else object
+    # C(size+t-1, t) multisets of t indices, C(size-v+t-1, t) of them from v up
+    below = np.array([[comb(size + t - 1, t) - comb(size - v + t - 1, t) if t else 0
+                       for v in range(size + 1)] for t in range(r + 1)], dtype)
+    binom = np.array([[comb(a, b) for b in range(r + 1)] for a in range(r + 1)], dtype)
+    below.flags.writeable = binom.flags.writeable = False
+    return dtype, below, binom
+
+
 def multisets(size: int, r: int):
     """Multisets of r indices from range(size), lexicographic, in ``BATCH``-row
     slices: a sorted (M, r) int64 index array and each row's number of
@@ -223,12 +237,7 @@ def multisets(size: int, r: int):
     for the last run); each partial product counts the orderings of a
     prefix, so none exceeds size^r.
     """
-    dtype = np.int64 if size**r < 2**63 else object
-    # C(size+t-1, t) multisets of t indices, C(size-v+t-1, t) of them from v up
-    below = [np.zeros(size + 1, dtype)] + [
-        np.array([comb(size + t - 1, t) - comb(size - v + t - 1, t) for v in range(size + 1)],
-                 dtype) for t in range(1, r + 1)]
-    binom = np.array([[comb(a, b) for b in range(r + 1)] for a in range(r + 1)], dtype)
+    dtype, below, binom = _multiset_tables(size, r)
     total = comb(size + r - 1, r)
     for lo in range(0, total, BATCH):
         m = min(BATCH, total - lo)

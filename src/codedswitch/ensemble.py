@@ -11,13 +11,14 @@ each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
 a fixed ExperimentSpec regardless of execution order.  Each batch of
 ``analysis.BATCH`` trials is one ``placement.draw_rows`` call, a (B, L, n)
-packet array for every policy, solved in one step (``_batch_solver``).
-Oracle cells on N <= 64 MUs at L <= ``ORACLE_TABLE_MAX_L`` read their L*
-from the Hall subset-union table (``conditions.hall_l_stars``), and greedy
-cells, the oracle's cap fallback included, go to ``solvers.greedy_rows`` on
-the batch's solver stream.
-The other cells go to ``l_stars``, the one loop that runs a per-instance
-read solver over rows, with a per-cell cache.
+packet array for every policy, solved in one step (``_batch_solver``):
+greedy cells, the oracle's cap fallback included, by ``solvers.greedy_rows``
+on the batch's solver stream; every other cyclic cell (``cyclic_opt``,
+``oracle``, ``matching_k1``, ``matching_k2n2``) by ``solvers.cyclic_rows``
+on the arc starts; every other cell on N <= 64 MUs at L <=
+``ORACLE_TABLE_MAX_L`` by the Hall subset-union table
+(``conditions.hall_l_stars``).  The other cells go to ``l_stars``, the one
+loop that runs a per-instance read solver over rows, with a per-cell cache.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -47,20 +48,23 @@ from .placement import (
     build_lexicographic_packing,
     check_cell,
     check_design,
-    cyclic_class_keys,
     draw_rows,
 )
-from .solvers import DEFAULT_ORACLE_CAP, SOLVERS, greedy_rows
+from .solvers import DEFAULT_ORACLE_CAP, SOLVERS, cyclic_rows, greedy_rows
 # unused here: benchmarks/test_bench.py checks that the span tracer patches and
 # restores this module's binding of solve_cyclic
 from .solvers import solve_cyclic  # noqa: F401
 
 _POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
-# Largest L at which oracle cells read the Hall table.  The table costs about
-# 2^L * 10 ns per row.  Against ``solve_oracle`` with a cell's cache it was at
-# least 2x faster at L <= 11 on every shape tried (uniform, cyclic and design
-# cells, n = 1..6, N = 7..64), as fast for uniform n = 1 at L = 12, and
-# 1.5-2.5x slower for uniform n <= 2 at L = 13 (2-core Xeon).
+# Largest L at which non-cyclic optimal cells (``oracle``, ``design_opt``,
+# ``matching_k1``, ``matching_k2n2``) read the Hall table.  The table costs
+# about 2^L * 10 ns per row.  Against ``solve_oracle`` with a cell's cache it
+# was at least 2x faster at L <= 11 on every shape tried (uniform, cyclic and
+# design cells, n = 1..6, N = 7..64), as fast for uniform n = 1 at L = 12, and
+# 1.5-2.5x slower for uniform n <= 2 at L = 13 (2-core Xeon).  A design_opt
+# cell (20k trials, 16 disjoint blocks, N = 64, n = 4, k = 3) took 0.41 s on
+# the table against 1.06 s by ``solve_design`` at L = 11, 0.94 against 1.16 s
+# at L = 12 and 2.23 against 1.13 s at L = 13.
 ORACLE_TABLE_MAX_L = 11
 
 @dataclass(frozen=True)
@@ -182,45 +186,30 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
     return whp_from_counts(np.bincount(np.asarray(list(samples), dtype=np.int64)), confidence)
 
 
-def _row_keys(policy: str, rows: np.ndarray, N: int) -> np.ndarray:
-    """One key per row, equal for rows with equal L*: the class
-    (``cyclic_class_keys``) of the arc starts in column 0 under rotation and
-    reflection of the MUs and reordering of the packets, as none of these
-    changes L* and every solver that reaches cyclic rows here is optimal,
-    else the bytes of the packet tuple."""
-    if policy == "cyclic":
-        return cyclic_class_keys(rows[:, :, 0], N)
-    flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-
-
 def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
             cache: dict | None = None) -> np.ndarray:
     """L* of each row of a (B, L, n) packet array placed by ``policy``, as
     ``draw_rows`` gives it.
 
-    ``solve`` maps an Instance, with sorted packets, to its L*.  A cache, for
-    a ``solve`` that gives all rows of one key (``_row_keys``) the same L*,
-    as an optimal solver does, is filled in place and shared by the calls of
-    one (policy, N, n, k, L) cell: each row key not in it is solved once,
-    from its first row.  Without a cache every row is solved, in
-    order.  ``run_ensemble`` sends here only the cells that no row solver
-    takes (see ``_batch_solver``).
+    ``solve`` maps an Instance, with sorted packets, to its L*.  A cache,
+    keyed by the bytes of each row, is filled in place and shared by the
+    calls of one (policy, N, n, k, L) cell: each distinct row not in it is
+    solved once, from its first copy.  Without a cache every row is solved,
+    in order.  ``run_ensemble`` sends here only the non-cyclic cells past
+    the Hall gate (see ``_batch_solver``).
     """
     if cache is None:
         keys, cache = np.arange(len(rows)), {}
     else:
-        keys = _row_keys(policy, rows, N)
+        flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
     keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    keys, first = keys.tolist(), first.tolist()
-    if policy == "cyclic":
-        # arcs are listed from their start: sort the rows to be solved at once
-        rows, first = np.sort(rows[first], axis=2), range(len(first))
-    for key, row in zip(keys, first):
+    # cyclic arcs are listed from their start: sort the rows to be solved at once
+    for key, row in zip(keys.tolist(), np.sort(rows[first], axis=2)):
         if key not in cache:
             # row by row: one tolist of a whole batch ran the garbage collector 6x as often
-            cache[key] = solve(Instance(N, k, n, rows[row].tolist(), policy))
-    return np.array([cache[key] for key in keys], dtype=np.int64)[inverse]
+            cache[key] = solve(Instance(N, k, n, row.tolist(), policy))
+    return np.array([cache[key] for key in keys.tolist()], dtype=np.int64)[inverse]
 
 
 def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
@@ -245,20 +234,25 @@ def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
 def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign | None):
     """solve(rows, gen): the L* of each row of one batch of ``draw_rows``
     packets at load L, by the spec solver ``name`` with the batch's solver
-    Generator.  Greedy cells go to ``greedy_rows``, oracle cells that read
-    the Hall table to ``hall_l_stars``, and the other cells to ``l_stars``,
-    with a cache shared by the cell's batches."""
-    N, k = spec.N, spec.k
+    Generator: ``greedy_rows`` for greedy; else ``cyclic_rows`` on cyclic
+    arc starts; else ``hall_l_stars`` where ``hall_table_takes(N, L)`` and
+    L <= ``ORACLE_TABLE_MAX_L``; else ``l_stars``, with a cache shared by
+    the cell's batches.  The non-greedy solvers are optimal, so each route
+    gives their L*, and the Hall table gives it on design rows where
+    ``solve_design`` raises."""
+    N, n, k = spec.N, spec.n, spec.k
     if name == "greedy":
         # greedy reads each packet's first free MUs: arcs are listed from their start
         def solve(rows, gen):
             rows = np.sort(rows, axis=2) if spec.policy == "cyclic" else rows
             return greedy_rows(rows, N, k, gen).any(axis=2).sum(axis=1)
         return solve
-    if name == "oracle" and hall_table_takes(N, L) and L <= ORACLE_TABLE_MAX_L:
+    if spec.policy == "cyclic":
+        return lambda rows, gen: cyclic_rows(rows[:, :, 0], N, n, k)
+    if hall_table_takes(N, L) and L <= ORACLE_TABLE_MAX_L:
         return lambda rows, gen: hall_l_stars(rows, N, k)
     solver, cache = SOLVERS[name], {}
-    return lambda rows, gen: l_stars(spec.policy, N, spec.n, k, rows,
+    return lambda rows, gen: l_stars(spec.policy, N, n, k, rows,
                                      lambda inst: solver(inst, design, gen).l_star, cache)
 
 

@@ -199,45 +199,6 @@ def instance_from_starts(N: int, n: int, starts, k: int | None = None) -> Instan
     return Instance(N=N, k=n if k is None else k, n=n, packets=packets, placement="cyclic")
 
 
-def cyclic_class_keys(starts, N: int) -> np.ndarray:
-    """Rotation-, reflection- and order-invariant key of each row of a (B, L)
-    array of arc starts.
-
-    A row's key is the smallest, over its starts a and over the row and its
-    mirror image (-s mod N for each start s), of the sorted tuple
-    ((s - a) mod N for s in that row), read as a base-N integer.  Two rows
-    get the same key iff one is a rotation and reflection of the MUs and a
-    reordering of the packets of the other.  A reflection m -> -m relabels
-    the MUs and maps the arc at s onto the arc at -s-n+1, a rotation of
-    -s, so instances with equal keys have equal L*.  Each turn's key follows
-    from the last in O(1) array steps, so a row takes O(L) work and memory.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    L = starts.shape[1]
-    # keys stay below N**L; past int64 they are kept exact as Python ints
-    dtype = np.int64 if N ** L < 2**63 else object
-    both = np.concatenate([starts, -starts % N], axis=1).reshape(-1, 2, L)
-    both.sort(axis=2)
-    both = both.astype(dtype, copy=False)
-    # From the i-th smallest start s_i the tuple read clockwise is the sorted
-    # row turned to begin at i, (s_{i+j} - s_i for j < L), read from the
-    # doubled row (s, then s + N) so that no entry needs a mod.  Its key P_i
-    # gives the next: P_{i+1} = N P_i - (s_{i+1} - s_i) R + N with
-    # R = sum of N**j for j < L, computed as N (P_i - d r) - d + N with
-    # r = (R - 1) / N and d = s_{i+1} - s_i, so that no intermediate leaves
-    # (-N, N**L).  Where a start repeats, a turn at a later copy reads the
-    # earlier copies as N rather than 0; its first entry is still 0, so its
-    # key stays below N**L, and it has fewer leading zeros than the turn at
-    # the first copy, so it is larger and the minimum is the same.
-    key = (both - both[:, :, :1]) @ np.array([N ** (L - 1 - j) for j in range(L)], dtype=dtype)
-    best, r = key.copy(), sum(N ** j for j in range(L - 1))
-    for i in range(L - 1):
-        d = both[:, :, i + 1] - both[:, :, i]
-        key = N * (key - d * r) - d + N
-        np.minimum(best, key, out=best)
-    return best.min(axis=1)
-
-
 def with_k(inst: Instance, k: int) -> Instance:
     """Same placement, different chunk requirement k."""
     return Instance(N=inst.N, k=k, n=inst.n, packets=inst.packets, placement=inst.placement)

@@ -17,7 +17,9 @@ packing), so this module provides:
                      general-graph (blossom) matching;
 * ``solve_cyclic``   optimal for cyclic placements via anchored sweeps,
                      assigning each served packet k cyclically consecutive
-                     MUs so the unread chunks form one cyclic erasure burst;
+                     MUs so the unread chunks form one cyclic erasure burst.
+                     ``cyclic_rows`` gives its L* for a (B, L) array of arc
+                     starts, at any N and L;
 * ``solve_design``   optimal for design placements via exclusive-MU pools
                      and a balanced orientation splitting shared MUs.
 
@@ -407,6 +409,38 @@ def solve_cyclic(inst: Instance) -> Solution:
                 break
 
     return Solution(assignments=tuple(map(best.get, range(L))))
+
+
+def cyclic_rows(starts, N: int, n: int, k: int) -> np.ndarray:
+    """``solve_cyclic``'s L* of each row of a (B, L) array of arc starts (the
+    first column of ``draw_rows``' cyclic packets), as an int64 array.
+
+    Each sorted start in turn anchors a sweep of all L arcs clockwise from
+    it.  Measured from the anchor, an arc at r is served at the frontier
+    max(r, f) if k MUs from there stay inside the arc and below N, and the
+    frontier moves past them, so every count is a feasible read.  A start
+    repeated later in the sweep sits at N and is never served; the anchor
+    at its first copy serves it.  L* is the best count over the anchors:
+    checked against ``solve_oracle`` on the acceptance gate's start tuples
+    and against ``hall_l_stars`` on every multiset of starts with N <= 13,
+    L <= 6.  Each step moves one anchor's sweep one arc on, in every row.
+    """
+    # every position lies in [0, 2N + n): the smallest unsigned type holds it
+    s = np.sort(starts, axis=1).astype(np.min_scalar_type(2 * N + n))
+    B, L = s.shape
+    doubled = np.concatenate([s, s + N], axis=1)
+    counts = np.zeros((L, B), dtype=np.int64)
+    for a, count in enumerate(counts):
+        # rel[j]: the j-th arc clockwise from anchor a, in every row
+        rel = np.ascontiguousarray((doubled[:, a:a + L] - s[:, a:a + 1]).T)
+        last = np.minimum(rel + n, N) - k  # the last position a run may take
+        frontier = np.zeros(B, s.dtype)
+        for pos, stop in zip(rel, last):
+            np.maximum(pos, frontier, out=pos)
+            ok = pos <= stop
+            count += ok
+            np.copyto(frontier, pos + k, where=ok)
+    return counts.max(axis=0, initial=0)
 
 
 # ---------------------------------------------------------------------------

@@ -306,12 +306,8 @@ def test_sample_l_stars_continues_one_stream(fano, policy, cached):
     assert sample([1, 4, m - 5]).tolist() == per_draw
 
 
-def _row_key(policy, row, N):
-    # reference keys: the least rotation of the sorted starts or of their
-    # mirror image, or the packet tuple
-    if policy == "cyclic":
-        return min(tuple(sorted((m * p[0] - a) % N for p in row))
-                   for a in range(N) for m in (1, -1))
+def _row_key(row):
+    # reference keys: the packet tuple, for every policy
     return tuple(map(tuple, row))
 
 
@@ -331,12 +327,12 @@ def test_l_stars_cache_solves_each_distinct_key_once(fano, policy, N, n, k, L):
 
     gen = PlacementRng(5).generator()
     first, second = (draw_rows(policy, N, n, L, m, gen, fano) for _ in range(2))
-    keys = {_row_key(policy, row, N) for row in first.tolist()}
+    keys = {_row_key(row) for row in first.tolist()}
     cache = {}
     assert l_stars(policy, N, n, k, first, solve, cache).tolist() == uncached(first)
     assert len(solved) == len(keys) < m
     # a second call sharing the cache solves only the keys the first did not see
-    new = {_row_key(policy, row, N) for row in second.tolist()} - keys
+    new = {_row_key(row) for row in second.tolist()} - keys
     del solved[:]
     assert l_stars(policy, N, n, k, second, solve, cache).tolist() == uncached(second)
     assert len(solved) == len(new) < m
@@ -428,6 +424,17 @@ def test_multisets_walk_lexicographic_batch_slices(monkeypatch, size, r):
     assert rows.dtype == np.int64 and rows.shape == (comb(size + r - 1, r), r)
     assert rows.tolist() == [list(t) for t in combinations_with_replacement(range(size), r)]
     assert sum(orders) == size**r
+
+
+def test_multisets_build_their_tables_once_per_shape():
+    analysis._multiset_tables.cache_clear()
+    first = concatenated(multisets(9, 4))
+    second = concatenated(multisets(9, 4))
+    assert [a.tolist() for a in first] == [b.tolist() for b in second]
+    info = analysis._multiset_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    _, below, binom = analysis._multiset_tables(9, 4)
+    assert not below.flags.writeable and not binom.flags.writeable
 
 
 def multinomial(row):

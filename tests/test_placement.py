@@ -1,19 +1,16 @@
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from codedswitch import (
     BlockDesign,
     PlacementRng,
     build_lexicographic_packing,
     build_projective_plane,
-    cyclic_class_keys,
     draw_cyclic,
     draw_design,
     draw_uniform,
@@ -275,62 +272,6 @@ def test_draw_rows_are_successive_draws(fano, policy):
             assert rows == [placement.draw(policy, N, n, k, L, gen, fano).packets
                             for _ in range(size)]
             assert batch_gen.random() == gen.random()
-
-
-# -- rotation classes of cyclic start tuples -----------------------------------------
-
-@st.composite
-def _start_rows(draw):
-    N = draw(st.one_of(st.integers(2, 30), st.just(10**7)))  # 10**7: keys beyond int64
-    L = draw(st.integers(1, 6))
-    row = draw(st.lists(st.integers(0, N - 1), min_size=L, max_size=L))
-    return N, row, draw(st.integers(0, N - 1)), draw(st.permutations(range(L)))
-
-
-@given(_start_rows())
-@settings(max_examples=300, deadline=None)
-def test_class_key_invariant_under_rotation_and_order(case):
-    N, row, shift, perm = case
-    moved = [(row[i] + shift) % N for i in perm]
-    a, b = cyclic_class_keys([row, moved], N).tolist()
-    assert a == b
-
-
-@given(_start_rows())
-@settings(max_examples=300, deadline=None)
-def test_class_key_invariant_under_reflection(case):
-    N, row, shift, perm = case
-    mirrored = [(shift - row[i]) % N for i in perm]
-    a, b = cyclic_class_keys([row, mirrored], N).tolist()
-    assert a == b
-
-
-def test_class_keys_separate_classes():
-    # all start tuples of L arcs on N MUs: the keys split them into exactly
-    # the orbits of rotation, reflection and reordering
-    for N, L in ((7, 3), (8, 4), (6, 5)):
-        rows = list(product(range(N), repeat=L))
-        keys = cyclic_class_keys(rows, N).tolist()
-        orbit = {r: min(tuple(sorted((m * s + a) % N for s in r))
-                        for a in range(N) for m in (1, -1)) for r in rows}
-        assert len(set(keys)) == len(set(orbit.values()))
-        by_key = {}
-        for r, key in zip(rows, keys):
-            by_key.setdefault(key, set()).add(orbit[r])
-        assert all(len(orbits) == 1 for orbits in by_key.values())
-
-
-@pytest.mark.parametrize("N,L", [(2, 61), (2, 62), (2, 63), (3, 39), (3, 40)])
-def test_class_keys_at_the_int64_switch(N, L):
-    # int64 keys while N**L < 2**63, Python ints from there; turns anchored
-    # at a repeated start read up to N**L, next to the switch
-    rows = np.random.default_rng([N, L]).integers(0, N, size=(20, L))
-    rows[:10, 1] = rows[:10, 0]
-    keys = cyclic_class_keys(rows, N)
-    assert keys.dtype == (np.int64 if N**L < 2**63 else object)
-    for row, key in zip(rows.tolist(), keys.tolist()):
-        orbit = min(tuple(sorted((m * s + a) % N for s in row)) for a in range(N) for m in (1, -1))
-        assert key == sum(d * N ** (L - 1 - j) for j, d in enumerate(orbit))
 
 
 # -- projective planes ------------------------------------------------------------

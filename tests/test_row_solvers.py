@@ -1,12 +1,21 @@
-"""Row solvers: the Hall table's ``hall_l_stars`` and ``greedy_rows``
-against the per-instance solvers, and the ensemble cells that run them."""
+"""Row solvers: the Hall table's ``hall_l_stars``, ``cyclic_rows`` and
+``greedy_rows`` against the per-instance solvers, and the ensemble cells that
+run them."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from codedswitch import ExperimentSpec, Instance, run_ensemble, solve_greedy, solve_oracle
+from codedswitch import (
+    ExperimentSpec,
+    Instance,
+    instance_from_starts,
+    run_ensemble,
+    solve_cyclic,
+    solve_greedy,
+    solve_oracle,
+)
 from codedswitch import conditions, ensemble, solvers
 from codedswitch.conditions import hall_l_stars, hall_table_takes
 from codedswitch.ensemble import ORACLE_TABLE_MAX_L, l_stars
@@ -16,7 +25,7 @@ from codedswitch.placement import (
     build_projective_plane,
     draw_rows,
 )
-from codedswitch.solvers import greedy_rows
+from codedswitch.solvers import SOLVERS, cyclic_rows, greedy_rows
 
 from conftest import oracle_l_stars
 
@@ -102,6 +111,32 @@ def test_oracle_cells_past_the_gate_run_solve_oracle_with_the_cache(monkeypatch,
         assert len(caches) == 1 and len(caches[0]) == len(solved) > 0
 
 
+# -- cyclic_rows ------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [65, 100])
+def test_cyclic_rows_equal_solve_cyclic(N):
+    # past the Hall table's 64 MUs and 16 packets; half the rows repeat a start
+    gen = np.random.default_rng(N)
+    for L in range(1, 13):
+        for n in sorted({1, 2, N // 3, N - 1}):
+            k = int(gen.integers(1, n + 1))
+            starts = gen.integers(0, N, size=(20, L))
+            starts[:10, -1] = starts[:10, 0]
+            assert cyclic_rows(starts, N, n, k).tolist() == [
+                solve_cyclic(instance_from_starts(N, n, row, k=k)).l_star
+                for row in starts.tolist()], (L, n, k)
+
+
+def test_cyclic_rows_edge_shapes():
+    assert cyclic_rows(np.zeros((0, 3), dtype=np.int64), 7, 3, 2).tolist() == []
+    assert cyclic_rows([[3], [6]], 7, 3, 2).tolist() == [1, 1]
+    assert cyclic_rows([[3], [6]], 7, 3, 3).tolist() == [1, 1]
+    # positions past 2^16: arcs that meet across MU 0
+    starts = [[0, 69_998, 69_999, 3], [5, 5, 5, 69_999]]
+    assert cyclic_rows(starts, 70_000, 3, 2).tolist() == [
+        solve_cyclic(instance_from_starts(70_000, 3, row, k=2)).l_star for row in starts]
+
+
 # -- greedy_rows ------------------------------------------------------------------
 
 def _greedy_by_permutation(inst, gen):
@@ -149,11 +184,14 @@ def test_greedy_rows_slices(monkeypatch):
 
 def _per_instance_solver(spec, name, L, design):
     """``l_stars`` with the per-instance solver, as every cell once ran:
-    the oracle with the cell's cache, greedy on every row in order."""
-    if name == "oracle":
+    optimal solvers with the cell's cache (the oracle uncapped), greedy on
+    every row in order."""
+    if name == "greedy":
+        cache, solve = None, solve_greedy
+    elif name == "oracle":
         cache, solve = {}, lambda inst, gen: solve_oracle(inst, cap=10**9)
     else:
-        cache, solve = None, solve_greedy
+        cache, solve = {}, lambda inst, gen: SOLVERS[name](inst, design, gen)
     return lambda rows, gen: l_stars(spec.policy, spec.N, spec.n, spec.k, rows,
                                      lambda inst: solve(inst, gen).l_star, cache)
 
@@ -179,3 +217,48 @@ def test_cells_equal_the_per_instance_solvers(monkeypatch, fano, solver, policy,
         assert [r.solver for r in rows] == [
             "oracle" if r.L * n <= solvers.DEFAULT_ORACLE_CAP else "greedy(oracle-cap-fallback)"
             for r in rows]
+
+
+@pytest.mark.parametrize("policy,N,n,k,loads,solver", [
+    ("cyclic", 12, 5, 3, range(1, 7), "cyclic_opt"),
+    # past the Hall table: 70 MUs, 12 packets
+    ("cyclic", 70, 6, 2, (3, 12), "cyclic_opt"),
+    ("cyclic", 12, 4, 1, range(1, 7), "matching_k1"),
+    ("cyclic", 12, 2, 2, range(1, 7), "matching_k2n2"),
+    # the loads at which solve_design runs: k=2 on the Fano plane, and k=2
+    # on PG(2,3), where duplicate blocks go to solve_oracle
+    ("design", 7, 3, 2, (1, 2, 3), "design_opt"),
+    ("design", 13, 4, 2, range(1, 6), "design_opt"),
+])
+def test_optimal_cells_equal_the_per_instance_solvers(monkeypatch, policy, N, n, k, loads, solver):
+    design = build_projective_plane({7: 2, 13: 3}[N]) if policy == "design" else None
+    spec = ExperimentSpec(policy=policy, N=N, k=k, n=n, L_range=tuple(loads), trials=300,
+                          seed=12, solver=solver, design_source=design)
+    rows = run_ensemble(spec).rows
+    monkeypatch.setattr(ensemble, "_batch_solver", _per_instance_solver)
+    assert run_ensemble(spec).rows == rows
+    assert [r.solver for r in rows] == [solver] * len(rows)
+
+
+def test_design_opt_cell_past_solve_design_reads_the_optimum(monkeypatch):
+    # PG(2,5) at k=3, L=5: solve_design hands rows with a repeated block to
+    # solve_oracle, whose default cap (L*n = 30 > 24) refuses them; the cell
+    # reads the optimum from the Hall table
+    spec = ExperimentSpec(policy="design", N=31, k=3, n=6, L_range=(5,), trials=300, seed=3,
+                          solver="design_opt", design_source=build_projective_plane(5))
+    batch_solver, seen = ensemble._batch_solver, []
+
+    def checked(spec, name, L, design):
+        solve = batch_solver(spec, name, L, design)
+
+        def both(rows, gen):
+            got = solve(rows, gen)
+            assert got.tolist() == [solve_oracle(Instance(spec.N, spec.k, spec.n, row),
+                                                 cap=10**9).l_star for row in rows.tolist()]
+            seen.extend(got.tolist())
+            return got
+        return both
+
+    monkeypatch.setattr(ensemble, "_batch_solver", checked)
+    run_ensemble(spec)
+    assert len(seen) == 300 and min(seen) < 5

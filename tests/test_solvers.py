@@ -14,7 +14,6 @@ from codedswitch import (
     PlacementRng,
     balanced_orientation,
     cyclic_anchor_order,
-    cyclic_class_keys,
     draw_cyclic,
     draw_design,
     draw_uniform,
@@ -620,20 +619,3 @@ def test_reduction_soundness_random():
         reads = solve_oracle(out.instance, cap=64).l_star
         for M in range(1, L + 1):
             assert _brute_3sp(sets, M) == (reads >= 2 * M)
-
-
-# -- rotation classes -------------------------------------------------------------
-
-@given(st.integers(3, 14), st.data())
-@settings(max_examples=200, deadline=None)
-def test_cyclic_l_star_equal_on_class_representative(N, data):
-    n = data.draw(st.integers(1, N - 1))
-    k = data.draw(st.integers(1, n))
-    L = data.draw(st.integers(1, 6))
-    starts = data.draw(st.lists(st.integers(0, N - 1), min_size=L, max_size=L))
-    key = int(cyclic_class_keys([starts], N)[0])
-    # the key's base-N digits, most significant first, are the representative
-    rep = [key // N ** (L - 1 - j) % N for j in range(L)]
-    assert cyclic_class_keys([rep], N).tolist() == [key]
-    assert (solve_cyclic(instance_from_starts(N, n, starts, k=k)).l_star
-            == solve_cyclic(instance_from_starts(N, n, rep, k=k)).l_star)
