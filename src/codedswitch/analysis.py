@@ -19,16 +19,16 @@ Closed forms and bounds:
   the Hall subset-union table), by enumerating the placement support, or
   Monte Carlo beyond the cap.
 
-The last two share one walk, ``_probability``, and differ only in a
-per-packet feature (the arc start; the MU mask inside the Hall table's
-gate) and their test of a batch of rows of L features.  Every row is an
-(L, n) array of packets for every policy, as ``placement.draw_rows`` gives
-it.  The walk visits multisets of ``placement.packet_table`` rows weighted
-by their numbers of orderings (``multisets``; cyclic placement also pins
-its first packet to arc 0) when it takes at most ``ENUMERATION_CAP`` rows,
-and gathers each slice's features by index from those of the table, which
-it computes once; otherwise it draws ``BATCH``-row ``draw_rows`` batches.
-Either way it holds one ``BATCH``-row slice at a time.
+The last two share one walk, ``_probability``, and differ only in the
+form their rows come in (``placement.FORMS``: arc starts; MU masks inside
+the Hall table's gate, packets past it) and their test of a batch of rows
+of L packets in that form.  The walk visits multisets of
+``placement.packet_table`` rows weighted by their numbers of orderings
+(``multisets``; cyclic placement also pins its first packet to arc 0) when
+it takes at most ``ENUMERATION_CAP`` rows, and gathers each slice's rows by
+index from the table in that form, which it builds once; otherwise it
+draws ``BATCH``-row ``draw_rows`` batches in that form.  Either way it
+holds one ``BATCH``-row slice at a time.
 No read solver runs here: rows are solved only in ``ensemble``.
 
 Exact quantities are counted in integers (the walk's weights, the union
@@ -45,7 +45,7 @@ from math import comb, perm, sqrt
 
 import numpy as np
 
-from .conditions import hall_rows, hall_table_takes, mu_masks
+from .conditions import hall_rows, hall_table_takes
 from .errors import BadParams, TooLarge
 from .placement import (
     BlockDesign,
@@ -271,14 +271,13 @@ def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
 
 
 def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None, cap: int,
-                 samples: int, rng, feature, test, exact_only: bool = False) -> ProbabilityEstimate:
-    """Pr(``test``) over L packets placed by ``policy``.  ``feature`` maps an
-    (..., n) packet array, as ``draw_rows`` gives it, to the features of its
-    packets, one per packet or each packet itself; ``test`` maps the
-    features of at most ``BATCH`` rows of L packets to a bool array and must
-    not depend on the packet order.  The walk computes the features of the
-    ``packet_table`` rows once and gathers each slice's by index; Monte
-    Carlo computes those of each drawn batch once.
+                 samples: int, rng, form: str, test,
+                 exact_only: bool = False) -> ProbabilityEstimate:
+    """Pr(``test``) over L packets placed by ``policy``.  ``test`` maps at
+    most ``BATCH`` rows of L packets in ``form``, as ``draw_rows`` gives
+    them, to a bool array and must not depend on the packet order.  The
+    walk builds the ``packet_table`` in that form once and gathers each
+    slice's rows by index; Monte Carlo draws each batch in that form.
 
     Exact when the walk over multisets of ``packet_table`` rows visits at
     most ``cap`` rows: C(s+r-1, r) for s table rows and r free packets.  All
@@ -290,11 +289,10 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     size = comb(N, n) if policy == "uniform" else (N if pinned else design.b)
     free = L - pinned
     if comb(size + free - 1, free) <= cap:
-        table = packet_table(policy, N, n, design)
-        features = feature(table)
+        table = packet_table(policy, N, n, design, form)
         # cyclic rows get the pinned arc 0 as their first column
         pin = np.zeros((BATCH, pinned), np.int64)
-        good = sum(int(orders[test(features[np.concatenate((pin[:len(idx)], idx), axis=1)])].sum())
+        good = sum(int(orders[test(table[np.concatenate((pin[:len(idx)], idx), axis=1)])].sum())
                    for idx, orders in multisets(size, free))
         return ProbabilityEstimate(float(Fraction(good, size**free)), EXACT_ENUMERATION, 0.0)
     if exact_only:
@@ -302,8 +300,8 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     gen = _as_generator(rng)
     good = 0
     for lo in range(0, samples, BATCH):
-        rows = draw_rows(policy, N, n, L, min(BATCH, samples - lo), gen, design)
-        good += int(np.count_nonzero(test(feature(rows))))
+        rows = draw_rows(policy, N, n, L, min(BATCH, samples - lo), gen, design, form)
+        good += int(np.count_nonzero(test(rows)))
     p = good / samples
     return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples))
 
@@ -327,10 +325,8 @@ def p_cover_cyclic(
     _check_coverage(N, n, k, L)
     if samples < 1:
         raise BadParams(f"need samples >= 1, got {samples}")
-    # column 0 of an arc is its start (table row s starts at MU s)
     return _probability("cyclic", N, n, L, None, cap, samples,
-                        rng if rng is not None else PlacementRng(0, 0),
-                        lambda packets: packets[..., 0],
+                        rng if rng is not None else PlacementRng(0, 0), "starts",
                         lambda starts: _arc_coverage(starts, N, n) >= k * L, exact_only)
 
 
@@ -367,5 +363,5 @@ def p_full_throughput_exact(
         check_design(design, N, n)
     # the Hall table reads MU masks; past its gate hall_rows matches packets
     return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0),
-                        mu_masks if hall_table_takes(N, L) else lambda packets: packets,
+                        "masks" if hall_table_takes(N, L) else "packets",
                         lambda rows: hall_rows(rows, N, k), exact_only)

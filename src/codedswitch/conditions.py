@@ -13,7 +13,8 @@ For many rows at once, one table holds the MU-mask unions of all packet
 subsets of each row; a subset J is short when its union has fewer than k|J|
 MUs.  ``hall_rows`` (Pr(L* = L) in ``analysis``) and ``hall_l_stars`` (the
 non-cyclic optimal cells of ``ensemble``) read it, from packet rows or the
-(B, L) ``mu_masks`` of their packets, which ``analysis`` gathers by index.
+(B, L) ``mu_masks`` of their packets, which ``placement.draw_rows`` draws in
+its ``masks`` form and ``analysis`` gathers by index.
 
 The pairwise bound is kept as an exact rational; integer set-cardinality
 comparisons use its floor.

@@ -10,15 +10,17 @@ A read cycle is modelled as a fresh instance draw; an experiment draws
 each with normal-approximation confidence intervals.  Per-trial randomness
 is derived from (seed, policy, L, batch), so reports are bit-identical for
 a fixed ExperimentSpec regardless of execution order.  Each batch of
-``analysis.BATCH`` trials is one ``placement.draw_rows`` call, a (B, L, n)
-packet array for every policy, solved in one step (``_batch_solver``):
-greedy cells, the oracle's cap fallback included, by ``solvers.greedy_rows``
-on the batch's solver stream; every other cyclic cell (``cyclic_opt``,
-``oracle``, ``matching_k1``, ``matching_k2n2``) by ``solvers.cyclic_rows``
-on the arc starts; every other cell on N <= 64 MUs at L <=
-``ORACLE_TABLE_MAX_L`` by the Hall subset-union table
-(``conditions.hall_l_stars``).  The other cells go to ``l_stars``, the one
-loop that runs a per-instance read solver over rows, with a per-cell cache.
+``analysis.BATCH`` trials is one ``placement.draw_rows`` call, solved in one
+step (``_batch_solver``), and drawn in the form its row solver reads, so no
+cell builds packet rows it does not read: greedy cells, the oracle's cap
+fallback included, by ``solvers.greedy_rows`` on the batch's solver stream,
+on MU masks (on packets past 64 MUs); every other cyclic cell
+(``cyclic_opt``, ``oracle``, ``matching_k1``, ``matching_k2n2``) by
+``solvers.cyclic_rows`` on the arc starts; every other cell on N <= 64 MUs
+at L <= ``ORACLE_TABLE_MAX_L`` by the Hall subset-union table
+(``conditions.hall_l_stars``) on MU masks.  The other cells go to
+``l_stars``, the one loop that runs a per-instance read solver over packet
+rows, with a per-cell cache.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -232,28 +234,32 @@ def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
 
 
 def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign | None):
-    """solve(rows, gen): the L* of each row of one batch of ``draw_rows``
-    packets at load L, by the spec solver ``name`` with the batch's solver
-    Generator: ``greedy_rows`` for greedy; else ``cyclic_rows`` on cyclic
-    arc starts; else ``hall_l_stars`` where ``hall_table_takes(N, L)`` and
-    L <= ``ORACLE_TABLE_MAX_L``; else ``l_stars``, with a cache shared by
-    the cell's batches.  The non-greedy solvers are optimal, so each route
-    gives their L*, and the Hall table gives it on design rows where
+    """(form, solve): the ``draw_rows`` form that one cell's batches are
+    drawn in at load L, and solve(rows, gen), the L* of each row of one
+    such batch by the spec solver ``name`` with the batch's solver
+    Generator.  ``greedy_rows`` for greedy, on masks up to 64 MUs and on
+    sorted packets past them; else ``cyclic_rows`` on cyclic arc starts;
+    else ``hall_l_stars`` on masks where ``hall_table_takes(N, L)`` and L <=
+    ``ORACLE_TABLE_MAX_L``; else ``l_stars`` on packets, with a cache shared
+    by the cell's batches.  The non-greedy solvers are optimal, so each
+    route gives their L*, and the Hall table gives it on design rows where
     ``solve_design`` raises."""
     N, n, k = spec.N, spec.n, spec.k
     if name == "greedy":
-        # greedy reads each packet's first free MUs: arcs are listed from their start
-        def solve(rows, gen):
-            rows = np.sort(rows, axis=2) if spec.policy == "cyclic" else rows
-            return greedy_rows(rows, N, k, gen).any(axis=2).sum(axis=1)
-        return solve
+        if N <= 64:
+            # a mask's lowest free bits are a sorted packet's first free MUs
+            return "masks", lambda rows, gen: greedy_rows(rows, N, k, gen).sum(axis=1)
+        # arcs are listed from their start: greedy reads packets sorted
+        return "packets", lambda rows, gen: greedy_rows(np.sort(rows, axis=2), N, k,
+                                                        gen).sum(axis=1)
     if spec.policy == "cyclic":
-        return lambda rows, gen: cyclic_rows(rows[:, :, 0], N, n, k)
+        return "starts", lambda rows, gen: cyclic_rows(rows, N, n, k)
     if hall_table_takes(N, L) and L <= ORACLE_TABLE_MAX_L:
-        return lambda rows, gen: hall_l_stars(rows, N, k)
+        return "masks", lambda rows, gen: hall_l_stars(rows, N, k)
     solver, cache = SOLVERS[name], {}
-    return lambda rows, gen: l_stars(spec.policy, N, n, k, rows,
-                                     lambda inst: solver(inst, design, gen).l_star, cache)
+    return "packets", lambda rows, gen: l_stars(spec.policy, N, n, k, rows,
+                                                lambda inst: solver(inst, design, gen).l_star,
+                                                cache)
 
 
 def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
@@ -264,7 +270,7 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
     rows = []
     for L in spec.L_range:
         name, label = _resolve_solver(spec, L, design)
-        solve_batch = _batch_solver(spec, name, L, design)
+        form, solve_batch = _batch_solver(spec, name, L, design)
         counts = np.zeros(L + 1, dtype=np.int64)
         for batch_idx, lo in enumerate(range(0, spec.trials, analysis.BATCH)):
             ss = np.random.SeedSequence([spec.seed, _POLICY_CODE[spec.policy], L, batch_idx])
@@ -275,7 +281,7 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
             draw_gen = np.random.Generator(np.random.PCG64(draw_ss))
             solve_gen = np.random.Generator(np.random.PCG64(solve_ss))
             drawn = draw_rows(spec.policy, spec.N, spec.n, L,
-                              min(analysis.BATCH, spec.trials - lo), draw_gen, design)
+                              min(analysis.BATCH, spec.trials - lo), draw_gen, design, form)
             counts += np.bincount(solve_batch(drawn, solve_gen), minlength=L + 1)
 
         T = spec.trials

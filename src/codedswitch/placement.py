@@ -8,16 +8,18 @@ Three write-path policies decide which n MUs hold a packet's chunks:
   so that full throughput is guaranteed by construction for suitable L.
 
 ``draw`` places one instance; ``draw_rows`` makes many draws of every
-policy in one call, on the stream of as many ``draw`` calls, as one
-(size, L, n) packet array for every policy.  ``packet_table`` lists every
-packet a policy can place; cyclic arcs and design blocks are its rows,
-picked by one ``Generator.integers`` call, and uniform n-subsets come from
-``uniform_rows``.  That replays
-``Generator.choice(N, n, replace=False)`` exactly, state included, on any
-bit generator: ``choice`` runs Floyd's algorithm on numpy's bounded-integer
-draws, and one ``integers`` call over an array of bounds makes the same
-draws in the same order.  Short requests and large n call ``choice`` row
-by row.
+policy in one call, on the stream of as many ``draw`` calls, in one of
+three forms (``FORMS``): a (size, L, n) packet array, the (size, L) uint64
+MU masks of those packets (N <= 64), or the (size, L) arc starts of cyclic
+packets.  The form changes what is built from the draws, never the draws.
+``packet_table`` lists every packet a policy can place, in any form;
+cyclic arcs and design blocks are its rows, picked by one
+``Generator.integers`` call, and uniform n-subsets come from
+``uniform_rows``.  That replays ``Generator.choice(N, n, replace=False)``
+exactly, state included, on any bit generator: ``choice`` runs Floyd's
+algorithm on numpy's bounded-integer draws, and one ``integers`` call over
+an array of bounds makes the same draws in the same order.  Short requests
+and large n call ``choice`` row by row.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import conditions
 from .errors import (
     BadParams,
     CoverageDuplicate,
@@ -137,23 +140,44 @@ _BATCH_MIN_ROWS = 64
 _BATCH_MAX_N = 32
 
 
+def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """The draws of ``rows`` successive choice calls, in one ``integers``
+    call: an (n, rows) array whose row c holds Floyd's draws in [0, N-n+c].
+    The shuffle's draws that follow each call's are made and dropped, as
+    a sorted row or a mask does not depend on them."""
+    # each call's bounds j+1 of its draws in [0, j]: Floyd's, then the shuffle's
+    highs = np.concatenate([np.arange(N - n + 1, N + 1), np.arange(n, 1, -1)])
+    draws = gen.integers(0, np.tile(highs, rows)).reshape(rows, -1)
+    # one row per column, so that each step works on contiguous values
+    return np.ascontiguousarray(draws[:, :n].T)
+
+
 def _floyd_pass(N: int, n: int, gen: np.random.Generator, taken: np.ndarray) -> None:
     """Fill ``taken`` with the sorted rows of len(taken) successive choice
     calls, in one pass (see ``uniform_rows``)."""
-    # each call's bounds j+1 of its draws in [0, j]: Floyd's, then the shuffle's
-    highs = np.concatenate([np.arange(N - n + 1, N + 1), np.arange(n, 1, -1)])
-    draws = gen.integers(0, np.tile(highs, len(taken))).reshape(len(taken), -1)
-    # Floyd's draws column by column, one row per column so that the
-    # membership test reduces over the short axis; row c becomes the taken value
-    floyd = np.ascontiguousarray(draws[:, :n].T)
+    floyd = _floyd_columns(N, n, len(taken), gen)
+    # the membership test reduces over the short axis; row c becomes the taken value
     for c, j in enumerate(range(N - n, N)):
         floyd[c] = np.where((floyd[:c] == floyd[c]).any(axis=0), j, floyd[c])
     taken[:] = floyd.T
     taken.sort(axis=1)
 
 
-def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """``rows`` independent uniform n-subsets of {0..N-1}, a sorted (rows, n) array.
+def _floyd_mask_pass(N: int, n: int, gen: np.random.Generator, masks: np.ndarray) -> None:
+    """OR into the zeroed ``masks`` the MU masks of len(masks) successive
+    choice calls, in one pass: a draw v in [0, j] takes bit j if bit v is
+    already set, else bit v, so the membership test is one AND and no row
+    is sorted."""
+    one = np.uint64(1)
+    for j, v in zip(range(N - n, N), _floyd_columns(N, n, len(masks), gen)):
+        bit = one << v.astype(np.uint64)
+        masks |= np.where(masks & bit, one << np.uint64(j), bit)
+
+
+def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator,
+                 form: str = "packets") -> np.ndarray:
+    """``rows`` independent uniform n-subsets of {0..N-1}: a sorted (rows, n)
+    array, or in ``form="masks"`` their (rows,) uint64 MU masks (N <= 64).
 
     Row i is ``sorted(gen.choice(N, n, replace=False))`` of the i-th of
     ``rows`` successive calls, and ``gen`` is left in the state those calls
@@ -164,18 +188,24 @@ def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndar
     each draw with numpy's bounded-integer routine, which
     ``Generator.integers`` also calls once per element of an array of
     bounds, in order; so one ``integers`` call makes a pass's draws on any
-    bit generator.  Fewer rows and larger n go to ``choice`` row by row
-    (see ``_BATCH_MIN_ROWS``).
+    bit generator.  A mask pass runs Floyd's test on the bits of the masks
+    (``_floyd_mask_pass``).  Fewer rows and larger n go to ``choice`` row by
+    row (see ``_BATCH_MIN_ROWS``).
     """
     if not (1 <= n <= N) or rows < 0:
         raise BadParams(f"need 1 <= n <= N and rows >= 0, got N={N}, n={n}, rows={rows}")
+    _check_form("uniform", N, form)
     if rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N:
-        return _choice_rows(N, n, rows, gen)
-    taken = np.empty((rows, n), dtype=np.int64)
+        taken = _choice_rows(N, n, rows, gen)
+        return conditions.mu_masks(taken) if form == "masks" else taken
+    if form == "masks":
+        out, fill = np.zeros(rows, dtype=np.uint64), _floyd_mask_pass
+    else:
+        out, fill = np.empty((rows, n), dtype=np.int64), _floyd_pass
     # equal passes, so that none holds fewer than _BATCH_MIN_ROWS rows
-    for part in np.array_split(taken, -(-rows // _PASS_ROWS)):
-        _floyd_pass(N, n, gen, part)
-    return taken
+    for part in np.array_split(out, -(-rows // _PASS_ROWS)):
+        fill(N, n, gen, part)
+    return out
 
 
 def draw_uniform(N: int, n: int, L: int, rng) -> Instance:
@@ -266,31 +296,57 @@ def draw(policy: str, N: int, n: int, k: int, L: int, rng,
     return with_k(inst, k)
 
 
-def packet_table(policy: str, N: int, n: int, design: BlockDesign | None = None) -> np.ndarray:
+# what a row of L drawn packets is handed over as (``draw_rows``)
+FORMS = ("packets", "masks", "starts")
+
+
+def _check_form(policy: str, N: int, form: str) -> None:
+    """BadParams unless ``policy``'s packets on N MUs can be given in ``form``:
+    masks are uint64, and only arcs have a start."""
+    if form not in FORMS:
+        raise BadParams(f"form must be one of {FORMS}, got {form!r}")
+    if form == "masks" and N > 64:
+        raise BadParams(f"MU masks are uint64 and take N <= 64, got N={N}")
+    if form == "starts" and policy != "cyclic":
+        raise BadParams(f"only cyclic arcs have starts, got policy {policy!r}")
+
+
+def packet_table(policy: str, N: int, n: int, design: BlockDesign | None = None,
+                 form: str = "packets") -> np.ndarray:
     """Every packet ``policy`` can place, as an (s, n) array: for cyclic the
     N arcs, row s starting at MU s and listed from its start, so column 0 is
     the start; for design the blocks of ``design``; for uniform the C(N, n)
-    sorted n-subsets in lexicographic order."""
+    sorted n-subsets in lexicographic order.  ``form="masks"`` gives their
+    (s,) ``conditions.mu_masks``, ``form="starts"`` the (N,) arc starts."""
+    if policy not in POLICIES:
+        raise BadParams(f"unknown policy {policy!r}")
+    _check_form(policy, N, form)
     if policy == "cyclic":
-        return (np.arange(N)[:, None] + np.arange(n)) % N
-    if policy == "design":
+        if form == "starts":
+            return np.arange(N)
+        table = (np.arange(N)[:, None] + np.arange(n)) % N
+    elif policy == "design":
         check_design(design, N, n)
-        return np.array(design.blocks)
-    if policy == "uniform":
-        return np.array(list(combinations(range(N), n)))
-    raise BadParams(f"unknown policy {policy!r}")
+        table = np.array(design.blocks)
+    else:
+        table = np.array(list(combinations(range(N), n)))
+    return conditions.mu_masks(table) if form == "masks" else table
 
 
 def draw_rows(policy: str, N: int, n: int, L: int, size: int, gen: np.random.Generator,
-              design: BlockDesign | None = None) -> np.ndarray:
+              design: BlockDesign | None = None, form: str = "packets") -> np.ndarray:
     """``size`` draws of L packets, on the stream of ``size`` ``draw`` calls
-    with the Generator ``gen``, as a (size, L, n) packet array.  Cyclic and
-    design packets are rows of ``packet_table`` picked by one
-    ``Generator.integers`` call (cyclic arcs listed from their start),
-    uniform ones come sorted from ``uniform_rows``."""
+    with the Generator ``gen``, in ``form``: a (size, L, n) packet array, or
+    the (size, L) masks or arc starts of its packets (``FORMS``).  Cyclic and
+    design packets are rows of ``packet_table`` in that form, picked by one
+    ``Generator.integers`` call (cyclic arcs listed from their start, so
+    their starts are the picks themselves); uniform ones come from
+    ``uniform_rows``, sorted or as masks.  The form leaves the draws and
+    the state of ``gen`` as they are."""
     if policy == "uniform":
-        return uniform_rows(N, n, size * L, gen).reshape(size, L, n)
-    table = packet_table(policy, N, n, design)
+        rows = uniform_rows(N, n, size * L, gen, form)
+        return rows.reshape(size, L, *rows.shape[1:])
+    table = packet_table(policy, N, n, design, form)
     return table[gen.integers(0, len(table), size=(size, L))]
 
 

@@ -9,9 +9,10 @@ packing), so this module provides:
                      small enough to enumerate; the reference for tests.
                      ``conditions.hall_l_stars`` gives the same L* for a
                      whole (B, L, n) array of packet rows (Hall's theorem);
-* ``greedy_rows``    the natural baseline over a whole packet array,
-                     optimal only by luck; ``solve_greedy`` is its
-                     one-row case;
+* ``solve_greedy``   the natural baseline, optimal only by luck;
+                     ``greedy_rows`` replays it on a whole batch of rows,
+                     by bit operations on their MU masks or by a table of
+                     used MUs for packet rows past 64 MUs;
 * ``solve_matching_k1`` / ``solve_matching_k2n2``
                      polynomial special cases via bipartite matching and
                      general-graph (blossom) matching;
@@ -139,7 +140,7 @@ def solve_oracle(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     return Solution(assignments=tuple(assignments))
 
 
-# Entries of one slice of ``greedy_rows``' table: rows x N used MUs
+# Entries of one slice of ``greedy_rows``' table of used MUs: rows x N
 _SLICE_ENTRIES = 2**16
 
 
@@ -147,45 +148,67 @@ _SLICE_ENTRIES = 2**16
 # greedy baseline
 # ---------------------------------------------------------------------------
 
-def greedy_rows(packets: np.ndarray, N: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    """Greedy reads of the rows of a (B, L, n) packet array: a (B, L, n)
-    bool array marking the MUs that read each packet.
+def solve_greedy(inst: Instance, rng) -> Solution:
+    """Visit packets in the order of one ``permutation(L)`` call of the
+    generator; serve any packet that still has k free MUs, taking its first
+    k free MUs (the k lowest-index ones, as validated packets are sorted).
+    Valid but not optimal."""
+    used: set = set()
+    assignments: list = [None] * inst.L
+    for i in _as_generator(rng).permutation(inst.L).tolist():
+        free = [m for m in inst.packets[i] if m not in used]
+        if len(free) >= inst.k:
+            assignments[i] = tuple(free[:inst.k])
+            used.update(assignments[i])
+    return Solution(assignments=tuple(assignments))
+
+
+def greedy_rows(rows: np.ndarray, N: int, k: int, gen: np.random.Generator) -> np.ndarray:
+    """``solve_greedy`` on every row of a (B, L) array of uint64 MU masks
+    (N <= 64) or of a (B, L, n) packet array: a (B, L) bool array marking
+    the packets served.
 
     Row b visits its packets in the order of the b-th of B successive
     ``gen.permutation(L)`` calls, drawn by one ``gen.permuted`` call that
-    makes the same draws and leaves ``gen`` in the same state.  A visited
-    packet with at least k free MUs takes its first k free MUs, in its
-    listed order (the lowest, for sorted packets).  Each visit is one numpy
-    step over all rows, in slices of at most ``_SLICE_ENTRIES`` used MUs.
+    makes the same draws and leaves ``gen`` in the same state.  Each visit
+    is one numpy step over all rows.  On masks, a visited packet's free MUs
+    are ``mask & ~used``; it is served if at least k bits are free, and
+    takes the k lowest (a sorted packet's first k free MUs), which clearing
+    the lowest set bit k times (``x & (x - 1)``) leaves out.  Packet rows
+    take each packet's first k free MUs in its listed order, from a
+    (rows, N) bool table of used MUs, in slices of at most
+    ``_SLICE_ENTRIES`` entries; they alone serve N > 64.
     """
-    B, L, n = packets.shape
+    B, L = rows.shape[:2]
     orders = gen.permuted(np.tile(np.arange(L), (B, 1)), axis=1)
-    take = np.zeros((B, L, n), dtype=bool)
+    served = np.empty((B, L), dtype=bool)
+    if rows.ndim == 2:
+        # column c: the c-th packet each row visits
+        visits = np.ascontiguousarray(np.take_along_axis(rows, orders, axis=1).T)
+        got = np.empty((L, B), dtype=bool)
+        used, one = np.zeros(B, dtype=np.uint64), np.uint64(1)
+        for mask, ok in zip(visits, got):
+            free = mask & ~used
+            np.greater_equal(np.bitwise_count(free), k, out=ok)
+            rest = free
+            for _ in range(k):
+                rest = rest & (rest - one)
+            np.bitwise_or(used, free ^ rest, out=used, where=ok)
+        np.put_along_axis(served, orders, got.T, axis=1)
+        return served
     step = max(1, _SLICE_ENTRIES // N)
     for lo in range(0, B, step):
-        part, part_take = packets[lo:lo + step], take[lo:lo + step]
-        rows = np.arange(len(part))
+        part, part_served = rows[lo:lo + step], served[lo:lo + step]
+        idx = np.arange(len(part))
         used = np.zeros((len(part), N), dtype=bool)
         for visit in orders[lo:lo + step].T:
-            mus = part[rows, visit]
-            free = ~used[rows[:, None], mus]
+            mus = part[idx, visit]
+            free = ~used[idx[:, None], mus]
             count = np.cumsum(free, axis=1)
-            got = free & (count <= k) & (count[:, -1:] >= k)
-            used[rows[:, None], mus] = ~free | got
-            part_take[rows, visit] = got
-    return take
-
-
-def solve_greedy(inst: Instance, rng) -> Solution:
-    """Visit packets in a random order; serve any packet that still has k
-    free MUs, taking its first k free MUs (the k lowest-index ones, as
-    validated packets are sorted).  Valid but not optimal.  The one-row
-    case of ``greedy_rows``."""
-    packets = np.array(inst.packets, dtype=np.int64).reshape(1, inst.L, inst.n)
-    take = greedy_rows(packets, inst.N, inst.k, _as_generator(rng))[0].tolist()
-    return Solution(assignments=tuple(
-        tuple(m for m, t in zip(p, row) if t) if any(row) else None
-        for p, row in zip(inst.packets, take)))
+            ok = count[:, -1] >= k
+            used[idx[:, None], mus] = ~free | (free & (count <= k) & ok[:, None])
+            part_served[idx, visit] = ok
+    return served
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,11 @@ def oracle_l_stars(rows, N, k) -> list:
     """``solve_oracle``'s L*, uncapped, of each row of a (B, L, n) packet array."""
     n = rows.shape[2]
     return [solve_oracle(Instance(N, k, n, row), cap=10**9).l_star for row in rows.tolist()]
+
+
+def arc_design(N, n, step) -> BlockDesign:
+    """Blocks of n cyclically consecutive MUs starting at every step-th MU of
+    N: overlapping blocks where n > step, the last holding MU N - 1 where
+    (N - 1) % step < n."""
+    blocks = sorted({tuple(sorted((s + r) % N for r in range(n))) for s in range(0, N, step)})
+    return BlockDesign(N=N, n=n, t=n, blocks=blocks)

@@ -20,8 +20,10 @@ from codedswitch import (
     verify_packing,
 )
 from codedswitch import placement
+from codedswitch.conditions import mu_masks
 from codedswitch.errors import (
     BadParams,
+    CodedSwitchError,
     CoverageDuplicate,
     CoverageGap,
     EmptyDesign,
@@ -31,7 +33,7 @@ from codedswitch.errors import (
 )
 from codedswitch.model import POLICIES
 
-from conftest import CLASSIC_TRIPLE_SYSTEM
+from conftest import CLASSIC_TRIPLE_SYSTEM, arc_design
 
 
 # -- rng streams ---------------------------------------------------------------
@@ -100,29 +102,48 @@ def _words(N, n, rows):
     return rows * (2 * n - 1 - (N == n))
 
 
+def _masks_replay(N, n, rows, gen, packets, ref):
+    """The masks of ``rows`` uniform rows drawn from ``gen`` are those of
+    ``packets``, and leave ``gen`` where ``ref`` is; past 64 MUs the mask
+    form is refused."""
+    if N > 64:
+        with pytest.raises(BadParams):
+            uniform_rows(N, n, rows, gen, "masks")
+        return
+    masks = uniform_rows(N, n, rows, gen, "masks")
+    assert masks.dtype == np.uint64 and masks.shape == (rows,)
+    assert masks.tolist() == mu_masks(np.asarray(packets, np.int64).reshape(rows, n)).tolist()
+    assert gen.bit_generator.state == ref.bit_generator.state
+
+
 # (10001, 5) still runs Floyd's algorithm in choice; (12000, 241) shuffles the tail;
-# (2**33, 4) draws in [0, j] with j >= 2^32
+# (2**33, 4) draws in [0, j] with j >= 2^32; (64, 5) sets bit 63 of a mask
 @pytest.mark.parametrize("N,n", [(12, 3), (12, 4), (12, 5), (12, 6), (7, 3), (17, 5), (5, 5),
-                                 (9, 1), (10001, 5), (12000, 241), (2**33, 4)])
+                                 (9, 1), (64, 5), (64, 33), (10001, 5), (12000, 241),
+                                 (2**33, 4)])
 def test_uniform_rows_replay_choice(N, n):
-    # fewer than 64 rows, or n > 32, are drawn by choice itself
-    for seed in range(40):
-        rows = (1, 63, 64, 65, 200)[seed % 5]
-        ref, gen = PlacementRng(seed, N).generator(), PlacementRng(seed, N).generator()
+    # fewer than 64 rows, or n > 32, are drawn by choice itself; 1025 rows
+    # take two passes; each row count is drawn as packets and as masks
+    for seed in range(42):
+        rows = (1, 63, 64, 65, 200, 1025)[seed % 6]
+        ref, gen, masked = (PlacementRng(seed, N).generator() for _ in range(3))
         expect = _choice_rows(ref, N, n, rows)
         got = uniform_rows(N, n, rows, gen)
         assert got.dtype == np.int64 and got.shape == (rows, n)
         assert got.tolist() == expect
         assert gen.bit_generator.state == ref.bit_generator.state
+        _masks_replay(N, n, rows, masked, expect, ref)
 
 
 @pytest.mark.parametrize("N,n", [(12, 5), (5, 5), (17, 5)])
 def test_uniform_rows_replay_choice_across_passes(N, n):
     # three equal passes of 683 or 684 rows
     rows = 2 * placement._PASS_ROWS + n + 1
-    ref, gen = PlacementRng(8, N).generator(), PlacementRng(8, N).generator()
-    assert uniform_rows(N, n, rows, gen).tolist() == _choice_rows(ref, N, n, rows)
+    ref, gen, masked = (PlacementRng(8, N).generator() for _ in range(3))
+    expect = _choice_rows(ref, N, n, rows)
+    assert uniform_rows(N, n, rows, gen).tolist() == expect
     assert gen.bit_generator.state == ref.bit_generator.state
+    _masks_replay(N, n, rows, masked, expect, ref)
 
 
 def test_uniform_rows_carry_the_buffered_half():
@@ -170,24 +191,29 @@ def test_uniform_rows_other_bit_generators_use_choice():
     # the batch replays choice on any bit generator, not only on PCG64
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64,
                           np.random.PCG64DXSM):
-        ref, gen = (np.random.Generator(bit_generator(3)) for _ in range(2))
-        assert uniform_rows(12, 4, 100, gen).tolist() == _choice_rows(ref, 12, 4, 100)
-        assert (gen.integers(0, 2**40, size=9).tolist()
-                == ref.integers(0, 2**40, size=9).tolist())
-        assert gen.random(3).tolist() == ref.random(3).tolist()
+        ref, gen, masked = (np.random.Generator(bit_generator(3)) for _ in range(3))
+        expect = _choice_rows(ref, 12, 4, 100)
+        assert uniform_rows(12, 4, 100, gen).tolist() == expect
+        assert (uniform_rows(12, 4, 100, masked, "masks").tolist()
+                == mu_masks(np.array(expect)).tolist())
+        after = [(g.integers(0, 2**40, size=9).tolist(), g.random(3).tolist())
+                 for g in (gen, masked, ref)]
+        assert after[0] == after[1] == after[2]
 
 
 def test_uniform_rows_batch_only_where_measured_faster(monkeypatch):
-    passes = []
-    floyd_pass = placement._floyd_pass
-    monkeypatch.setattr(placement, "_floyd_pass",
-                        lambda N, n, gen, taken: passes.append(len(taken))
-                        or floyd_pass(N, n, gen, taken))
+    passes = {"_floyd_pass": [], "_floyd_mask_pass": []}
+    for name, lens in passes.items():
+        monkeypatch.setattr(placement, name,
+                            lambda N, n, gen, out, lens=lens, fill=getattr(placement, name):
+                            lens.append(len(out)) or fill(N, n, gen, out))
     gen = PlacementRng(0).generator()
     for N, n, rows in ((12, 5, 63), (40, 33, 1000), (10001, 5, 1), (12, 5, 64), (40, 32, 64),
                        (12, 5, 2 * placement._PASS_ROWS + 1)):
         uniform_rows(N, n, rows, gen)
-    assert passes == [64, 64, 683, 683, 683]
+        if N <= 64:
+            uniform_rows(N, n, rows, gen, "masks")
+    assert passes["_floyd_pass"] == passes["_floyd_mask_pass"] == [64, 64, 683, 683, 683]
 
 
 def test_uniform_rows_bad_params():
@@ -253,25 +279,55 @@ def test_packet_table_lists_every_packet(fano):
         placement.packet_table("design", 7, 3)
     with pytest.raises(BadParams):
         placement.packet_table("custom", 7, 3)
+    # the other forms: each packet's mask, and each arc's start
+    assert placement.packet_table("cyclic", 5, 3, form="starts").tolist() == list(range(5))
+    for policy, N in (("cyclic", 5), ("design", 7), ("uniform", 6)):
+        assert (placement.packet_table(policy, N, 3, fano, "masks").tolist()
+                == mu_masks(placement.packet_table(policy, N, 3, fano)).tolist())
+        with pytest.raises(BadParams):
+            placement.packet_table(policy, N, 3, fano, "bits")
+    for policy in ("design", "uniform"):
+        with pytest.raises(BadParams):
+            placement.packet_table(policy, 7, 3, fano, "starts")
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_draw_rows_are_successive_draws(fano, policy):
-    # 22 draws of L = 3 packets are 66 uniform rows, past uniform_rows' 64-row gate
-    N, n, k, L = 7, 3, 2, 3
-    for bit_generator in (np.random.PCG64, np.random.MT19937):
-        for size in (1, 7, 22):
-            batch_gen = np.random.Generator(bit_generator(size))
-            gen = np.random.Generator(bit_generator(size))
-            rows = placement.draw_rows(policy, N, n, L, size, batch_gen, fano)
-            assert rows.shape == (size, L, n)
-            if policy == "cyclic":
-                rows = [instance_from_starts(N, n, packets[:, 0]).packets for packets in rows]
-            else:
-                rows = [tuple(map(tuple, packets)) for packets in rows.tolist()]
-            assert rows == [placement.draw(policy, N, n, k, L, gen, fano).packets
-                            for _ in range(size)]
-            assert batch_gen.random() == gen.random()
+    # 22 draws of L = 3 packets are 66 uniform rows, past uniform_rows' 64-row
+    # gate; N = 64 sets bit 63 of a mask, n = 33 draws uniform rows by choice,
+    # and masks do not take N = 65
+    k, L = 2, 3
+    for N, n in ((7, 3), (64, 3), (64, 33), (65, 3)):
+        design = fano if N == 7 else arc_design(N, n, 2)
+        for bit_generator in (np.random.PCG64, np.random.MT19937, np.random.Philox):
+            for size in (1, 7, 22):
+                _check_draw_rows(policy, N, n, k, L, size, bit_generator, design)
+
+
+def _check_draw_rows(policy, N, n, k, L, size, bit_generator, design):
+    """Each form of a draw_rows call is the same stream as ``size`` draw calls."""
+    gens = {form: np.random.Generator(bit_generator(size)) for form in placement.FORMS}
+    gen = np.random.Generator(bit_generator(size))
+    rows = placement.draw_rows(policy, N, n, L, size, gens["packets"], design)
+    assert rows.shape == (size, L, n)
+    if N > 64:
+        with pytest.raises(CodedSwitchError):
+            placement.draw_rows(policy, N, n, L, size, gens.pop("masks"), design, "masks")
+    else:
+        masks = placement.draw_rows(policy, N, n, L, size, gens["masks"], design, "masks")
+        assert masks.dtype == np.uint64 and masks.tolist() == mu_masks(rows).tolist()
+    if policy == "cyclic":
+        starts = placement.draw_rows(policy, N, n, L, size, gens["starts"], design, "starts")
+        assert starts.tolist() == rows[..., 0].tolist()
+        rows = [instance_from_starts(N, n, packets[:, 0]).packets for packets in rows]
+    else:
+        with pytest.raises(BadParams):
+            placement.draw_rows(policy, N, n, L, size, gens.pop("starts"), design, "starts")
+        rows = [tuple(map(tuple, packets)) for packets in rows.tolist()]
+    assert rows == [placement.draw(policy, N, n, k, L, gen, design).packets
+                    for _ in range(size)]
+    # every form leaves its generator where the draw calls leave theirs
+    assert len({(g.random(), g.integers(0, 2**40)) for g in (gen, *gens.values())}) == 1
 
 
 # -- projective planes ------------------------------------------------------------

@@ -27,7 +27,7 @@ from codedswitch.placement import (
 )
 from codedswitch.solvers import SOLVERS, cyclic_rows, greedy_rows
 
-from conftest import oracle_l_stars
+from conftest import arc_design, oracle_l_stars
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
                   np.random.SFC64, np.random.PCG64DXSM)
@@ -159,18 +159,41 @@ def test_greedy_rows_replay_solve_greedy(bit_generator, L, n):
     N, B = 12, 150
     rows = draw_rows("uniform", N, n, L, B, np.random.default_rng([L, n]))
     for k in sorted({1, (n + 1) // 2, n}):
-        gen, one, ref = (np.random.Generator(bit_generator(L * 100 + n * 10 + k))
-                         for _ in range(3))
-        take = greedy_rows(rows, N, k, gen)
+        gen, masked, one, ref = (np.random.Generator(bit_generator(L * 100 + n * 10 + k))
+                                 for _ in range(4))
+        served = greedy_rows(rows, N, k, gen)
+        assert served.dtype == bool and served.shape == (B, L)
+        assert greedy_rows(conditions.mu_masks(rows), N, k, masked).tolist() == served.tolist()
         instances = [Instance(N, k, n, row) for row in rows.tolist()]
-        assert take.any(axis=2).sum(axis=1).tolist() == [
-            solve_greedy(inst, one).l_star for inst in instances]
-        assert [[tuple(np.asarray(p)[t]) if t.any() else None for p, t in zip(inst.packets, tk)]
-                for inst, tk in zip(instances, take)] == [
+        solutions = [solve_greedy(inst, one) for inst in instances]
+        assert [list(sol.assignments) for sol in solutions] == [
             _greedy_by_permutation(inst, ref) for inst in instances]
+        assert served.tolist() == [[a is not None for a in sol.assignments] for sol in solutions]
         # each generator is left where B permutation calls leave it
-        after = [(g.random(), g.integers(0, 2**40)) for g in (gen, one, ref)]
-        assert after[0] == after[1] == after[2]
+        after = [(g.random(), g.integers(0, 2**40)) for g in (gen, masked, one, ref)]
+        assert after[0] == after[1] == after[2] == after[3]
+
+
+@pytest.mark.parametrize("policy,N,n", [
+    ("uniform", 12, 5), ("cyclic", 12, 5), ("design", 12, 4),
+    ("uniform", 64, 5), ("cyclic", 64, 6), ("design", 64, 4),
+    # past 64 MUs only the packet loop serves
+    ("uniform", 65, 5), ("cyclic", 65, 6), ("design", 65, 4),
+])
+def test_greedy_rows_on_every_policy(policy, N, n):
+    # masks up to 64 MUs, sorted packets (arcs are listed from their start) past them
+    B, L = 200, 9
+    design = arc_design(N, n, 3) if policy == "design" else None
+    packets = np.sort(draw_rows(policy, N, n, L, B, np.random.default_rng(N), design), axis=2)
+    rows = conditions.mu_masks(packets) if N <= 64 else packets
+    assert packets.max() == N - 1
+    for k in range(1, n + 1):
+        gen, ref = np.random.default_rng([N, k]), np.random.default_rng([N, k])
+        served = greedy_rows(rows, N, k, gen)
+        assert served.tolist() == [
+            [a is not None for a in _greedy_by_permutation(Instance(N, k, n, row), ref)]
+            for row in packets.tolist()]
+        assert gen.random() == ref.random()
 
 
 def test_greedy_rows_slices(monkeypatch):
@@ -192,8 +215,8 @@ def _per_instance_solver(spec, name, L, design):
         cache, solve = {}, lambda inst, gen: solve_oracle(inst, cap=10**9)
     else:
         cache, solve = {}, lambda inst, gen: SOLVERS[name](inst, design, gen)
-    return lambda rows, gen: l_stars(spec.policy, spec.N, spec.n, spec.k, rows,
-                                     lambda inst: solve(inst, gen).l_star, cache)
+    return "packets", lambda rows, gen: l_stars(spec.policy, spec.N, spec.n, spec.k, rows,
+                                                lambda inst: solve(inst, gen).l_star, cache)
 
 
 @pytest.mark.parametrize("solver", ["oracle", "greedy"])
@@ -204,6 +227,8 @@ def _per_instance_solver(spec, name, L, design):
     ("uniform", 12, 3, 3, (3, 6), 5000),
     ("cyclic", 12, 5, 3, range(1, 7), 300),
     ("design", 7, 3, 2, range(1, 10), 300),
+    # past 64 MUs greedy reads sorted packets; L = 12 falls back to greedy
+    ("cyclic", 70, 6, 2, (3, 12), 300),
 ])
 def test_cells_equal_the_per_instance_solvers(monkeypatch, fano, solver, policy, N, n, k, loads,
                                               trials):
@@ -249,15 +274,16 @@ def test_design_opt_cell_past_solve_design_reads_the_optimum(monkeypatch):
     batch_solver, seen = ensemble._batch_solver, []
 
     def checked(spec, name, L, design):
-        solve = batch_solver(spec, name, L, design)
+        form, solve = batch_solver(spec, name, L, design)
+        assert form == "masks"
 
         def both(rows, gen):
-            got = solve(rows, gen)
+            got = solve(conditions.mu_masks(rows), gen)
             assert got.tolist() == [solve_oracle(Instance(spec.N, spec.k, spec.n, row),
                                                  cap=10**9).l_star for row in rows.tolist()]
             seen.extend(got.tolist())
             return got
-        return both
+        return "packets", both
 
     monkeypatch.setattr(ensemble, "_batch_solver", checked)
     run_ensemble(spec)
