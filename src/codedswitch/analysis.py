@@ -15,20 +15,21 @@ Closed forms and bounds:
 * ``p_cover_cyclic``   coverage probability for arcs, by exact enumeration
   or Monte Carlo; an upper bound for cyclic placement.
 * ``p_full_throughput_exact``  Pr(L* = L) itself, the probability that
-  the extended Hall condition holds (``conditions.hall_rows``, a reader of
-  the Hall subset-union table), by enumerating the placement support, or
-  Monte Carlo beyond the cap.
+  the extended Hall condition holds (``conditions.arc_hall_rows`` on the
+  sorted arc starts of cyclic rows; ``conditions.hall_rows``, a reader of
+  the Hall subset-union table, on other rows), by enumerating the
+  placement support, or Monte Carlo beyond the cap.
 
 The last two share one walk, ``_probability``, and differ only in the
-form their rows come in (``placement.FORMS``: arc starts; MU masks inside
-the Hall table's gate, packets past it) and their test of a batch of rows
-of L packets in that form.  The walk visits multisets of
-``placement.packet_table`` rows weighted by their numbers of orderings
-(``multisets``; cyclic placement also pins its first packet to arc 0) when
-it takes at most ``ENUMERATION_CAP`` rows, and gathers each slice's rows by
-index from the table in that form, which it builds once; otherwise it
-draws ``BATCH``-row ``draw_rows`` batches in that form.  Either way it
-holds one ``BATCH``-row slice at a time.
+form their rows come in (``placement.FORMS``: sorted arc starts for cyclic
+rows; otherwise MU masks inside the Hall table's gate, packets past it)
+and their test of a batch of rows of L packets in that form.  The walk
+visits multisets of ``placement.packet_table`` rows weighted by their
+numbers of orderings (``multisets``; cyclic placement also pins its first
+packet to arc 0) when it takes at most ``ENUMERATION_CAP`` rows, and
+gathers each slice's rows by index from the table in that form, which it
+builds once; otherwise it draws ``BATCH``-row ``draw_rows`` batches in
+that form.  Either way it holds one ``BATCH``-row slice at a time.
 No read solver runs here: rows are solved only in ``ensemble``.
 
 Exact quantities are counted in integers (the walk's weights, the union
@@ -45,7 +46,7 @@ from math import comb, perm, sqrt
 
 import numpy as np
 
-from .conditions import hall_rows, hall_table_takes
+from .conditions import arc_hall_rows, hall_rows, hall_table_takes
 from .errors import BadParams, TooLarge
 from .placement import (
     BlockDesign,
@@ -262,11 +263,10 @@ def multisets(size: int, r: int):
 
 
 def _arc_coverage(starts, N: int, n: int) -> np.ndarray:
-    """|union of arcs| for each row of starts, via sorted gaps: each start
-    covers min(gap to the next start, n) points."""
-    ss = np.sort(starts, axis=1)
-    gaps = np.diff(ss, axis=1)
-    wrap = ss[:, 0] + N - ss[:, -1]
+    """|union of arcs| for each row of sorted starts: each start covers
+    min(gap to the next start, n) points."""
+    gaps = np.diff(starts, axis=1)
+    wrap = starts[:, 0] + N - starts[:, -1]
     return np.minimum(gaps, n).sum(axis=1) + np.minimum(wrap, n)
 
 
@@ -278,6 +278,8 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     them, to a bool array and must not depend on the packet order.  The
     walk builds the ``packet_table`` in that form once and gathers each
     slice's rows by index; Monte Carlo draws each batch in that form.
+    Rows of arc starts reach ``test`` sorted: walked rows are, and each
+    drawn batch is sorted once.
 
     Exact when the walk over multisets of ``packet_table`` rows visits at
     most ``cap`` rows: C(s+r-1, r) for s table rows and r free packets.  All
@@ -301,6 +303,8 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     good = 0
     for lo in range(0, samples, BATCH):
         rows = draw_rows(policy, N, n, L, min(BATCH, samples - lo), gen, design, form)
+        if form == "starts":
+            rows.sort(axis=1)
         good += int(np.count_nonzero(test(rows)))
     p = good / samples
     return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples))
@@ -349,19 +353,23 @@ def p_full_throughput_exact(
     """Pr(L* = L) under the policy's drawing distribution.
 
     All L packets can be served iff every packet subset J covers at least
-    k|J| MUs (Hall's theorem for k-fold demands), so each row is tested by
-    ``hall_rows`` rather than solved.  The condition depends neither on the
-    packet order nor, for arcs, on a rotation of the MUs, so the whole
-    placement support is walked as weighted multisets when the walk fits the
-    cap (``_probability``); otherwise Monte Carlo, unless ``exact_only`` is
-    set.
+    k|J| MUs (Hall's theorem for k-fold demands), so each row is tested
+    rather than solved: cyclic rows by ``arc_hall_rows`` on their sorted arc
+    starts, at any N and L, others by ``hall_rows``.  The condition depends
+    neither on the packet order nor, for arcs, on a rotation of the MUs, so
+    the whole placement support is walked as weighted multisets when the
+    walk fits the cap (``_probability``); otherwise Monte Carlo, unless
+    ``exact_only`` is set.
     """
     check_cell(policy, N, n, k)
     if L < 1 or samples < 1:
         raise BadParams(f"need L >= 1 and samples >= 1, got L={L}, samples={samples}")
     if policy == "design":
         check_design(design, N, n)
-    # the Hall table reads MU masks; past its gate hall_rows matches packets
-    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0),
-                        "masks" if hall_table_takes(N, L) else "packets",
-                        lambda rows: hall_rows(rows, N, k), exact_only)
+    if policy == "cyclic":
+        form, test = "starts", lambda starts: arc_hall_rows(starts, N, n, k)
+    else:  # the Hall table reads MU masks; past its gate hall_rows matches packets
+        form, test = ("masks" if hall_table_takes(N, L) else "packets",
+                      lambda rows: hall_rows(rows, N, k))
+    return _probability(policy, N, n, L, design, cap, samples, PlacementRng(seed, 0), form, test,
+                        exact_only)

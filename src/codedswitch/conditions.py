@@ -11,10 +11,13 @@ checks of increasing precision:
 
 For many rows at once, one table holds the MU-mask unions of all packet
 subsets of each row; a subset J is short when its union has fewer than k|J|
-MUs.  ``hall_rows`` (Pr(L* = L) in ``analysis``) and ``hall_l_stars`` (the
-non-cyclic optimal cells of ``ensemble``) read it, from packet rows or the
-(B, L) ``mu_masks`` of their packets, which ``placement.draw_rows`` draws in
-its ``masks`` form and ``analysis`` gathers by index.
+MUs.  ``hall_rows`` (non-cyclic Pr(L* = L) in ``analysis``) and
+``hall_l_stars`` (the non-cyclic optimal cells of ``ensemble``) read it,
+from packet rows or the (B, L) ``mu_masks`` of their packets, which
+``placement.draw_rows`` draws in its ``masks`` form and ``analysis``
+gathers by index.  Arcs need no table: ``arc_hall_rows`` decides the
+condition from sorted arc starts alone, as only windows of cyclically
+consecutive arcs can be short.
 
 The pairwise bound is kept as an exact rational; integer set-cardinality
 comparisons use its floor.
@@ -143,6 +146,32 @@ def hall_full_throughput(inst: Instance) -> bool:
     """
     demands = [p for p in inst.packets for _ in range(inst.k)]
     return len(max_matching(demands)) == len(demands)
+
+
+def arc_hall_rows(starts: np.ndarray, N: int, n: int, k: int) -> np.ndarray:
+    """``hall_full_throughput`` of each row of a (B, L) array of sorted arc
+    starts (arcs of n MUs on N), at any N and L.
+
+    A short packet set's union splits into circular runs of MUs, and one
+    run C is short.  If C is the whole circle, L*k > N.  Else the arcs
+    inside C are cyclically consecutive and their union is C, exactly their
+    start span plus n.  So a row passes iff L*k <= N and every window of
+    cyclically consecutive arcs i..j covers them: with t_i = s_i - i*k,
+    t_j - t_i >= k - n for i < j, and t_i - t_j <= N - (L+1)*k + n for
+    j < i, the window that wraps from arc i past MU 0 to arc j.  One step
+    per arc, on the running max and min of t before it.
+    """
+    B, L = starts.shape
+    if L * k > N:
+        return np.zeros(B, dtype=bool)
+    t = np.ascontiguousarray((starts - k * np.arange(L)).T)
+    ok = np.ones(B, dtype=bool)
+    hi, lo = t[0].copy(), t[0].copy()
+    for tj in t[1:]:
+        ok &= (tj - hi >= k - n) & (tj - lo <= N - (L + 1) * k + n)
+        np.maximum(hi, tj, out=hi)
+        np.minimum(lo, tj, out=lo)
+    return ok
 
 
 # Unions in one slice of the Hall table: rows x 2^L packet subsets

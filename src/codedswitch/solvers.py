@@ -444,9 +444,11 @@ def cyclic_rows(starts, N: int, n: int, k: int) -> np.ndarray:
     frontier moves past them, so every count is a feasible read.  A start
     repeated later in the sweep sits at N and is never served; the anchor
     at its first copy serves it.  L* is the best count over the anchors:
-    checked against ``solve_oracle`` on the acceptance gate's start tuples
-    and against ``hall_l_stars`` on every multiset of starts with N <= 13,
-    L <= 6.  Each step moves one anchor's sweep one arc on, in every row.
+    checked against ``solve_oracle`` on the acceptance gate's start tuples,
+    against ``hall_l_stars`` on every multiset of starts with N <= 13,
+    L <= 6, and, as L* = L iff ``conditions.arc_hall_rows``, on every
+    multiset of starts at N = 65, 66, L <= 3 and on random rows at
+    L = 17..24.  Each step moves one anchor's sweep one arc on, in every row.
     """
     # every position lies in [0, 2N + n): the smallest unsigned type holds it
     s = np.sort(starts, axis=1).astype(np.min_scalar_type(2 * N + n))

@@ -33,7 +33,7 @@ from codedswitch.analysis import (
     multisets,
     union_cardinality_distribution,
 )
-from codedswitch.conditions import hall_rows
+from codedswitch.conditions import arc_hall_rows
 from codedswitch.ensemble import l_stars
 from codedswitch.errors import BadParams, TooLarge
 from codedswitch.placement import POLICIES, draw, draw_rows, packet_table
@@ -276,7 +276,7 @@ def test_cover_cyclic_monte_carlo_draws_in_batches(monkeypatch):
     est = p_cover_cyclic(N, n, k, L, cap=1, samples=samples, rng=PlacementRng(4))
     assert est.method == "monte_carlo"
     assert max(rows) <= analysis.BATCH and sum(rows) == samples
-    starts = PlacementRng(4).generator().integers(0, N, size=(samples, L))
+    starts = np.sort(PlacementRng(4).generator().integers(0, N, size=(samples, L)), axis=1)
     assert est.value == np.count_nonzero(arc_coverage(starts, N, n) >= k * L) / samples
 
 
@@ -369,7 +369,8 @@ def test_exact_walk_hands_test_at_most_batch_rows(fano, monkeypatch, policy, N, 
     full_tp = p_full_throughput_exact(policy, N, n, k, L, design=fano)
     lens = []
     monkeypatch.setattr(analysis, "BATCH", 5)
-    monkeypatch.setattr(analysis, "hall_rows", recording(lens, hall_rows, 0))
+    test = "arc_hall_rows" if policy == "cyclic" else "hall_rows"
+    monkeypatch.setattr(analysis, test, recording(lens, getattr(analysis, test), 0))
     assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
     assert full_tp.method == "exact_enumeration" and max(lens) <= 5 and len(lens) > 1
 
@@ -494,7 +495,7 @@ def test_exact_walk_holds_one_slice_at_a_time():
 def test_cyclic_single_packet_walks_one_row(monkeypatch):
     # L = 1 leaves no free packet: the walk is the pinned arc 0 alone
     lens = []
-    monkeypatch.setattr(analysis, "hall_rows", recording(lens, hall_rows, 0))
+    monkeypatch.setattr(analysis, "arc_hall_rows", recording(lens, arc_hall_rows, 0))
     est = p_full_throughput_exact("cyclic", 7, 3, 2, 1)
     assert (est.value, est.method, lens) == (1.0, "exact_enumeration", [1])
 
@@ -503,31 +504,57 @@ def test_cyclic_single_packet_walks_one_row(monkeypatch):
     ("cyclic", 7, 3, 2, 3), ("design", 7, 3, 2, 3), ("uniform", 6, 3, 2, 2),
 ])
 def test_exact_walk_computes_masks_once_on_the_table(fano, monkeypatch, policy, N, n, k, L):
-    # the walk gathers each slice's (B, L) masks by index from the table's
+    # the walk gathers each slice's (B, L) masks by index from the table's;
+    # cyclic rows gather arc starts from a table of starts, and need no masks
     full_tp = p_full_throughput_exact(policy, N, n, k, L, design=fano)
-    shapes = []
+    shapes, forms = [], []
     inner = conditions.mu_masks
 
     def recording(packets):
         shapes.append(packets.shape)
         return inner(packets)
 
+    def table(*args):
+        forms.append(args[-1])
+        return packet_table(*args)
+
     monkeypatch.setattr(analysis, "BATCH", 5)
     monkeypatch.setattr(conditions, "mu_masks", recording)
     monkeypatch.setattr(analysis, "mu_masks", recording, raising=False)
+    monkeypatch.setattr(analysis, "packet_table", table)
     assert p_full_throughput_exact(policy, N, n, k, L, design=fano) == full_tp
-    assert shapes == [packet_table(policy, N, n, fano).shape]
+    if policy == "cyclic":
+        assert (forms, shapes) == (["starts"], [])
+    else:
+        assert (forms, shapes) == (["masks"], [packet_table(policy, N, n, fano).shape])
+
+
+@pytest.mark.parametrize("cap", [analysis.ENUMERATION_CAP, 1])
+def test_cyclic_full_tp_reads_no_masks_and_no_hall_table(monkeypatch, cap):
+    # cyclic cells, walked or drawn, are decided on arc starts alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cyclic cell reached mask or Hall-table code")
+
+    for module, name in [(conditions, "mu_masks"), (conditions, "hall_rows"),
+                         (conditions, "hall_full_throughput"), (conditions, "_short_subsets"),
+                         (conditions, "hall_table_takes"), (analysis, "hall_rows"),
+                         (analysis, "hall_table_takes")]:
+        monkeypatch.setattr(module, name, refuse)
+    est = p_full_throughput_exact("cyclic", 12, 4, 2, 4, cap=cap, samples=5000)
+    assert est.method == ("exact_enumeration" if cap > 1 else "monte_carlo")
+    assert 0 < est.value < 1
 
 
 @pytest.mark.parametrize("policy,N,n,k,L", [("cyclic", 3, 2, 1, 17), ("uniform", 2, 1, 1, 17)])
 def test_exact_walk_past_the_hall_table_length(policy, N, n, k, L):
-    # 2^17 subsets overflow a Hall table slice: the walk matches packets
+    # 2^17 subsets overflow a Hall table slice: the uniform walk matches
+    # packets, and the cyclic one reads arc starts
     est = p_full_throughput_exact(policy, N, n, k, L, exact_only=True)
     assert (est.value, est.method) == (0.0, "exact_enumeration")
 
 
 def test_exact_walk_past_the_hall_table_masks():
-    # 65 MUs do not fit a uint64 mask: the walk matches packets
+    # 65 MUs do not fit a uint64 mask; arc starts need none
     N, n, k, L = 65, 2, 1, 3
     est = p_full_throughput_exact("cyclic", N, n, k, L, exact_only=True)
     good = sum(hall_full_throughput(instance_from_starts(N, n, (0, a, b), k=k))
@@ -541,7 +568,7 @@ def test_exact_cover_walk_past_64_mus(k):
     # arc starts, not masks: the coverage walk has no 64-MU gate
     N, n, L = 70, 3, 3
     est = p_cover_cyclic(N, n, k, L, exact_only=True)
-    starts = np.indices((N,) * L).reshape(L, -1).T
+    starts = np.sort(np.indices((N,) * L).reshape(L, -1).T, axis=1)
     good = np.count_nonzero(analysis._arc_coverage(starts, N, n) >= k * L)
     assert est.method == "exact_enumeration" and est.value == good / N**L
 

@@ -581,6 +581,13 @@ def test_analyze_cover_cyc_exact_only(capsys):
     assert err.startswith("error: TooLarge:") and err.count("\n") == 1
 
 
+def test_analyze_full_tp_cyclic_exact_past_64_mus(capsys):
+    # the value the per-row matching route gave, now from arc starts
+    assert main(["analyze", "--what", "full-tp", "--policy", "cyclic", "--N", "100", "--n", "10",
+                 "--k", "3", "--L", "4", "--exact-only"]) == 0
+    assert capsys.readouterr().out == "0.999985,exact_enumeration,0\n"
+
+
 def test_analyze_full_tp_design_beyond_the_oracle_cap(tmp_path, capsys):
     blocks = tmp_path / "packing.blocks"
     assert main(["design", "build", "--kind", "packing", "--N", "17", "--n", "5",

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import floor
 
 import numpy as np
@@ -19,9 +19,15 @@ from codedswitch import (
     t_max,
 )
 from codedswitch import conditions
-from codedswitch.conditions import hall_l_stars, hall_rows, hall_table_takes, mu_masks
+from codedswitch.conditions import (
+    arc_hall_rows,
+    hall_l_stars,
+    hall_rows,
+    hall_table_takes,
+    mu_masks,
+)
 from codedswitch.errors import DegenerateL, TooLarge
-from codedswitch.placement import POLICIES, draw_rows
+from codedswitch.placement import POLICIES, draw_rows, instance_from_starts, packet_table
 
 from conftest import (
     CLASSIC_TRIPLE_SYSTEM,
@@ -207,6 +213,49 @@ def test_hall_table_readers_take_masks(N, L):
 def test_hall_rows_refuse_masks_past_the_gate():
     with pytest.raises(TooLarge):
         hall_rows(np.zeros((1, 17), dtype=np.uint64), 12, 1)
+
+
+# -- arc_hall_rows ------------------------------------------------------------
+
+@pytest.mark.parametrize("N", range(2, 11))
+def test_arc_hall_rows_equal_the_hall_table_on_every_multiset(N):
+    for L in range(1, 6):
+        starts = np.array(list(combinations_with_replacement(range(N), L)))
+        for n in range(1, N):
+            masks = mu_masks(packet_table("cyclic", N, n))[starts]
+            for k in range(1, n + 1):
+                assert arc_hall_rows(starts, N, n, k).tolist() == hall_rows(masks, N, k).tolist()
+
+
+@pytest.mark.parametrize("N", [65, 80, 100])
+def test_arc_hall_rows_equal_matching_past_the_hall_table(N):
+    # past both of the Hall table's gates: 64 MUs and 16 packets
+    gen = np.random.default_rng(N)
+    seen = set()
+    for L in range(17, 21):
+        for n, k in [(3, 2), (4, 3), (6, 4), (N // 4, 5)]:
+            # uniform rows, and evenly spaced rows whose starts each move by
+            # 0 or the row's nudge, one or two MUs, so both outcomes show
+            starts = gen.integers(0, N, size=(12, L))
+            starts[6:] = (np.arange(L) * (N // L)
+                          + gen.integers(0, 2, size=(6, L)) * gen.integers(1, 3, size=(6, 1)))
+            starts.sort(axis=1)
+            got = arc_hall_rows(starts, N, n, k).tolist()
+            assert got == [hall_full_throughput(instance_from_starts(N, n, row, k=k))
+                           for row in starts.tolist()], (L, n, k)
+            seen.update(got)
+    assert seen == {False, True}
+
+
+def test_arc_hall_rows_edge_rows():
+    assert arc_hall_rows(np.zeros((0, 3), dtype=np.int64), 7, 3, 2).tolist() == []
+    # one packet always fits: k <= n < N
+    assert arc_hall_rows(np.array([[0], [6]]), 7, 3, 3).tolist() == [True, True]
+    # L*k > N: spread arcs still fail, one MU short
+    starts = np.array([[0, 2, 4, 6], [0, 1, 3, 5]])
+    assert arc_hall_rows(starts, 7, 6, 2).tolist() == [False, False]
+    assert hall_rows(mu_masks(packet_table("cyclic", 7, 6))[starts], 7, 2).tolist() == [False] * 2
+    assert arc_hall_rows(starts, 8, 6, 2).tolist() == [True, True]
 
 
 @pytest.mark.parametrize("N", [40, 64, 65])

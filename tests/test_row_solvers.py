@@ -4,6 +4,8 @@ run them."""
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from codedswitch import (
     solve_oracle,
 )
 from codedswitch import conditions, ensemble, solvers
-from codedswitch.conditions import hall_l_stars, hall_table_takes
+from codedswitch.conditions import arc_hall_rows, hall_l_stars, hall_table_takes
 from codedswitch.ensemble import ORACLE_TABLE_MAX_L, l_stars
 from codedswitch.errors import TooLarge
 from codedswitch.placement import (
@@ -135,6 +137,31 @@ def test_cyclic_rows_edge_shapes():
     starts = [[0, 69_998, 69_999, 3], [5, 5, 5, 69_999]]
     assert cyclic_rows(starts, 70_000, 3, 2).tolist() == [
         solve_cyclic(instance_from_starts(70_000, 3, row, k=2)).l_star for row in starts]
+
+
+@pytest.mark.parametrize("N", [65, 66])
+def test_cyclic_rows_full_iff_arc_hall_on_every_multiset_past_64_mus(N):
+    # no Hall table reaches N > 64; arc_hall_rows decides Hall's condition
+    for L in (1, 2, 3):
+        starts = np.array(list(combinations_with_replacement(range(N), L)))
+        for n, k in [(1, 1), (2, 1), (5, 3), (21, 20), (N - 1, 22)]:
+            assert ((cyclic_rows(starts, N, n, k) == L).tolist()
+                    == arc_hall_rows(starts, N, n, k).tolist()), (L, n, k)
+
+
+@pytest.mark.parametrize("L", range(17, 25))
+def test_cyclic_rows_full_iff_arc_hall_past_16_packets(L):
+    gen = np.random.default_rng(L)
+    full = []
+    for N, n, k in [(2 * L + 3, 3, 2), (3 * L + 2, 4, 3), (90, 9, 4), (5 * L + 1, 7, 5)]:
+        # uniform rows, and evenly spaced rows whose starts each move by 0
+        # or the row's nudge, one or two MUs
+        starts = gen.integers(0, N, size=(40, L))
+        starts[20:] = (np.arange(L) * (N // L)
+                       + gen.integers(0, 2, size=(20, L)) * gen.integers(1, 3, size=(20, 1)))
+        full += (cyclic_rows(starts, N, n, k) == L).tolist()
+        assert full[-40:] == arc_hall_rows(np.sort(starts, axis=1), N, n, k).tolist(), (N, n, k)
+    assert set(full) == {False, True}
 
 
 # -- greedy_rows ------------------------------------------------------------------
