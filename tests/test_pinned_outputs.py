@@ -29,7 +29,7 @@ from codedswitch import (
     solvers,
 )
 from codedswitch.cli import main
-from codedswitch.placement import PlacementRng
+from codedswitch.placement import PlacementRng, build_lexicographic_packing
 
 REPORT_CELLS = {
     "cyclic/cyclic_opt": (
@@ -63,16 +63,30 @@ REPORT_CELLS = {
         "3890a783c9c64b1f3528c4f2939ec103874aef42e158e406b6998b1854e23f3c"),
     "design/design_opt": (
         dict(policy="design", N=7, k=2, n=3, L_range=(1, 2, 3),
-             trials=300, seed=18, solver="design_opt"),
+             trials=300, seed=18, solver="design_opt",
+             design_source=build_projective_plane(2)),
         "fd357750e1e36e980047bac0ec310bf5fbd45a6c70115f9fe71adcb9c75c638a"),
+    # past the Hall gate (N > 64, or L > ORACLE_TABLE_MAX_L): the per-instance
+    # solver runs on every row of these cells
+    "uniform/oracle/N70": (
+        dict(policy="uniform", N=70, k=2, n=3, L_range=(3, 4),
+             trials=300, seed=19, solver="oracle"),
+        "d433e39a00e963c6d12982267fb17a0cc2daa9bf3c46828ef7b351b743764ffc"),
+    "uniform/oracle/L12": (
+        dict(policy="uniform", N=12, k=1, n=2, L_range=(12,),
+             trials=300, seed=20, solver="oracle"),
+        "bd5068da82b3a73d4542cf33f3c3e4c4c52ab95942575fc139192974fac98913"),
+    "design/design_opt/L12": (
+        dict(policy="design", N=20, k=3, n=4, L_range=(12,),
+             trials=300, seed=21, solver="design_opt",
+             design_source=build_lexicographic_packing(20, 4, 0)),
+        "c254fd0c40e456e9e2d12ec9b0f4ab81313c8cf3e57e0b258552fe89f0c1b86c"),
 }
 
 
 @pytest.mark.parametrize("cell", sorted(REPORT_CELLS))
 def test_report_hash_pinned(cell):
     kw, digest = REPORT_CELLS[cell]
-    if kw["policy"] == "design":
-        kw = dict(kw, design_source=build_projective_plane(2))
     csv = run_ensemble(ExperimentSpec(**kw)).to_csv_string()
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
