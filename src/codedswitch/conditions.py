@@ -181,7 +181,7 @@ _SLICE_ENTRIES = 2**16
 def hall_table_takes(N: int, L: int) -> bool:
     """Whether the Hall table takes rows of L packets on N MUs: the masks
     are uint64, and a slice holds one row's 2^L unions at least."""
-    return N <= 64 and 2**L <= _SLICE_ENTRIES
+    return N <= MASK_MAX_N and 2**L <= _SLICE_ENTRIES
 
 
 def hall_rows(rows: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -217,12 +217,16 @@ def hall_l_stars(rows: np.ndarray, N: int, k: int) -> np.ndarray:
     return np.concatenate(l_stars).astype(np.int64)
 
 
+# MU masks are uint64: they hold MUs 0..63, so they take N <= MASK_MAX_N
+MASK_MAX_N = 64
+
+
 def mu_masks(packets: np.ndarray) -> np.ndarray:
     """The uint64 MU bit mask of each packet of an (..., n) packet array on
-    at most 64 MUs, reducing the last axis: an (s, n) packet table gives (s,)
-    masks, which a walk gathers by index, and a (B, L, n) array (B, L).
-    One OR per column: ``np.bitwise_or.reduce`` over the short last axis
-    took 8x as long at (2500, 6, 6)."""
+    at most ``MASK_MAX_N`` MUs, reducing the last axis: an (s, n) packet
+    table gives (s,) masks, which a walk gathers by index, and a (B, L, n)
+    array (B, L).  One OR per column: ``np.bitwise_or.reduce`` over the
+    short last axis took 8x as long at (2500, 6, 6)."""
     masks = np.zeros(packets.shape[:-1], dtype=np.uint64)
     for j in range(packets.shape[-1]):
         masks |= np.uint64(1) << packets[..., j].astype(np.uint64)
@@ -234,7 +238,8 @@ def _row_masks(rows: np.ndarray, N: int) -> np.ndarray:
     given; TooLarge unless ``hall_table_takes(N, L)``."""
     L = rows.shape[1]
     if not hall_table_takes(N, L):
-        raise TooLarge(f"the Hall table takes N <= 64, 2^L <= {_SLICE_ENTRIES}; got N={N}, L={L}")
+        raise TooLarge(f"the Hall table takes N <= {MASK_MAX_N}, 2^L <= {_SLICE_ENTRIES}; "
+                       f"got N={N}, L={L}")
     return mu_masks(rows) if rows.ndim == 3 else rows
 
 

@@ -19,8 +19,8 @@ on MU masks (on packets past 64 MUs); every other cyclic cell
 ``solvers.cyclic_rows`` on the arc starts; every other cell on N <= 64 MUs
 at L <= ``ORACLE_TABLE_MAX_L`` by the Hall subset-union table
 (``conditions.hall_l_stars``) on MU masks.  The other cells go to
-``l_stars``, the one loop that runs a per-instance read solver over packet
-rows, with a per-cell cache.
+``l_stars``, the one loop that runs a per-instance read solver, on each
+packet row in turn.
 
 ``reproduce_figure`` renders the standard desk-scale experiment families
 (throughput bound comparisons, average-throughput curves, full-throughput
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analysis
 from ._svg import line_chart
-from .conditions import hall_l_stars, hall_table_takes, t_max
+from .conditions import MASK_MAX_N, hall_l_stars, hall_table_takes, t_max
 from .errors import BadParams, EmptySamples, IncompatibleSolver, UnknownFigure
 from .model import Instance
 from .placement import (
@@ -59,14 +59,14 @@ from .solvers import solve_cyclic  # noqa: F401
 
 _POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
 # Largest L at which non-cyclic optimal cells (``oracle``, ``design_opt``,
-# ``matching_k1``, ``matching_k2n2``) read the Hall table.  The table costs
-# about 2^L * 10 ns per row.  Against ``solve_oracle`` with a cell's cache it
-# was at least 2x faster at L <= 11 on every shape tried (uniform, cyclic and
-# design cells, n = 1..6, N = 7..64), as fast for uniform n = 1 at L = 12, and
-# 1.5-2.5x slower for uniform n <= 2 at L = 13 (2-core Xeon).  A design_opt
-# cell (20k trials, 16 disjoint blocks, N = 64, n = 4, k = 3) took 0.41 s on
-# the table against 1.06 s by ``solve_design`` at L = 11, 0.94 against 1.16 s
-# at L = 12 and 2.23 against 1.13 s at L = 13.
+# ``matching_k1``, ``matching_k2n2``) read the Hall table, which costs about
+# 2^L * 10 ns per row; past it they run ``l_stars``.  On uniform cells (N =
+# 12, 64, n = 1, 2, 6) and a design_opt cell (16 disjoint blocks, N = 64, n =
+# 4, k = 3), 20k trials, best of 3 on a 2-core Xeon, the table took 0.20-0.32
+# against 0.50-2.0 s at L = 11, 0.50-0.74 against 0.55-3.0 s at L = 12, and
+# 1.5-1.9 against 0.60-0.99 s at L = 13.  Past the gate a design_opt cell
+# raises what ``solve_design`` raises on its first refused row in draw order
+# (ConditionViolated, or TooLarge from its hand-off to the oracle).
 ORACLE_TABLE_MAX_L = 11
 
 @dataclass(frozen=True)
@@ -188,30 +188,18 @@ def whp_l_star(samples, confidence: float = 0.95) -> int:
     return whp_from_counts(np.bincount(np.asarray(list(samples), dtype=np.int64)), confidence)
 
 
-def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve,
-            cache: dict | None = None) -> np.ndarray:
+def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve) -> np.ndarray:
     """L* of each row of a (B, L, n) packet array placed by ``policy``, as
     ``draw_rows`` gives it.
 
-    ``solve`` maps an Instance, with sorted packets, to its L*.  A cache,
-    keyed by the bytes of each row, is filled in place and shared by the
-    calls of one (policy, N, n, k, L) cell: each distinct row not in it is
-    solved once, from its first copy.  Without a cache every row is solved,
-    in order.  ``run_ensemble`` sends here only the non-cyclic cells past
-    the Hall gate (see ``_batch_solver``).
+    ``solve`` maps an Instance, with sorted packets, to its L*, and runs
+    once on every row, in order.  ``run_ensemble`` sends here only the
+    non-cyclic cells past the Hall gate (see ``_batch_solver``).
     """
-    if cache is None:
-        keys, cache = np.arange(len(rows)), {}
-    else:
-        flat = np.ascontiguousarray(rows).reshape(len(rows), np.prod(rows.shape[1:]))
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # cyclic arcs are listed from their start: sort the rows to be solved at once
-    for key, row in zip(keys.tolist(), np.sort(rows[first], axis=2)):
-        if key not in cache:
-            # row by row: one tolist of a whole batch ran the garbage collector 6x as often
-            cache[key] = solve(Instance(N, k, n, row.tolist(), policy))
-    return np.array([cache[key] for key in keys.tolist()], dtype=np.int64)[inverse]
+    # sorted at once, as cyclic arcs are listed from their start; row by row,
+    # as one tolist of a whole batch ran the garbage collector 6x as often
+    return np.array([solve(Instance(N, k, n, row.tolist(), policy))
+                     for row in np.sort(rows, axis=2)], dtype=np.int64)
 
 
 def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
@@ -240,13 +228,12 @@ def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign |
     Generator.  ``greedy_rows`` for greedy, on masks up to 64 MUs and on
     sorted packets past them; else ``cyclic_rows`` on cyclic arc starts;
     else ``hall_l_stars`` on masks where ``hall_table_takes(N, L)`` and L <=
-    ``ORACLE_TABLE_MAX_L``; else ``l_stars`` on packets, with a cache shared
-    by the cell's batches.  The non-greedy solvers are optimal, so each
-    route gives their L*, and the Hall table gives it on design rows where
-    ``solve_design`` raises."""
+    ``ORACLE_TABLE_MAX_L``; else ``l_stars`` on packets.  The non-greedy
+    solvers are optimal, so each route gives their L*, and the Hall table
+    gives it on design rows where ``solve_design`` raises."""
     N, n, k = spec.N, spec.n, spec.k
     if name == "greedy":
-        if N <= 64:
+        if N <= MASK_MAX_N:
             # a mask's lowest free bits are a sorted packet's first free MUs
             return "masks", lambda rows, gen: greedy_rows(rows, N, k, gen).sum(axis=1)
         # arcs are listed from their start: greedy reads packets sorted
@@ -256,10 +243,8 @@ def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign |
         return "starts", lambda rows, gen: cyclic_rows(rows, N, n, k)
     if hall_table_takes(N, L) and L <= ORACLE_TABLE_MAX_L:
         return "masks", lambda rows, gen: hall_l_stars(rows, N, k)
-    solver, cache = SOLVERS[name], {}
-    return "packets", lambda rows, gen: l_stars(spec.policy, N, n, k, rows,
-                                                lambda inst: solver(inst, design, gen).l_star,
-                                                cache)
+    return "packets", lambda rows, gen: l_stars(
+        spec.policy, N, n, k, rows, lambda inst: SOLVERS[name](inst, design, gen).l_star)
 
 
 def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:

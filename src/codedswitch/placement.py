@@ -305,8 +305,8 @@ def _check_form(policy: str, N: int, form: str) -> None:
     masks are uint64, and only arcs have a start."""
     if form not in FORMS:
         raise BadParams(f"form must be one of {FORMS}, got {form!r}")
-    if form == "masks" and N > 64:
-        raise BadParams(f"MU masks are uint64 and take N <= 64, got N={N}")
+    if form == "masks" and N > conditions.MASK_MAX_N:
+        raise BadParams(f"MU masks are uint64 and take N <= {conditions.MASK_MAX_N}, got N={N}")
     if form == "starts" and policy != "cyclic":
         raise BadParams(f"only cyclic arcs have starts, got policy {policy!r}")
 

@@ -337,11 +337,18 @@ def solve_matching_k2n2(inst: Instance) -> Solution:
 # cyclic placement: anchored sweep
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def _listed_start(packet: tuple, n: int, N: int) -> int | None:
+    """``arc_start`` of a packet as listed, as a Python int (None for no arc)."""
+    s = arc_start(packet, n, N)
+    return None if s is None else int(s)
+
+
 def cyclic_starts(inst: Instance) -> list:
     """Arc start of every packet; WrongParams if any packet is not an arc."""
     if inst.n >= inst.N:
         raise WrongParams(f"cyclic solver needs n < N, got n={inst.n}, N={inst.N}")
-    starts = [arc_start(p, inst.n, inst.N) for p in inst.packets]
+    starts = [_listed_start(p, inst.n, inst.N) for p in inst.packets]
     if None in starts:
         i = starts.index(None)
         raise WrongParams(f"packet {i} = {inst.packets[i]} is not a cyclic arc")
@@ -365,19 +372,11 @@ def cyclic_anchor_order(inst: Instance, anchor: int) -> list:
     return _sweeps(starts)[starts[anchor]]
 
 
-@lru_cache(maxsize=64)
-def _arc_tables(N: int, n: int, k: int) -> tuple:
-    """Two tables of one (N, n, k) cyclic cell, filled as ``solve_cyclic``
-    meets arcs: sorted arc tuple -> start, and start -> the (MU tuple, bit
-    mask) of each k-run of the arc, earliest first.  Each holds at most N
-    entries."""
-    return {}, {}
-
-
+@lru_cache(maxsize=4096)
 def _arc_runs(N: int, n: int, k: int, s: int) -> tuple:
     """(MU tuple, bit mask) of each k-run of the arc at s, earliest first,
-    in Python ints whatever int type the first caller passed, as the tables
-    serve every later call."""
+    in Python ints whatever int type the first caller passed, as the memo
+    serves every later call."""
     N, k, s = int(N), int(k), int(s)
     full, run = (1 << N) - 1, (1 << k) - 1
     return tuple((tuple(sorted((t + r) % N for r in range(k))),
@@ -395,33 +394,24 @@ def solve_cyclic(inst: Instance) -> Solution:
     with equal starts sweep identically, so each distinct start is swept
     once, in order of first appearance.  The used MUs are one int bit mask,
     so a packet costs at most n-k+1 ANDs and the sweeps O(L^2 (n-k+1)) mask
-    operations after one sort.  Each packet's start, and each start's runs
-    as (MU tuple, mask) pairs, come from tables kept per (N, n, k) cell
-    (``_arc_tables``), so a call builds no run and tests no arc it has met
-    before.  A call with n >= N, or with a packet not in the table (met
-    first, listed out of order, or no arc at all), goes through
-    ``cyclic_starts``, which raises WrongParams for n >= N and then for the
-    first packet that is no arc.
+    operations after one sort.  ``cyclic_starts`` gives the starts, or
+    WrongParams for n >= N and then for the first packet that is no arc;
+    bounded memos of pure functions give each start and its k-runs.
 
     Serving consecutive runs means the n-k unread chunk positions of every
     served packet form a single cyclic burst, which is what lets cheap
     binary cyclic codes replace MDS codes on the write path.
     """
     N, n, k, L = inst.N, inst.n, inst.k, inst.L
-    starts_of, runs_of = _arc_tables(N, n, k)
-    starts = [starts_of.get(p) for p in inst.packets]
-    if n >= N or None in starts:
-        starts = cyclic_starts(inst)
-        starts_of.update((tuple(sorted(p)), s) for p, s in zip(inst.packets, starts))
-    for s in set(starts).difference(runs_of):
-        runs_of[s] = _arc_runs(N, n, k, s)
+    starts = cyclic_starts(inst)
+    runs = [_arc_runs(N, n, k, s) for s in starts]
 
     best: dict = {}
     for order in _sweeps(starts).values():
         used = 0
         taken: dict = {}
         for i in order:
-            for mus, window in runs_of[starts[i]]:
+            for mus, window in runs[i]:
                 if not used & window:
                     used |= window
                     taken[i] = mus

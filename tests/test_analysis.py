@@ -282,9 +282,8 @@ def test_cover_cyclic_monte_carlo_draws_in_batches(monkeypatch):
 
 # -- sampled L* -------------------------------------------------------------------
 
-@pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_sample_l_stars_continues_one_stream(fano, policy, cached):
+def test_sample_l_stars_continues_one_stream(fano, policy):
     # odd L, so a split shows if a call does not continue the stream of the last
     N, n, k, L, m = 7, 3, 2, 3, 40
 
@@ -293,9 +292,8 @@ def test_sample_l_stars_continues_one_stream(fano, policy, cached):
 
     def sample(sizes):
         gen = PlacementRng(11).generator()
-        cache = {} if cached else None
         return np.concatenate([
-            l_stars(policy, N, n, k, draw_rows(policy, N, n, L, size, gen, fano), solve, cache)
+            l_stars(policy, N, n, k, draw_rows(policy, N, n, L, size, gen, fano), solve)
             for size in sizes
         ])
 
@@ -304,38 +302,6 @@ def test_sample_l_stars_continues_one_stream(fano, policy, cached):
     whole = sample([m])
     assert whole.tolist() == per_draw
     assert sample([1, 4, m - 5]).tolist() == per_draw
-
-
-def _row_key(row):
-    # reference keys: the packet tuple, for every policy
-    return tuple(map(tuple, row))
-
-
-@pytest.mark.parametrize("policy,N,n,k,L", [
-    ("cyclic", 7, 3, 2, 3), ("design", 7, 3, 2, 3), ("uniform", 5, 2, 1, 2),
-])
-def test_l_stars_cache_solves_each_distinct_key_once(fano, policy, N, n, k, L):
-    m = 120
-    solved = []
-
-    def solve(inst):
-        solved.append(inst)
-        return solve_oracle(inst).l_star
-
-    def uncached(rows):
-        return l_stars(policy, N, n, k, rows, lambda inst: solve_oracle(inst).l_star).tolist()
-
-    gen = PlacementRng(5).generator()
-    first, second = (draw_rows(policy, N, n, L, m, gen, fano) for _ in range(2))
-    keys = {_row_key(row) for row in first.tolist()}
-    cache = {}
-    assert l_stars(policy, N, n, k, first, solve, cache).tolist() == uncached(first)
-    assert len(solved) == len(keys) < m
-    # a second call sharing the cache solves only the keys the first did not see
-    new = {_row_key(row) for row in second.tolist()} - keys
-    del solved[:]
-    assert l_stars(policy, N, n, k, second, solve, cache).tolist() == uncached(second)
-    assert len(solved) == len(new) < m
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -92,25 +92,25 @@ def test_hall_l_stars_refuse_past_the_gate():
 ])
 def test_oracle_cells_past_the_gate_run_solve_oracle_with_the_cache(monkeypatch, N, n, k, L,
                                                                     by_rows):
-    solved, caches = [], []
+    solved, batches = [], []
 
     def counted(inst, cap=solvers.DEFAULT_ORACLE_CAP):
         solved.append(inst)
         return solve_oracle(inst, cap)
 
-    def spied(policy, N, n, k, rows, solve, cache=None):
-        caches.append(cache)
-        return l_stars(policy, N, n, k, rows, solve, cache)
+    def spied(policy, N, n, k, rows, solve):
+        batches.append(len(rows))
+        return l_stars(policy, N, n, k, rows, solve)
 
     monkeypatch.setattr(solvers, "solve_oracle", counted)
     monkeypatch.setattr(ensemble, "l_stars", spied)
     spec = ExperimentSpec(policy="uniform", N=N, k=k, n=n, L_range=(L,), trials=300, seed=4)
     assert run_ensemble(spec).rows[0].solver == "oracle"
     if by_rows:
-        assert solved == [] and caches == []
+        assert solved == [] and batches == []
     else:
-        # one solve per key of the cell's cache
-        assert len(caches) == 1 and len(caches[0]) == len(solved) > 0
+        # one solve per row of the cell's one batch
+        assert batches == [300] and len(solved) == 300
 
 
 # -- cyclic_rows ------------------------------------------------------------------
@@ -233,17 +233,16 @@ def test_greedy_rows_slices(monkeypatch):
 # -- ensemble cells ---------------------------------------------------------------
 
 def _per_instance_solver(spec, name, L, design):
-    """``l_stars`` with the per-instance solver, as every cell once ran:
-    optimal solvers with the cell's cache (the oracle uncapped), greedy on
-    every row in order."""
+    """``l_stars`` with the per-instance solver, as every cell once ran, on
+    every row in order (the oracle uncapped)."""
     if name == "greedy":
-        cache, solve = None, solve_greedy
+        solve = solve_greedy
     elif name == "oracle":
-        cache, solve = {}, lambda inst, gen: solve_oracle(inst, cap=10**9)
+        solve = lambda inst, gen: solve_oracle(inst, cap=10**9)
     else:
-        cache, solve = {}, lambda inst, gen: SOLVERS[name](inst, design, gen)
+        solve = lambda inst, gen: SOLVERS[name](inst, design, gen)
     return "packets", lambda rows, gen: l_stars(spec.policy, spec.N, spec.n, spec.k, rows,
-                                                lambda inst: solve(inst, gen).l_star, cache)
+                                                lambda inst: solve(inst, gen).l_star)
 
 
 @pytest.mark.parametrize("solver", ["oracle", "greedy"])

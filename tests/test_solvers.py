@@ -36,7 +36,7 @@ from codedswitch.errors import (
     UnequalCardinality,
     WrongParams,
 )
-from codedswitch.solvers import _arc_tables
+from codedswitch.solvers import _arc_runs, _listed_start
 
 from conftest import CONTENTION_PACKETS, brute_force_l_star
 
@@ -299,12 +299,17 @@ def test_cyclic_rejects_non_arcs():
         solve_cyclic(inst)
 
 
+def _clear_cyclic_memos():
+    _listed_start.cache_clear()
+    _arc_runs.cache_clear()
+
+
 def test_cyclic_packet_listed_out_of_order():
-    # the start table holds sorted arcs; other listings go through cyclic_starts
+    # starts are memoised per packet as listed: each listing is its own entry
     sorted_inst = Instance(N=12, k=2, n=3, packets=((0, 1, 11), (1, 2, 3)))
     listed = Instance(N=12, k=2, n=3, packets=((11, 0, 1), (3, 1, 2)))
-    _arc_tables.cache_clear()
-    for _ in range(2):  # cold, then with both arcs in the table
+    _clear_cyclic_memos()
+    for _ in range(2):  # cold, then with both listings memoised
         assert solve_cyclic(listed) == solve_cyclic(sorted_inst)
     assert solve_cyclic(listed).assignments == ((0, 11), (1, 2))
     with pytest.raises(WrongParams, match=r"packet 1 = \(0, 2, 4\) is not a cyclic arc"):
@@ -314,7 +319,7 @@ def test_cyclic_packet_listed_out_of_order():
 
 
 def test_cyclic_tables_hold_python_ints():
-    # the per-cell tables serve later calls: numpy ints met first must not
+    # the memos serve later calls: numpy ints met first must not
     # leak into them (N = 70 masks overflow int64; JSON takes no numpy int)
     first = Instance(N=np.int64(70), k=np.int64(2), n=np.int64(3),
                      packets=[np.array([68, 69, 0]), np.array([1, 2, 3])])
@@ -408,17 +413,16 @@ def _seeded_cyclic_instances():
                         yield Instance(N=N, k=k, n=n, packets=packets, placement="cyclic")
 
 
-def test_cyclic_solutions_and_errors_pinned():
-    # which window each packet gets, under the documented tie rules: sweep
-    # anchors in order of first appearance, (start, index) sweep order, the
-    # earliest free k-run of each arc, the first anchor reaching the maximum
+CYCLIC_DIGEST = "cd12116d53b33670021b2586f53ca17e149e27736af201a749ff3e7a22bb1741"
+
+
+def _cyclic_digest(outputs):
+    """SHA-256 over the per-instance outputs, then the pinned errors."""
     digest = hashlib.sha256()
     count = 0
-    for inst in _seeded_cyclic_instances():
+    for out in outputs:
         count += 1
-        digest.update(solve_cyclic(inst).to_json().encode())
-        if inst.L:
-            digest.update(repr(cyclic_anchor_order(inst, inst.L - 1)).encode())
+        digest.update(out)
     bad = [Instance(N=6, k=1, n=3, packets=((1, 2, 3), (0, 2, 4))),
            Instance(N=6, k=1, n=3, packets=((5, 0, 1), (4, 3, 1))),
            Instance(N=6, k=1, n=3, packets=((1, 1, 2),)),
@@ -430,8 +434,28 @@ def test_cyclic_solutions_and_errors_pinned():
             solve_cyclic(inst)
         digest.update(str(err.value).encode())
     assert count == 21840
-    assert digest.hexdigest() == (
-        "cd12116d53b33670021b2586f53ca17e149e27736af201a749ff3e7a22bb1741")
+    return digest.hexdigest()
+
+
+def _cyclic_outputs(inst):
+    out = solve_cyclic(inst).to_json().encode()
+    if inst.L:
+        out += repr(cyclic_anchor_order(inst, inst.L - 1)).encode()
+    return out
+
+
+def test_cyclic_solutions_and_errors_pinned():
+    # which window each packet gets, under the documented tie rules: sweep
+    # anchors in order of first appearance, (start, index) sweep order, the
+    # earliest free k-run of each arc, the first anchor reaching the maximum
+    assert _cyclic_digest(map(_cyclic_outputs, _seeded_cyclic_instances())) == CYCLIC_DIGEST
+
+
+def test_cyclic_solutions_do_not_depend_on_call_history():
+    # cold memos, the instances solved last to first: the same digest
+    _clear_cyclic_memos()
+    outputs = [_cyclic_outputs(inst) for inst in reversed(list(_seeded_cyclic_instances()))]
+    assert _cyclic_digest(reversed(outputs)) == CYCLIC_DIGEST
 
 
 # -- balanced orientation ----------------------------------------------------------
