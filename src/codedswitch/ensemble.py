@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from math import floor, sqrt
 from pathlib import Path
@@ -105,6 +105,15 @@ class ExperimentSpec:
             raise BadParams(
                 f"design_source must be a block design or a path, got {self.design_source!r}"
             )
+        # the solver's domain; a design policy's design is checked by run_ensemble
+        if self.solver == "matching_k1" and self.k != 1:
+            raise IncompatibleSolver("matching_k1 requires k=1")
+        if self.solver == "matching_k2n2" and not (self.k == 2 and self.n == 2):
+            raise IncompatibleSolver("matching_k2n2 requires k=n=2")
+        if self.solver == "cyclic_opt" and self.policy != "cyclic":
+            raise IncompatibleSolver("cyclic_opt requires the cyclic policy")
+        if self.solver == "design_opt" and self.policy != "design":
+            raise IncompatibleSolver("design_opt requires the design policy and a design")
 
     def design(self) -> BlockDesign | None:
         if self.design_source is None:
@@ -132,36 +141,15 @@ class EnsembleReport:
     spec: ExperimentSpec
     rows: tuple = field(default=())
 
-    CSV_COLUMNS = (
-        "L",
-        "mean_l_star",
-        "rho_bar",
-        "rho_bar_ci95",
-        "whp_l_star",
-        "pr_full_tp",
-        "pr_full_tp_ci95",
-        "trials",
-        "solver",
-    )
+    CSV_COLUMNS = tuple(f.name for f in fields(EnsembleRow))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(self.CSV_COLUMNS)
         for r in self.rows:
-            w.writerow(
-                [
-                    r.L,
-                    f"{r.mean_l_star:.10g}",
-                    f"{r.rho_bar:.10g}",
-                    f"{r.rho_bar_ci95:.10g}",
-                    r.whp_l_star,
-                    f"{r.pr_full_tp:.10g}",
-                    f"{r.pr_full_tp_ci95:.10g}",
-                    r.trials,
-                    r.solver,
-                ]
-            )
+            values = (getattr(r, name) for name in self.CSV_COLUMNS)
+            w.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in values])
         return buf.getvalue()
 
     def to_csv(self, path) -> None:
@@ -192,33 +180,22 @@ def l_stars(policy: str, N: int, n: int, k: int, rows: np.ndarray, solve) -> np.
     """L* of each row of a (B, L, n) packet array placed by ``policy``, as
     ``draw_rows`` gives it.
 
-    ``solve`` maps an Instance, with sorted packets, to its L*, and runs
-    once on every row, in order.  ``run_ensemble`` sends here only the
-    non-cyclic cells past the Hall gate (see ``_batch_solver``).
+    ``solve`` maps an Instance to its L*, and runs once on every row, in
+    order.  ``run_ensemble`` sends here only the non-cyclic cells past the
+    Hall gate (see ``_batch_solver``).
     """
-    # sorted at once, as cyclic arcs are listed from their start; row by row,
-    # as one tolist of a whole batch ran the garbage collector 6x as often
-    return np.array([solve(Instance(N, k, n, row.tolist(), policy))
-                     for row in np.sort(rows, axis=2)], dtype=np.int64)
+    # row by row, as one tolist of a whole batch ran the garbage collector 6x as often
+    return np.array([solve(Instance(N, k, n, row.tolist(), policy)) for row in rows],
+                    dtype=np.int64)
 
 
-def _resolve_solver(spec: ExperimentSpec, L: int, design: BlockDesign | None):
+def _resolve_solver(spec: ExperimentSpec, L: int):
     """Spec name of the solver that runs one (policy, L) cell, plus the label
     recorded in the report (the oracle falls back to greedy above its
-    enumeration cap).  IncompatibleSolver if the spec lies outside the
-    solver's domain."""
-    kind = spec.solver
-    if kind == "oracle" and L * spec.n > DEFAULT_ORACLE_CAP:
+    enumeration cap)."""
+    if spec.solver == "oracle" and L * spec.n > DEFAULT_ORACLE_CAP:
         return "greedy", "greedy(oracle-cap-fallback)"
-    if kind == "matching_k1" and spec.k != 1:
-        raise IncompatibleSolver("matching_k1 requires k=1")
-    if kind == "matching_k2n2" and not (spec.k == 2 and spec.n == 2):
-        raise IncompatibleSolver("matching_k2n2 requires k=n=2")
-    if kind == "cyclic_opt" and spec.policy != "cyclic":
-        raise IncompatibleSolver("cyclic_opt requires the cyclic policy")
-    if kind == "design_opt" and (spec.policy != "design" or design is None):
-        raise IncompatibleSolver("design_opt requires the design policy and a design")
-    return kind, kind
+    return spec.solver, spec.solver
 
 
 def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign | None):
@@ -226,19 +203,16 @@ def _batch_solver(spec: ExperimentSpec, name: str, L: int, design: BlockDesign |
     drawn in at load L, and solve(rows, gen), the L* of each row of one
     such batch by the spec solver ``name`` with the batch's solver
     Generator.  ``greedy_rows`` for greedy, on masks up to 64 MUs and on
-    sorted packets past them; else ``cyclic_rows`` on cyclic arc starts;
+    packets past them; else ``cyclic_rows`` on cyclic arc starts;
     else ``hall_l_stars`` on masks where ``hall_table_takes(N, L)`` and L <=
     ``ORACLE_TABLE_MAX_L``; else ``l_stars`` on packets.  The non-greedy
     solvers are optimal, so each route gives their L*, and the Hall table
     gives it on design rows where ``solve_design`` raises."""
     N, n, k = spec.N, spec.n, spec.k
     if name == "greedy":
-        if N <= MASK_MAX_N:
-            # a mask's lowest free bits are a sorted packet's first free MUs
-            return "masks", lambda rows, gen: greedy_rows(rows, N, k, gen).sum(axis=1)
-        # arcs are listed from their start: greedy reads packets sorted
-        return "packets", lambda rows, gen: greedy_rows(np.sort(rows, axis=2), N, k,
-                                                        gen).sum(axis=1)
+        # a mask's lowest free bits are a sorted packet's first free MUs
+        return ("masks" if N <= MASK_MAX_N else "packets",
+                lambda rows, gen: greedy_rows(rows, N, k, gen).sum(axis=1))
     if spec.policy == "cyclic":
         return "starts", lambda rows, gen: cyclic_rows(rows, N, n, k)
     if hall_table_takes(N, L) and L <= ORACLE_TABLE_MAX_L:
@@ -254,7 +228,7 @@ def run_ensemble(spec: ExperimentSpec) -> EnsembleReport:
         check_design(design, spec.N, spec.n)
     rows = []
     for L in spec.L_range:
-        name, label = _resolve_solver(spec, L, design)
+        name, label = _resolve_solver(spec, L)
         form, solve_batch = _batch_solver(spec, name, L, design)
         counts = np.zeros(L + 1, dtype=np.int64)
         for batch_idx, lo in enumerate(range(0, spec.trials, analysis.BATCH)):

@@ -77,7 +77,8 @@ def _as_generator(rng) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BlockDesign:
-    """A verified packing: b blocks of size n with intersections <= t-1.
+    """A verified packing: b blocks of size n with intersections <= t-1,
+    each stored sorted (``model.muset``).
 
     For ``source='projective_plane'`` the blocks are the lines of PG(2, q),
     a Steiner 2-design: b = q^2+q+1 = N and every pair of points lies in
@@ -91,7 +92,7 @@ class BlockDesign:
     source: str = "file"
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(map(muset, self.blocks)))
 
     @property
     def b(self) -> int:
@@ -313,18 +314,18 @@ def _check_form(policy: str, N: int, form: str) -> None:
 
 def packet_table(policy: str, N: int, n: int, design: BlockDesign | None = None,
                  form: str = "packets") -> np.ndarray:
-    """Every packet ``policy`` can place, as an (s, n) array: for cyclic the
-    N arcs, row s starting at MU s and listed from its start, so column 0 is
-    the start; for design the blocks of ``design``; for uniform the C(N, n)
-    sorted n-subsets in lexicographic order.  ``form="masks"`` gives their
-    (s,) ``conditions.mu_masks``, ``form="starts"`` the (N,) arc starts."""
+    """Every packet ``policy`` can place, as an (s, n) array of sorted rows:
+    for cyclic the N arcs, row s starting at MU s; for design the blocks of
+    ``design``; for uniform the C(N, n) n-subsets in lexicographic order.
+    ``form="masks"`` gives their (s,) ``conditions.mu_masks``,
+    ``form="starts"`` the (N,) arc starts."""
     if policy not in POLICIES:
         raise BadParams(f"unknown policy {policy!r}")
     _check_form(policy, N, form)
     if policy == "cyclic":
         if form == "starts":
             return np.arange(N)
-        table = (np.arange(N)[:, None] + np.arange(n)) % N
+        table = np.sort((np.arange(N)[:, None] + np.arange(n)) % N, axis=1)
     elif policy == "design":
         check_design(design, N, n)
         table = np.array(design.blocks)
@@ -339,10 +340,11 @@ def draw_rows(policy: str, N: int, n: int, L: int, size: int, gen: np.random.Gen
     with the Generator ``gen``, in ``form``: a (size, L, n) packet array, or
     the (size, L) masks or arc starts of its packets (``FORMS``).  Cyclic and
     design packets are rows of ``packet_table`` in that form, picked by one
-    ``Generator.integers`` call (cyclic arcs listed from their start, so
-    their starts are the picks themselves); uniform ones come from
-    ``uniform_rows``, sorted or as masks.  The form leaves the draws and
-    the state of ``gen`` as they are."""
+    ``Generator.integers`` call (row s is the arc that starts at s, so
+    cyclic starts are the picks themselves); uniform ones come from
+    ``uniform_rows``, sorted or as masks.  The packets are those of the
+    ``draw`` calls, and the form leaves the draws and the state of ``gen``
+    as they are."""
     if policy == "uniform":
         rows = uniform_rows(N, n, size * L, gen, form)
         return rows.reshape(size, L, *rows.shape[1:])

@@ -425,8 +425,8 @@ def solve_cyclic(inst: Instance) -> Solution:
 
 
 def cyclic_rows(starts, N: int, n: int, k: int) -> np.ndarray:
-    """``solve_cyclic``'s L* of each row of a (B, L) array of arc starts (the
-    first column of ``draw_rows``' cyclic packets), as an int64 array.
+    """``solve_cyclic``'s L* of each row of a (B, L) array of arc starts
+    (``draw_rows``' ``starts`` form), as an int64 array.
 
     Each sorted start in turn anchors a sweep of all L arcs clockwise from
     it.  Measured from the anchor, an arc at r is served at the frontier

@@ -316,8 +316,7 @@ def test_l_stars_without_cache_solves_every_row_in_order(fano, policy):
         return next(calls)
 
     assert l_stars(policy, N, n, k, rows, solve).tolist() == list(range(m))
-    assert solved == [instance_from_starts(N, n, [p[0] for p in row]).packets
-                      if policy == "cyclic" else tuple(map(tuple, row)) for row in rows.tolist()]
+    assert solved == [tuple(map(tuple, row)) for row in rows.tolist()]
 
 
 def recording(lens, inner, rows_arg):

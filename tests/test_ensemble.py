@@ -101,10 +101,22 @@ def test_ensemble_oracle_cap_fallback_label():
 
 
 def test_ensemble_incompatible_solver():
-    with pytest.raises(IncompatibleSolver):
-        run_ensemble(_spec(policy="uniform", solver="cyclic_opt", trials=10))
-    with pytest.raises(IncompatibleSolver):
-        run_ensemble(_spec(solver="matching_k1", trials=10))
+    # a solver outside its domain is refused when the spec is built
+    for kw, message in (
+        (dict(solver="matching_k1"), "matching_k1 requires k=1"),
+        (dict(solver="matching_k2n2", k=2, n=3), "matching_k2n2 requires k=n=2"),
+        (dict(solver="matching_k2n2", k=1, n=2), "matching_k2n2 requires k=n=2"),
+        (dict(policy="uniform", solver="cyclic_opt"), "cyclic_opt requires the cyclic policy"),
+        (dict(solver="design_opt"), "design_opt requires the design policy and a design"),
+    ):
+        with pytest.raises(IncompatibleSolver, match=f"^{message}$"):
+            _spec(trials=10, **kw)
+
+
+def test_design_opt_spec_without_a_design_builds_then_fails_its_design_check():
+    spec = _spec(policy="design", N=7, k=2, n=3, solver="design_opt", trials=10)
+    with pytest.raises(BadParams, match="needs a block design"):
+        run_ensemble(spec)
 
 
 def test_ensemble_design_policy(fano):

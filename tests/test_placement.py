@@ -31,7 +31,7 @@ from codedswitch.errors import (
     MalformedFile,
     NotPrime,
 )
-from codedswitch.model import POLICIES
+from codedswitch.model import POLICIES, arc_start
 
 from conftest import CLASSIC_TRIPLE_SYSTEM, arc_design
 
@@ -269,9 +269,9 @@ def test_batched_cyclic_draws_match_per_instance_draws(N, n, L):
 
 
 def test_packet_table_lists_every_packet(fano):
-    # arcs are listed from their start, so column 0 is the start
+    # row s is the arc that starts at s, its MUs sorted
     assert placement.packet_table("cyclic", 5, 3).tolist() == [
-        [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]
+        [0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4], [0, 1, 4]]
     assert placement.packet_table("design", 7, 3, fano).tolist() == list(map(list, fano.blocks))
     assert placement.packet_table("uniform", 6, 3).tolist() == list(
         map(list, combinations(range(6), 3)))
@@ -318,14 +318,13 @@ def _check_draw_rows(policy, N, n, k, L, size, bit_generator, design):
         assert masks.dtype == np.uint64 and masks.tolist() == mu_masks(rows).tolist()
     if policy == "cyclic":
         starts = placement.draw_rows(policy, N, n, L, size, gens["starts"], design, "starts")
-        assert starts.tolist() == rows[..., 0].tolist()
-        rows = [instance_from_starts(N, n, packets[:, 0]).packets for packets in rows]
+        assert starts.tolist() == [[arc_start(p, n, N) for p in packets]
+                                   for packets in rows.tolist()]
     else:
         with pytest.raises(BadParams):
             placement.draw_rows(policy, N, n, L, size, gens.pop("starts"), design, "starts")
-        rows = [tuple(map(tuple, packets)) for packets in rows.tolist()]
-    assert rows == [placement.draw(policy, N, n, k, L, gen, design).packets
-                    for _ in range(size)]
+    assert [tuple(map(tuple, packets)) for packets in rows.tolist()] == [
+        placement.draw(policy, N, n, k, L, gen, design).packets for _ in range(size)]
     # every form leaves its generator where the draw calls leave theirs
     assert len({(g.random(), g.integers(0, 2**40)) for g in (gen, *gens.values())}) == 1
 

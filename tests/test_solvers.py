@@ -546,6 +546,15 @@ def test_design_block_not_in_design():
         solve_design(inst, WORKED_DESIGN)
 
 
+def test_design_from_unsorted_blocks_stores_them_sorted():
+    d = BlockDesign(N=7, n=3, t=2, blocks=((3, 2, 1), (5, 1, 4), (6, 5, 3)), source="file")
+    assert d.blocks == WORKED_BLOCKS
+    # a drawn instance read back from JSON names each block by its sorted MUs
+    inst = with_k(draw_design(d, 3, PlacementRng(0).generator(), replace=False), 2)
+    sol = solve_design(Instance.from_json(inst.to_json()), d)
+    assert sol.l_star == 3 and set(inst.packets) == set(WORKED_BLOCKS)
+
+
 def test_design_condition_violated():
     # five distinct triple-system blocks at k=2: floor(t_max)=floor(2/4)=0 < 1
     from conftest import CLASSIC_TRIPLE_SYSTEM
