@@ -213,7 +213,7 @@ def hall_l_stars(rows: np.ndarray, N: int, k: int) -> np.ndarray:
         for i in range(L):
             halves = short.reshape(-1, 2, short.shape[1] << i)
             halves[:, 1] |= halves[:, 0]
-        l_stars.append(np.where(short, 0, sizes).max(axis=0))
+        l_stars.append((sizes * ~short).max(axis=0))
     return np.concatenate(l_stars).astype(np.int64)
 
 

@@ -4,6 +4,7 @@ run them."""
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -137,6 +138,45 @@ def test_cyclic_rows_edge_shapes():
     starts = [[0, 69_998, 69_999, 3], [5, 5, 5, 69_999]]
     assert cyclic_rows(starts, 70_000, 3, 2).tolist() == [
         solve_cyclic(instance_from_starts(70_000, 3, row, k=2)).l_star for row in starts]
+
+
+# blocks of anchors by entry budget (L, B -> budget): one anchor per block,
+# blocks of L // 2 + 1 anchors that leave a shorter last block, the default
+_BLOCK_BUDGETS = {
+    "one-anchor": lambda L, B: 1,
+    "uneven": lambda L, B: (L // 2 + 2) * L * B - 1,
+    "default": lambda L, B: solvers._ARC_BLOCK_ENTRIES,
+}
+
+
+@pytest.mark.parametrize("budget", _BLOCK_BUDGETS.values(), ids=_BLOCK_BUDGETS.keys())
+def test_cyclic_rows_equal_solve_cyclic_in_any_blocks(monkeypatch, budget):
+    # positions lie below 2N + n: these (N, n) put it at 255 / 256 and
+    # 65535 / 65536, the last value of uint8 and uint16 and one past it
+    gen = np.random.default_rng(26)
+    for N, n in [(125, 5), (125, 6), (86, 83), (86, 84), (32765, 5), (32765, 6)]:
+        for L in (1, 2, 3, 5, 7, 12):
+            for k in sorted({1, 2, n - 1, n}):
+                starts = gen.integers(0, N, size=(16, L))
+                starts[:8, -1] = starts[:8, 0]
+                with monkeypatch.context() as patch:
+                    patch.setattr(solvers, "_ARC_BLOCK_ENTRIES", budget(L, len(starts)))
+                    got = cyclic_rows(starts, N, n, k).tolist()
+                assert got == [solve_cyclic(instance_from_starts(N, n, row, k=k)).l_star
+                               for row in starts.tolist()], (N, n, L, k)
+
+
+def test_cyclic_rows_hold_one_block_of_arcs():
+    # an unblocked (L, L*B) array of uint16 positions would take 82 MB; the
+    # anchor-by-anchor loop this sweep replaced peaked at 9.4 MB
+    starts = np.random.default_rng(5).integers(0, 1000, size=(4096, 100))
+    tracemalloc.start()
+    try:
+        cyclic_rows(starts, 1000, 20, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.4e6
 
 
 @pytest.mark.parametrize("N", [65, 66])
