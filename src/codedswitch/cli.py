@@ -57,11 +57,12 @@ def _hashed(paths) -> list:
             for p in paths]
 
 
-def _write_manifest(path, t0: float, seed: int | None = None, inputs=(), outputs=()) -> None:
-    """Reproducibility record of one run: its command line, seed, input and
-    output hashes, and the wall time since ``t0`` once the files are hashed."""
+def _write_manifest(args, path, t0: float, seed: int | None = None, inputs=(), outputs=()) -> None:
+    """Reproducibility record of one run: the command line ``main`` parsed
+    into ``args``, seed, input and output hashes, and the wall time since
+    ``t0`` once the files are hashed."""
     obj = {
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "seed": seed,
         "version": __version__,
         "python": sys.version.split()[0],
@@ -117,7 +118,7 @@ def _cmd_generate(args) -> int:
     validate_instance(inst)
     out = Path(args.out)
     out.write_text(inst.to_json() + "\n")
-    _write_manifest(_manifest_path(out), t0, seed,
+    _write_manifest(args, _manifest_path(out), t0, seed,
                     inputs=[args.design] if args.policy == "design" else (), outputs=[out])
     print(f"wrote {out}")
     return 0
@@ -163,7 +164,7 @@ def _cmd_solve(args) -> int:
     validate_solution(inst, sol)
     out = Path(args.out)
     out.write_text(sol.to_json() + "\n")
-    _write_manifest(_manifest_path(out), t0, seed,
+    _write_manifest(args, _manifest_path(out), t0, seed,
                     inputs=[args.infile] + ([args.design] if args.design else []), outputs=[out])
     print(f"l_star={sol.l_star} rho={throughput(inst, sol):.6g} -> {out}")
     return 0
@@ -183,7 +184,7 @@ def _cmd_design(args) -> int:
         verify_packing(design)
         out = Path(args.out)
         design.save(out)
-        _write_manifest(_manifest_path(out), t0, outputs=[out])
+        _write_manifest(args, _manifest_path(out), t0, outputs=[out])
         print(f"wrote {out} (b={design.b} blocks, N={design.N}, n={design.n}, t={design.t})")
         return 0
     design = BlockDesign.load(args.infile)
@@ -263,7 +264,7 @@ def _cmd_simulate(args) -> int:
     report = ensemble.run_ensemble(spec)
     out = Path(args.out)
     report.to_csv(out)
-    _write_manifest(_manifest_path(out), t0, spec.seed, inputs=[args.spec], outputs=[out])
+    _write_manifest(args, _manifest_path(out), t0, spec.seed, inputs=[args.spec], outputs=[out])
     print(f"wrote {out} ({len(report.rows)} rows)")
     return 0
 
@@ -272,14 +273,18 @@ def _cmd_reproduce(args) -> int:
     seed = _resolve_seed(args)
     t0 = time.perf_counter()
     paths = ensemble.reproduce_figure(args.figure, args.out, trials=args.trials, seed=seed)
-    _write_manifest(Path(args.out) / "manifest.json", t0, seed, outputs=paths)
+    _write_manifest(args, Path(args.out) / "manifest.json", t0, seed, outputs=paths)
     for p in paths:
         print(p)
     return 0
 
 
+# ``codec --family`` name -> codec family
+_FAMILIES = {"mds": MDS, "cyclic": BINARY_CYCLIC}
+
+
 def _codec_cfg(args, k: int, n: int, B: int) -> CodecConfig:
-    return CodecConfig(k=k, n=n, B=B, family=BINARY_CYCLIC if args.family == "cyclic" else MDS)
+    return CodecConfig(k=k, n=n, B=B, family=_FAMILIES[args.family])
 
 
 def _cmd_codec(args) -> int:
@@ -328,7 +333,7 @@ def _cmd_codec(args) -> int:
         paths = [out_dir / f"chunk_{i:03d}.bin" for i in range(cfg.n)]
         for i, (p, chunk) in enumerate(zip(paths, cs.chunks)):
             write_chunk_file(p, cfg, i, chunk)
-        _write_manifest(out_dir / "manifest.json", t0, inputs=[args.infile], outputs=paths)
+        _write_manifest(args, out_dir / "manifest.json", t0, inputs=[args.infile], outputs=paths)
         print(f"wrote {cfg.n} chunks to {out_dir} (B={B})")
         return 0
 
@@ -338,7 +343,7 @@ def _cmd_codec(args) -> int:
     slots: dict = {}
     meta = None
     for p in sorted(in_dir.glob("chunk_*.bin")):
-        k, n, B, index, payload = read_chunk_file(p)
+        k, n, B, index, payload = read_chunk_file(p, _FAMILIES[args.family])
         if meta not in (None, (k, n, B)):
             raise MalformedFile(f"{p}: header (k, n, B) = {(k, n, B)}, other chunks have {meta}")
         if index >= n:
@@ -354,7 +359,7 @@ def _cmd_codec(args) -> int:
     data = decode(ChunkSet(chunks=tuple(slots.get(i) for i in range(cfg.n))), cfg)
     out = Path(args.out)
     out.write_bytes(b"".join(data))
-    _write_manifest(_manifest_path(out), t0, inputs=sorted(in_dir.glob("chunk_*.bin")),
+    _write_manifest(args, _manifest_path(out), t0, inputs=sorted(in_dir.glob("chunk_*.bin")),
                     outputs=[out])
     print(f"wrote {out}")
     return 0
@@ -445,13 +450,13 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("codec", help="erasure codec demos and chunk file tools")
     ksub = k.add_subparsers(dest="codec_cmd", required=True)
     kd = ksub.add_parser("demo")
-    kd.add_argument("--family", choices=("mds", "cyclic"), required=True)
+    kd.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     kd.add_argument("--k", type=int, required=True)
     kd.add_argument("--n", type=int, required=True)
     kd.add_argument("--B", type=int, default=16)
     kd.set_defaults(func=_cmd_codec)
     ke = ksub.add_parser("encode")
-    ke.add_argument("--family", choices=("mds", "cyclic"), required=True)
+    ke.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     ke.add_argument("--k", type=int, required=True)
     ke.add_argument("--n", type=int, required=True)
     ke.add_argument("--B", type=int, default=None)
@@ -459,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ke.add_argument("--out-dir", required=True)
     ke.set_defaults(func=_cmd_codec)
     kc = ksub.add_parser("decode")
-    kc.add_argument("--family", choices=("mds", "cyclic"), required=True)
+    kc.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     kc.add_argument("--in-dir", required=True)
     kc.add_argument("--out", required=True)
     kc.set_defaults(func=_cmd_codec)
@@ -469,7 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except WrongParams as exc:

@@ -440,24 +440,31 @@ def end_to_end_read(
 # -- chunk files ----------------------------------------------------------------
 
 CHUNK_MAGIC = b"CSWC"
-_HEADER = struct.Struct("<4sHHIHH")  # magic, k, n, B, index, reserved
+_HEADER = struct.Struct("<4sHHIHH")  # magic, k, n, B, index, family code
+# family of each header family code; 0 = not recorded, as in files from before
+_FAMILY_CODES = (None, MDS, BINARY_CYCLIC)
 
 
 def write_chunk_file(path, cfg: CodecConfig, index: int, payload: bytes) -> None:
     if len(payload) != cfg.B:
         raise BadConfig(f"chunk payload length {len(payload)} != B = {cfg.B}")
-    header = _HEADER.pack(CHUNK_MAGIC, cfg.k, cfg.n, cfg.B, index, 0)
+    header = _HEADER.pack(CHUNK_MAGIC, cfg.k, cfg.n, cfg.B, index, _FAMILY_CODES.index(cfg.family))
     Path(path).write_bytes(header + payload)
 
 
-def read_chunk_file(path) -> tuple:
-    """Returns (k, n, B, index, payload)."""
+def read_chunk_file(path, family: Optional[str] = None) -> tuple:
+    """Returns (k, n, B, index, payload).  MalformedFile if the header
+    records a family other than ``family`` (when given)."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise MalformedFile(f"{path}: {len(raw)} bytes, shorter than the {_HEADER.size}-byte header")
-    magic, k, n, B, index, _ = _HEADER.unpack(raw[: _HEADER.size])
+    magic, k, n, B, index, code = _HEADER.unpack(raw[: _HEADER.size])
     if magic != CHUNK_MAGIC:
         raise MalformedFile(f"{path}: bad chunk magic {magic!r}")
+    if code >= len(_FAMILY_CODES):
+        raise MalformedFile(f"{path}: unknown family code {code}")
+    if family is not None and _FAMILY_CODES[code] not in (None, family):
+        raise MalformedFile(f"{path}: encoded as {_FAMILY_CODES[code]}, not {family}")
     payload = raw[_HEADER.size :]
     if len(payload) != B:
         raise MalformedFile(f"{path}: payload length {len(payload)} != header B = {B}")

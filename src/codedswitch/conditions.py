@@ -28,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import floor
 
 import numpy as np
 
 from .errors import DegenerateL, TooLarge
-from .model import Instance
+from .model import Instance, mu_bits
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,15 @@ class IntersectionStats:
         return total
 
 
-def _packet_masks(inst: Instance) -> tuple:
-    return tuple(sum(1 << m for m in p) for p in inst.packets)
-
-
 def intersection_stats(inst: Instance) -> IntersectionStats:
-    masks = _packet_masks(inst)
+    masks = tuple(map(mu_bits, inst.packets))
     mx = max(((a & b).bit_count() for a, b in combinations(masks, 2)), default=0)
     return IntersectionStats(max_pairwise=mx, n=inst.n, _masks=masks)
 
 
 def coverage_holds(inst: Instance) -> bool:
     """Necessary condition: the packets cover at least k*L distinct MUs."""
-    union = 0
-    for p in inst.packets:
-        for m in p:
-            union |= 1 << m
-    return union.bit_count() >= inst.k * inst.L
+    return mu_bits(chain.from_iterable(inst.packets)).bit_count() >= inst.k * inst.L
 
 
 def t_max(n: int, k: int, L: int) -> Fraction:

@@ -56,6 +56,16 @@ def muset(indices: Iterable[int]) -> MuSet:
     return out
 
 
+def mu_bits(mus: Iterable[int]) -> int:
+    """The Python-int bit mask of MU indices: the sum of 1 << m over the
+    distinct MUs.  An OR loop: at 4 MUs it took half as long as summing
+    a set of their bits."""
+    bits = 0
+    for m in mus:
+        bits |= 1 << m
+    return bits
+
+
 def _json_int(value, name: str = "an MU index") -> int:
     """``value`` if JSON parsed it as an integer, else TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):

@@ -46,7 +46,7 @@ from .errors import (
     NotPrime,
     WrongCardinality,
 )
-from .model import POLICIES, Instance, muset
+from .model import POLICIES, Instance, mu_bits, muset
 
 
 @dataclass(frozen=True)
@@ -416,9 +416,7 @@ def build_lexicographic_packing(N: int, n: int, t_max: int) -> BlockDesign:
     kept_masks: list[int] = []
     kept: list[tuple] = []
     for cand in combinations(range(N), n):
-        cm = 0
-        for m in cand:
-            cm |= 1 << m
+        cm = mu_bits(cand)
         if all((cm & km).bit_count() <= t_max for km in kept_masks):
             kept_masks.append(cm)
             kept.append(cand)
@@ -447,7 +445,7 @@ def verify_packing(design: BlockDesign) -> None:
                 raise CoverageGap(f"{sub} lies in no block")
             if c > 1:
                 raise CoverageDuplicate(f"{sub} lies in {c} blocks")
-    masks = [sum(1 << m for m in blk) for blk in design.blocks]
+    masks = [mu_bits(blk) for blk in design.blocks]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             inter = (masks[i] & masks[j]).bit_count()

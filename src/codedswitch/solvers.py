@@ -34,7 +34,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import floor
 
@@ -49,7 +48,7 @@ from .errors import (
     UnequalCardinality,
     WrongParams,
 )
-from .model import Instance, Solution, arc_start, empty_solution
+from .model import Instance, Solution, arc_start, empty_solution, mu_bits
 from .placement import BlockDesign, _as_generator
 
 DEFAULT_ORACLE_CAP = 24
@@ -74,22 +73,11 @@ def solve_oracle(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     if L == 0:
         return empty_solution(inst)
 
-    options = []  # per packet: list of (mask, mus) in lexicographic order
-    for p in inst.packets:
-        opts = []
-        for sub in combinations(p, k):
-            m = 0
-            for mu in sub:
-                m |= 1 << mu
-            opts.append((m, sub))
-        options.append(opts)
-
+    # per packet: list of (mask, mus) in lexicographic order
+    options = [[(mu_bits(sub), sub) for sub in combinations(p, k)] for p in inst.packets]
     future = [0] * (L + 1)
     for i in range(L - 1, -1, -1):
-        fm = future[i + 1]
-        for mu in inst.packets[i]:
-            fm |= 1 << mu
-        future[i] = fm
+        future[i] = future[i + 1] | mu_bits(inst.packets[i])
 
     memo: dict = {}
 
@@ -337,22 +325,15 @@ def solve_matching_k2n2(inst: Instance) -> Solution:
 # cyclic placement: anchored sweep
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _listed_start(packet: tuple, n: int, N: int) -> int | None:
-    """``arc_start`` of a packet as listed, as a Python int (None for no arc)."""
-    s = arc_start(packet, n, N)
-    return None if s is None else int(s)
-
-
 def cyclic_starts(inst: Instance) -> list:
     """Arc start of every packet; WrongParams if any packet is not an arc."""
     if inst.n >= inst.N:
         raise WrongParams(f"cyclic solver needs n < N, got n={inst.n}, N={inst.N}")
-    starts = [_listed_start(p, inst.n, inst.N) for p in inst.packets]
+    starts = [arc_start(p, inst.n, inst.N) for p in inst.packets]
     if None in starts:
         i = starts.index(None)
         raise WrongParams(f"packet {i} = {inst.packets[i]} is not a cyclic arc")
-    return starts
+    return list(map(int, starts))
 
 
 def _sweeps(starts: list) -> dict:
@@ -372,18 +353,6 @@ def cyclic_anchor_order(inst: Instance, anchor: int) -> list:
     return _sweeps(starts)[starts[anchor]]
 
 
-@lru_cache(maxsize=4096)
-def _arc_runs(N: int, n: int, k: int, s: int) -> tuple:
-    """(MU tuple, bit mask) of each k-run of the arc at s, earliest first,
-    in Python ints whatever int type the first caller passed, as the memo
-    serves every later call."""
-    N, k, s = int(N), int(k), int(s)
-    full, run = (1 << N) - 1, (1 << k) - 1
-    return tuple((tuple(sorted((t + r) % N for r in range(k))),
-                  (run << t | run >> (N - t)) & full)
-                 for t in ((s + r) % N for r in range(n - k + 1)))
-
-
 def solve_cyclic(inst: Instance) -> Solution:
     """Optimal read for cyclic placements.
 
@@ -395,33 +364,41 @@ def solve_cyclic(inst: Instance) -> Solution:
     once, in order of first appearance.  The used MUs are one int bit mask,
     so a packet costs at most n-k+1 ANDs and the sweeps O(L^2 (n-k+1)) mask
     operations after one sort.  ``cyclic_starts`` gives the starts, or
-    WrongParams for n >= N and then for the first packet that is no arc;
-    bounded memos of pure functions give each start and its k-runs.
+    WrongParams for n >= N and then for the first packet that is no arc.
+    Each arc's k-run masks are built once per call; a sweep keeps each
+    served packet's run offset, and only the winning sweep's runs become
+    MU tuples.
 
     Serving consecutive runs means the n-k unread chunk positions of every
     served packet form a single cyclic burst, which is what lets cheap
     binary cyclic codes replace MDS codes on the write path.
     """
-    N, n, k, L = inst.N, inst.n, inst.k, inst.L
+    # Python ints: numpy ints would overflow the masks past 63 MUs
+    N, n, k, L = int(inst.N), int(inst.n), int(inst.k), inst.L
     starts = cyclic_starts(inst)
-    runs = [_arc_runs(N, n, k, s) for s in starts]
+    full, run = (1 << N) - 1, (1 << k) - 1
+    # a run at t < 2N wraps by folding its bits past MU N - 1 onto MU 0
+    windows = [[(run << t | run << t >> N) & full for t in range(s, s + n - k + 1)]
+               for s in starts]
 
     best: dict = {}
     for order in _sweeps(starts).values():
         used = 0
         taken: dict = {}
         for i in order:
-            for mus, window in runs[i]:
+            for offset, window in enumerate(windows[i]):
                 if not used & window:
                     used |= window
-                    taken[i] = mus
+                    taken[i] = offset
                     break
         if len(taken) > len(best):
             best = taken
             if len(best) == L:
                 break
 
-    return Solution(assignments=tuple(map(best.get, range(L))))
+    return Solution(assignments=tuple(
+        None if i not in best else sorted((starts[i] + best[i] + r) % N for r in range(k))
+        for i in range(L)))
 
 
 # Entries of one block of ``cyclic_rows``' arcs: L arcs x anchors x rows.

@@ -362,6 +362,61 @@ def test_codec_decode_empty_dir_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def _encode_family(tmp_path, family):
+    src = tmp_path / "payload.bin"
+    src.write_bytes(bytes(i * 7 % 256 for i in range(3000)))
+    chunks_dir = tmp_path / family
+    assert main(["codec", "encode", "--family", family, "--k", "3", "--n", "7",
+                 "--in", str(src), "--out-dir", str(chunks_dir)]) == 0
+    return src, chunks_dir
+
+
+@pytest.mark.parametrize("family", ["mds", "cyclic"])
+def test_codec_round_trip_is_byte_exact(tmp_path, family):
+    src, chunks_dir = _encode_family(tmp_path, family)
+    (chunks_dir / "chunk_003.bin").unlink()  # a burst of one for the cyclic code
+    out = tmp_path / "recovered.bin"
+    assert main(["codec", "decode", "--family", family, "--in-dir", str(chunks_dir),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()  # k*B = 3000 bytes: no padding
+
+
+@pytest.mark.parametrize("erase", [False, True])
+@pytest.mark.parametrize("encoded,decoded", [("mds", "cyclic"), ("cyclic", "mds")])
+def test_codec_decode_with_another_family_exit_1(tmp_path, capsys, encoded, decoded, erase):
+    _, chunks_dir = _encode_family(tmp_path, encoded)
+    if erase:
+        (chunks_dir / "chunk_000.bin").unlink()
+    out = tmp_path / "recovered.bin"
+    assert main(["codec", "decode", "--family", decoded, "--in-dir", str(chunks_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedFile:") and "encoded as" in err
+    assert not out.exists()
+
+
+def test_codec_decode_takes_chunks_without_a_family(tmp_path):
+    # files from before the header recorded the family have 0 in its place
+    src, chunks_dir = _encode_family(tmp_path, "cyclic")
+    for p in chunks_dir.glob("chunk_*.bin"):
+        raw = bytearray(p.read_bytes())
+        assert raw[14:16] == b"\x02\x00"  # little-endian family code: binary cyclic
+        raw[14:16] = b"\x00\x00"
+        p.write_bytes(bytes(raw))
+    out = tmp_path / "recovered.bin"
+    assert main(["codec", "decode", "--family", "cyclic", "--in-dir", str(chunks_dir),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
+
+
+def test_manifest_records_the_argv_main_ran(tmp_path):
+    out = tmp_path / "inst.json"
+    argv = ["generate", "--policy", "cyclic", "--N", "8", "--n", "3", "--L", "2",
+            "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "inst.json.manifest.json").read_text())["argv"] == argv
+
+
 def test_generate_design_checks_N_and_n(tmp_path, capsys):
     plane = tmp_path / "pg23.blocks"
     assert main(["design", "build", "--kind", "plane", "--q", "3", "--out", str(plane)]) == 0

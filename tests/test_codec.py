@@ -373,3 +373,16 @@ def test_chunk_file_bad_payload_length_is_typed(tmp_path):
     p.write_bytes(p.read_bytes() + b"\0")
     with pytest.raises(MalformedFile):
         read_chunk_file(p)
+
+
+def test_chunk_file_family_is_checked_when_asked(tmp_path):
+    p = tmp_path / "chunk_000.bin"
+    write_chunk_file(p, CodecConfig(k=2, n=3, B=4, family=BINARY_CYCLIC), 0, bytes(4))
+    assert read_chunk_file(p) == read_chunk_file(p, BINARY_CYCLIC) == (2, 3, 4, 0, bytes(4))
+    with pytest.raises(MalformedFile, match="encoded as binary_cyclic, not mds"):
+        read_chunk_file(p, MDS)
+    p.write_bytes(p.read_bytes()[:14] + b"\x00\x00" + p.read_bytes()[16:])  # not recorded
+    assert read_chunk_file(p, MDS) == (2, 3, 4, 0, bytes(4))
+    p.write_bytes(p.read_bytes()[:14] + b"\x03\x00" + p.read_bytes()[16:])
+    with pytest.raises(MalformedFile, match="unknown family code 3"):
+        read_chunk_file(p)

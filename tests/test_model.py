@@ -17,7 +17,7 @@ from codedswitch import (
     validate_instance,
     validate_solution,
 )
-from codedswitch.model import arc_start
+from codedswitch.model import arc_start, mu_bits
 from codedswitch.errors import (
     BadParams,
     CardinalityMismatch,
@@ -36,6 +36,13 @@ from conftest import CONTENTION_PACKETS
 
 def test_muset_sorts():
     assert muset([3, 1, 2]) == (1, 2, 3)
+
+
+def test_mu_bits_counts_each_mu_once_past_64_mus():
+    assert mu_bits(()) == 0
+    assert mu_bits([3, 0, 3]) == 0b1001
+    assert mu_bits(m for m in (69, 5, 69)) == 1 << 69 | 1 << 5
+    assert mu_bits(range(70)) == (1 << 70) - 1
 
 
 def test_muset_rejects_duplicates():

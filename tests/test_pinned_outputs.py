@@ -287,7 +287,9 @@ def test_encoded_chunks_pinned(family, k, n, B):
     assert hashlib.sha256(b"".join(chunks)).hexdigest() == ENCODED[(family, k, n, B)]
 
 
-# ``codec encode --family F --k K --n N`` of 1000 PlacementRng(21) bytes
+# ``codec encode --family F --k K --n N`` of 1000 PlacementRng(21) bytes, each
+# file hashed with its header's family code (bytes 14-15) zeroed, as files
+# were written before the header recorded the family
 CHUNK_FILES = {
     ("mds", 3, 5): {
         "chunk_000.bin": "7e737d02f763c15e2d5dc5eed8cc70db12551b49422987de39bf0d95f103cf4d",
@@ -315,6 +317,9 @@ def test_codec_encode_files_pinned(family, k, n, tmp_path):
     out = tmp_path / "chunks"
     assert main(["codec", "encode", "--family", family, "--k", str(k), "--n", str(n),
                  "--in", str(src), "--out-dir", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.glob("chunk_*.bin"))}
+    raws = {p.name: p.read_bytes() for p in sorted(out.glob("chunk_*.bin"))}
+    code = {"mds": b"\x01\x00", "cyclic": b"\x02\x00"}[family]  # little-endian
+    assert {raw[14:16] for raw in raws.values()} == {code}
+    got = {name: hashlib.sha256(raw[:14] + b"\0\0" + raw[16:]).hexdigest()
+           for name, raw in raws.items()}
     assert got == CHUNK_FILES[(family, k, n)]

@@ -36,7 +36,6 @@ from codedswitch.errors import (
     UnequalCardinality,
     WrongParams,
 )
-from codedswitch.solvers import _arc_runs, _listed_start
 
 from conftest import CONTENTION_PACKETS, brute_force_l_star
 
@@ -299,17 +298,11 @@ def test_cyclic_rejects_non_arcs():
         solve_cyclic(inst)
 
 
-def _clear_cyclic_memos():
-    _listed_start.cache_clear()
-    _arc_runs.cache_clear()
-
-
 def test_cyclic_packet_listed_out_of_order():
-    # starts are memoised per packet as listed: each listing is its own entry
+    # a packet's start is found from its MUs in any listed order
     sorted_inst = Instance(N=12, k=2, n=3, packets=((0, 1, 11), (1, 2, 3)))
     listed = Instance(N=12, k=2, n=3, packets=((11, 0, 1), (3, 1, 2)))
-    _clear_cyclic_memos()
-    for _ in range(2):  # cold, then with both listings memoised
+    for _ in range(2):  # a second call sees no state left by the first
         assert solve_cyclic(listed) == solve_cyclic(sorted_inst)
     assert solve_cyclic(listed).assignments == ((0, 11), (1, 2))
     with pytest.raises(WrongParams, match=r"packet 1 = \(0, 2, 4\) is not a cyclic arc"):
@@ -319,8 +312,8 @@ def test_cyclic_packet_listed_out_of_order():
 
 
 def test_cyclic_tables_hold_python_ints():
-    # the memos serve later calls: numpy ints met first must not
-    # leak into them (N = 70 masks overflow int64; JSON takes no numpy int)
+    # numpy ints solved first must not leak into the output or later
+    # calls (N = 70 masks overflow int64; JSON takes no numpy int)
     first = Instance(N=np.int64(70), k=np.int64(2), n=np.int64(3),
                      packets=[np.array([68, 69, 0]), np.array([1, 2, 3])])
     later = Instance(N=70, k=2, n=3, packets=((0, 68, 69), (1, 2, 3)))
@@ -452,8 +445,7 @@ def test_cyclic_solutions_and_errors_pinned():
 
 
 def test_cyclic_solutions_do_not_depend_on_call_history():
-    # cold memos, the instances solved last to first: the same digest
-    _clear_cyclic_memos()
+    # the instances solved last to first: the same digest
     outputs = [_cyclic_outputs(inst) for inst in reversed(list(_seeded_cyclic_instances()))]
     assert _cyclic_digest(reversed(outputs)) == CYCLIC_DIGEST
 
