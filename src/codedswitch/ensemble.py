@@ -67,7 +67,7 @@ _POLICY_CODE = {policy: code for code, policy in enumerate(POLICIES)}
 # 1.5-1.9 against 0.60-0.99 s at L = 13.  Past the gate a design_opt cell
 # raises what ``solve_design`` raises on its first refused row in draw order
 # (ConditionViolated, or TooLarge from its hand-off to the oracle).
-ORACLE_TABLE_MAX_L = 11
+ORACLE_TABLE_MAX_L = 12
 
 @dataclass(frozen=True)
 class ExperimentSpec:

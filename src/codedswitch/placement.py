@@ -17,9 +17,10 @@ cyclic arcs and design blocks are its rows, picked by one
 ``Generator.integers`` call, and uniform n-subsets come from
 ``uniform_rows``.  That replays ``Generator.choice(N, n, replace=False)``
 exactly, state included, on any bit generator: ``choice`` runs Floyd's
-algorithm on numpy's bounded-integer draws, and one ``integers`` call over
-an array of bounds makes the same draws in the same order.  Short requests
-and large n call ``choice`` row by row.
+algorithm on draws made by Lemire's method from the generator's 32-bit
+words, so a pass draws its words in one ``integers`` call and maps them to
+the same draws in bulk.  A pass in which numpy would have rejected a word,
+short requests, large n and N >= 2^32 call ``choice`` row by row.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -120,43 +121,65 @@ class BlockDesign:
         return cls(N=N, n=n, t=t, blocks=blocks, source="file")
 
 
-def _choice_rows(N: int, n: int, rows: int, gen) -> np.ndarray:
+def _choice_rows(N: int, n: int, rows: int, gen, form: str = "packets") -> np.ndarray:
     """``uniform_rows`` by one call of ``gen.choice`` per row."""
-    return np.array([np.sort(gen.choice(N, size=n, replace=False)) for _ in range(rows)],
-                    dtype=np.int64).reshape(rows, n)
+    taken = np.array([np.sort(gen.choice(N, size=n, replace=False)) for _ in range(rows)],
+                     dtype=np.int64).reshape(rows, n)
+    return conditions.mu_masks(taken) if form == "masks" else taken
 
 
-# rows per pass of a batch: a pass holds about 40n bytes of arrays per row,
-# so memory stays flat however many rows are asked for
-_PASS_ROWS = 1024
-# A pass sweeps numpy once per Floyd column, so it costs about 10 µs per
-# column however few rows it holds, and compares each value with the n/2
-# before it on average.  Measured against row-by-row choice (N from n+1 to
-# 2^33), a pass takes 0.07-0.41 of choice's time per row at 64 rows and
-# n <= 32, and 0.73-0.92 at 64 rows and n = 64.  Below 64 rows the break-even
-# rises with n, from about 4 rows at n = 3 to about 24 at n = 32, so one gate
-# at 64 rows is on the batch's side for every n <= 32.  Fewer rows or larger
-# n are left to choice; n <= 32 also keeps calls out of choice's tail shuffle.
-_BATCH_MIN_ROWS = 64
+# Rows per pass of a batch.  Beside the rows it fills, a pass holds about 16n
+# bytes per row: its 2n - 1 32-bit words twice over (drawn and transposed, or
+# words and their products), or its words and its uint64 Floyd columns; for
+# 4096 rows 0.4 MB at n = 6 and 2.1 MB at n = 32, however many rows are asked for.
+# On sim_uniform (N = 12, n = 3..6, 800L rows a call) 4096-row passes read
+# 1.11x the trials/s of 1024-row ones, 6 of 6 pairs of 10 s runs.
+_PASS_ROWS = 4096
+# A pass of one row takes 40-85 µs at n <= 12 and 165-175 µs at n = 32, and
+# choice 8-10 µs per row (N = 64, timeit minimum of 5, PCG64).  Measured per
+# row against choice (``uniform_rows`` with the gate moved, N from n+1 to
+# 2^32-1), a pass of 24 rows takes 0.15-0.33 of choice's time at n <= 6,
+# 0.34-0.44 at n = 12 and 0.57-0.96 at n = 32, in either form; the first row
+# count at which a pass wins is 4-8 at n <= 6, 8-12 at n = 12, and 12 for
+# masks and 24 for packets at n = 32.  So one gate at 24 rows is on the
+# batch's side for every n <= 32.  Larger n is left to choice, which also
+# keeps calls out of its tail shuffle.
+_BATCH_MIN_ROWS = 24
 _BATCH_MAX_N = 32
 
 
-def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """The draws of ``rows`` successive choice calls, in one ``integers``
-    call: an (n, rows) array whose row c holds Floyd's draws in [0, N-n+c].
-    The shuffle's draws that follow each call's are made and dropped, as
-    a sorted row or a mask does not depend on them."""
+def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray | None:
+    """The Floyd draws of ``rows`` successive choice calls, from one draw of
+    their 32-bit words: an (n, rows) uint64 array whose row c holds the draws
+    in [0, N-n+c], or None, with ``gen`` left as it was, if numpy would have
+    rejected a word (N < 2^32).
+
+    choice makes a draw in [0, j], 0 < j < 2^32 - 1, by Lemire's method on the
+    next 32-bit word x of the generator: x is rejected, and the next word
+    tried, if the low half of x(j+1) is below 2^32 mod (j+1), and else the
+    draw is the high half.  A draw in [0, 0] takes no word.  The shuffle's
+    words that follow each call's are checked and dropped, as a sorted row
+    or a mask does not depend on them."""
     # each call's bounds j+1 of its draws in [0, j]: Floyd's, then the shuffle's
     highs = np.concatenate([np.arange(N - n + 1, N + 1), np.arange(n, 1, -1)])
-    draws = gen.integers(0, np.tile(highs, rows)).reshape(rows, -1)
-    # one row per column, so that each step works on contiguous values
-    return np.ascontiguousarray(draws[:, :n].T)
+    state = gen.bit_generator.state
+    words = gen.integers(0, 2**32, size=(rows, len(highs) - (N == n)), dtype=np.uint32)
+    if N == n:
+        # word 0 gives the draw in [0, 0], and is never rejected
+        words = np.pad(words, ((0, 0), (1, 0)))
+    # one row per bound, so that each step works on contiguous words
+    words = np.ascontiguousarray(words.T)
+    if ((words * highs.astype(np.uint32)[:, None]).min(axis=1) < 2**32 % highs).any():
+        gen.bit_generator.state = state
+        return None
+    floyd = np.multiply(words[:n], highs[:n, None].astype(np.uint64), dtype=np.uint64)
+    floyd >>= 32
+    return floyd
 
 
-def _floyd_pass(N: int, n: int, gen: np.random.Generator, taken: np.ndarray) -> None:
-    """Fill ``taken`` with the sorted rows of len(taken) successive choice
-    calls, in one pass (see ``uniform_rows``)."""
-    floyd = _floyd_columns(N, n, len(taken), gen)
+def _floyd_pass(N: int, n: int, floyd: np.ndarray, taken: np.ndarray) -> None:
+    """Fill ``taken`` with the sorted rows that Floyd's algorithm takes from
+    the draws ``floyd`` (``_floyd_columns``)."""
     # the membership test reduces over the short axis; row c becomes the taken value
     for c, j in enumerate(range(N - n, N)):
         floyd[c] = np.where((floyd[:c] == floyd[c]).any(axis=0), j, floyd[c])
@@ -164,14 +187,14 @@ def _floyd_pass(N: int, n: int, gen: np.random.Generator, taken: np.ndarray) -> 
     taken.sort(axis=1)
 
 
-def _floyd_mask_pass(N: int, n: int, gen: np.random.Generator, masks: np.ndarray) -> None:
-    """OR into the zeroed ``masks`` the MU masks of len(masks) successive
-    choice calls, in one pass: a draw v in [0, j] takes bit j if bit v is
+def _floyd_mask_pass(N: int, n: int, floyd: np.ndarray, masks: np.ndarray) -> None:
+    """OR into the zeroed ``masks`` the MU masks that Floyd's algorithm takes
+    from the draws ``floyd``: a draw v in [0, j] takes bit j if bit v is
     already set, else bit v, so the membership test is one AND and no row
     is sorted."""
     one = np.uint64(1)
-    for j, v in zip(range(N - n, N), _floyd_columns(N, n, len(masks), gen)):
-        bit = one << v.astype(np.uint64)
+    for j, v in zip(range(N - n, N), floyd):
+        bit = one << v
         masks |= np.where(masks & bit, one << np.uint64(j), bit)
 
 
@@ -182,30 +205,34 @@ def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator,
 
     Row i is ``sorted(gen.choice(N, n, replace=False))`` of the i-th of
     ``rows`` successive calls, and ``gen`` is left in the state those calls
-    leave.  For n <= 32 and at least 64 rows the calls are replayed in
-    passes of up to ``_PASS_ROWS`` rows.  ``choice`` runs Floyd's algorithm
-    there: a draw v in [0, j] for j = N-n..N-1, taking j if v is taken, then
-    a shuffle of the n values by a draw in [0, i] for i = n-1..1.  It makes
-    each draw with numpy's bounded-integer routine, which
-    ``Generator.integers`` also calls once per element of an array of
-    bounds, in order; so one ``integers`` call makes a pass's draws on any
-    bit generator.  A mask pass runs Floyd's test on the bits of the masks
-    (``_floyd_mask_pass``).  Fewer rows and larger n go to ``choice`` row by
-    row (see ``_BATCH_MIN_ROWS``).
+    leave.  For n <= 32, N < 2^32 and at least ``_BATCH_MIN_ROWS`` rows the
+    calls are replayed in passes of up to ``_PASS_ROWS`` rows.  ``choice``
+    runs Floyd's algorithm there: a draw v in [0, j] for j = N-n..N-1, taking
+    j if v is taken, then a shuffle of the n values by a draw in [0, i] for
+    i = n-1..1.  It makes each draw by Lemire's method on the generator's
+    next 32-bit word, so a pass draws its words in one
+    ``Generator.integers`` call, on any bit generator, and maps them to the
+    draws in bulk (``_floyd_columns``).  A pass in which numpy would have
+    rejected a word goes to ``choice`` row by row.  A mask pass runs Floyd's
+    test on the bits of the masks (``_floyd_mask_pass``).  Fewer rows,
+    larger n and N >= 2^32 go to ``choice`` row by row.
     """
     if not (1 <= n <= N) or rows < 0:
         raise BadParams(f"need 1 <= n <= N and rows >= 0, got N={N}, n={n}, rows={rows}")
     _check_form("uniform", N, form)
-    if rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N:
-        taken = _choice_rows(N, n, rows, gen)
-        return conditions.mu_masks(taken) if form == "masks" else taken
+    if rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N or N >= 2**32:
+        return _choice_rows(N, n, rows, gen, form)
     if form == "masks":
         out, fill = np.zeros(rows, dtype=np.uint64), _floyd_mask_pass
     else:
         out, fill = np.empty((rows, n), dtype=np.int64), _floyd_pass
     # equal passes, so that none holds fewer than _BATCH_MIN_ROWS rows
     for part in np.array_split(out, -(-rows // _PASS_ROWS)):
-        fill(N, n, gen, part)
+        floyd = _floyd_columns(N, n, len(part), gen)
+        if floyd is None:
+            part[:] = _choice_rows(N, n, len(part), gen, form)
+        else:
+            fill(N, n, floyd, part)
     return out
 
 

@@ -72,10 +72,29 @@ REPORT_CELLS = {
         dict(policy="uniform", N=70, k=2, n=3, L_range=(3, 4),
              trials=300, seed=19, solver="oracle"),
         "d433e39a00e963c6d12982267fb17a0cc2daa9bf3c46828ef7b351b743764ffc"),
+    "uniform/oracle/L13": (
+        dict(policy="uniform", N=12, k=1, n=1, L_range=(13,),
+             trials=300, seed=22, solver="oracle"),
+        "acde1d7f067ed6b72deba3773ee40ed0b2d280a5663d3419bba44cd252c7352e"),
+    "design/design_opt/L13": (
+        dict(policy="design", N=20, k=3, n=4, L_range=(13,),
+             trials=300, seed=23, solver="design_opt",
+             design_source=build_lexicographic_packing(20, 4, 0)),
+        "54e777bbc42d089d86cf82108cff4261ac9cb98e3604788d462fddc80b752378"),
+    # pinned on the per-instance solvers, which ran them up to L = 11, and
+    # read from the Hall table since: the same reports
     "uniform/oracle/L12": (
         dict(policy="uniform", N=12, k=1, n=2, L_range=(12,),
              trials=300, seed=20, solver="oracle"),
         "bd5068da82b3a73d4542cf33f3c3e4c4c52ab95942575fc139192974fac98913"),
+    "uniform/matching_k1/L12": (
+        dict(policy="uniform", N=12, k=1, n=2, L_range=(12,),
+             trials=300, seed=24, solver="matching_k1"),
+        "8f356b854c0c660d22da082b4b3eb3a793933c64ad59d1f86be9d90c8849923e"),
+    "uniform/matching_k2n2/L12": (
+        dict(policy="uniform", N=12, k=2, n=2, L_range=(12,),
+             trials=300, seed=25, solver="matching_k2n2"),
+        "7bb607514fac5354e9e09840d26bdb3bb19201ad7ccbd14020617be35e464b33"),
     "design/design_opt/L12": (
         dict(policy="design", N=20, k=3, n=4, L_range=(12,),
              trials=300, seed=21, solver="design_opt",

@@ -117,15 +117,18 @@ def _masks_replay(N, n, rows, gen, packets, ref):
 
 
 # (10001, 5) still runs Floyd's algorithm in choice; (12000, 241) shuffles the tail;
-# (2**33, 4) draws in [0, j] with j >= 2^32; (64, 5) sets bit 63 of a mask
+# (2**32 - 1, 3) is the largest N batched; (2**33, 4) draws in [0, j] with
+# j >= 2^32; (64, 5) sets bit 63 of a mask
 @pytest.mark.parametrize("N,n", [(12, 3), (12, 4), (12, 5), (12, 6), (7, 3), (17, 5), (5, 5),
                                  (9, 1), (64, 5), (64, 33), (10001, 5), (12000, 241),
-                                 (2**33, 4)])
+                                 (2**32 - 1, 3), (2**33, 4)])
 def test_uniform_rows_replay_choice(N, n):
-    # fewer than 64 rows, or n > 32, are drawn by choice itself; 1025 rows
-    # take two passes; each row count is drawn as packets and as masks
+    # fewer than _BATCH_MIN_ROWS rows, n > 32 or N >= 2^32 are drawn by
+    # choice itself; _PASS_ROWS + 1 rows take two passes; each row count is
+    # drawn as packets and as masks
+    least, most = placement._BATCH_MIN_ROWS, placement._PASS_ROWS
     for seed in range(42):
-        rows = (1, 63, 64, 65, 200, 1025)[seed % 6]
+        rows = (1, least - 1, least, 65, 200, most + 1)[seed % 6]
         ref, gen, masked = (PlacementRng(seed, N).generator() for _ in range(3))
         expect = _choice_rows(ref, N, n, rows)
         got = uniform_rows(N, n, rows, gen)
@@ -178,42 +181,84 @@ def _next_raw_output_zero(seed):
     return gen
 
 
-def test_uniform_rows_replay_a_rejected_draw():
+def _counted_choice_rows(monkeypatch):
+    """The row counts of the passes that go to ``placement._choice_rows``."""
+    calls = []
+    choice_rows = placement._choice_rows
+    monkeypatch.setattr(placement, "_choice_rows",
+                        lambda N, n, rows, gen, form="packets":
+                        calls.append(rows) or choice_rows(N, n, rows, gen, form))
+    return calls
+
+
+def test_uniform_rows_replay_a_rejected_draw(monkeypatch):
     assert _next_raw_output_zero(0).bit_generator.random_raw() == 0
     # the word 0 makes the first draw, in [0, 8], reject: 0 < 2^32 mod 9
+    fallbacks = _counted_choice_rows(monkeypatch)
     ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
     expect = _choice_rows(ref, 12, 4, 100)
     assert uniform_rows(12, 4, 100, gen).tolist() == expect
     assert gen.bit_generator.state == ref.bit_generator.state
+    assert fallbacks == [100]
+
+
+def test_uniform_rows_replay_a_rejected_shuffle_word_in_a_later_pass(monkeypatch):
+    # two passes of _PASS_ROWS rows, 7 words a row at (12, 4): Floyd's draws
+    # in [0, 8..11], then the shuffle's in [0, 3], [0, 2], [0, 1].  Rewound by
+    # m outputs, the zero output gives words 2m and 2m + 1; 2m is the draw in
+    # [0, 2] of the second pass's second row, and both words reject
+    rows = 2 * placement._PASS_ROWS
+    m = (7 * placement._PASS_ROWS + 7 + 5) // 2
+    for form in ("packets", "masks"):
+        fallbacks = _counted_choice_rows(monkeypatch)
+        ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
+        for g in (ref, gen):
+            g.bit_generator.advance(2**128 - m)
+        expect = _choice_rows(ref, 12, 4, rows)
+        got = uniform_rows(12, 4, rows, gen, form)
+        if form == "masks":
+            expect = mu_masks(np.array(expect)).tolist()
+        assert got.tolist() == expect
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert fallbacks == [placement._PASS_ROWS]
 
 
 def test_uniform_rows_other_bit_generators_use_choice():
-    # the batch replays choice on any bit generator, not only on PCG64
+    # the batch replays choice on any bit generator, not only on PCG64; 101
+    # rows take an odd number of 32-bit words, and leave half a word buffered
     for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64,
                           np.random.PCG64DXSM):
-        ref, gen, masked = (np.random.Generator(bit_generator(3)) for _ in range(3))
-        expect = _choice_rows(ref, 12, 4, 100)
-        assert uniform_rows(12, 4, 100, gen).tolist() == expect
-        assert (uniform_rows(12, 4, 100, masked, "masks").tolist()
-                == mu_masks(np.array(expect)).tolist())
-        after = [(g.integers(0, 2**40, size=9).tolist(), g.random(3).tolist())
-                 for g in (gen, masked, ref)]
-        assert after[0] == after[1] == after[2]
+        for rows in (100, 101):
+            ref, gen, masked = (np.random.Generator(bit_generator(3)) for _ in range(3))
+            expect = _choice_rows(ref, 12, 4, rows)
+            assert uniform_rows(12, 4, rows, gen).tolist() == expect
+            assert (uniform_rows(12, 4, rows, masked, "masks").tolist()
+                    == mu_masks(np.array(expect)).tolist())
+            after = [(g.integers(0, 1000, size=3, dtype=np.uint32).tolist(),
+                      g.integers(0, 2**40, size=9).tolist(), g.random(3).tolist())
+                     for g in (gen, masked, ref)]
+            assert after[0] == after[1] == after[2]
 
 
 def test_uniform_rows_batch_only_where_measured_faster(monkeypatch):
     passes = {"_floyd_pass": [], "_floyd_mask_pass": []}
     for name, lens in passes.items():
         monkeypatch.setattr(placement, name,
-                            lambda N, n, gen, out, lens=lens, fill=getattr(placement, name):
-                            lens.append(len(out)) or fill(N, n, gen, out))
+                            lambda N, n, floyd, out, lens=lens, fill=getattr(placement, name):
+                            lens.append(len(out)) or fill(N, n, floyd, out))
     gen = PlacementRng(0).generator()
-    for N, n, rows in ((12, 5, 63), (40, 33, 1000), (10001, 5, 1), (12, 5, 64), (40, 32, 64),
-                       (12, 5, 2 * placement._PASS_ROWS + 1)):
+    least, most = placement._BATCH_MIN_ROWS, placement._PASS_ROWS
+    for N, n, rows in ((12, 5, least - 1), (40, 33, 1000), (10001, 5, 1), (2**32, 3, least),
+                       (12, 5, least), (40, 32, least), (12, 5, 2 * most + 1)):
         uniform_rows(N, n, rows, gen)
         if N <= 64:
             uniform_rows(N, n, rows, gen, "masks")
-    assert passes["_floyd_pass"] == passes["_floyd_mask_pass"] == [64, 64, 683, 683, 683]
+    # three equal passes of 2 * _PASS_ROWS + 1 rows
+    thirds = [len(part) for part in np.array_split(np.empty(2 * most + 1), 3)]
+    assert passes["_floyd_pass"] == passes["_floyd_mask_pass"] == [least, least, *thirds]
+    passes["_floyd_pass"].clear()
+    uniform_rows(2**32 - 1, 3, least, gen)
+    assert passes["_floyd_pass"] == [least]
 
 
 def test_uniform_rows_bad_params():
@@ -222,6 +267,7 @@ def test_uniform_rows_bad_params():
         with pytest.raises(BadParams):
             uniform_rows(N, n, rows, gen)
     assert uniform_rows(5, 2, 0, gen).shape == (0, 2)
+    assert uniform_rows(5, 2, 0, gen, "masks").shape == (0,)
 
 
 # -- cyclic draws ---------------------------------------------------------------

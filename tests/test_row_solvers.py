@@ -22,7 +22,7 @@ from codedswitch import (
 from codedswitch import conditions, ensemble, solvers
 from codedswitch.conditions import arc_hall_rows, hall_l_stars, hall_table_takes
 from codedswitch.ensemble import ORACLE_TABLE_MAX_L, l_stars
-from codedswitch.errors import TooLarge
+from codedswitch.errors import ConditionViolated, TooLarge
 from codedswitch.placement import (
     build_lexicographic_packing,
     build_projective_plane,
@@ -85,11 +85,13 @@ def test_hall_l_stars_refuse_past_the_gate():
         hall_l_stars(np.zeros((1, 17, 1), dtype=np.int64), 12, 1)
 
 
+# one packet a row past the table's gate: at n = 2 an oracle cell with L > 12
+# passes the oracle's cap and goes to greedy
 @pytest.mark.parametrize("N,n,k,L,by_rows", [
     (12, 2, 2, ORACLE_TABLE_MAX_L, True),
     (64, 2, 1, 3, True),
     (65, 2, 1, 3, False),
-    (12, 2, 2, ORACLE_TABLE_MAX_L + 1, False),
+    (12, 1, 1, ORACLE_TABLE_MAX_L + 1, False),
 ])
 def test_oracle_cells_past_the_gate_run_solve_oracle_with_the_cache(monkeypatch, N, n, k, L,
                                                                     by_rows):
@@ -331,12 +333,10 @@ def test_optimal_cells_equal_the_per_instance_solvers(monkeypatch, policy, N, n,
     assert [r.solver for r in rows] == [solver] * len(rows)
 
 
-def test_design_opt_cell_past_solve_design_reads_the_optimum(monkeypatch):
-    # PG(2,5) at k=3, L=5: solve_design hands rows with a repeated block to
-    # solve_oracle, whose default cap (L*n = 30 > 24) refuses them; the cell
-    # reads the optimum from the Hall table
-    spec = ExperimentSpec(policy="design", N=31, k=3, n=6, L_range=(5,), trials=300, seed=3,
-                          solver="design_opt", design_source=build_projective_plane(5))
+def _table_l_stars_checked(monkeypatch, spec):
+    """Run ``spec``, checking that its one cell reads the Hall table on MU
+    masks and that the table's L* equals the uncapped oracle's on every row;
+    the L* values read."""
     batch_solver, seen = ensemble._batch_solver, []
 
     def checked(spec, name, L, design):
@@ -353,4 +353,26 @@ def test_design_opt_cell_past_solve_design_reads_the_optimum(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_batch_solver", checked)
     run_ensemble(spec)
+    return seen
+
+
+def test_design_opt_cell_past_solve_design_reads_the_optimum(monkeypatch):
+    # PG(2,5) at k=3, L=5: solve_design hands rows with a repeated block to
+    # solve_oracle, whose default cap (L*n = 30 > 24) refuses them; the cell
+    # reads the optimum from the Hall table
+    spec = ExperimentSpec(policy="design", N=31, k=3, n=6, L_range=(5,), trials=300, seed=3,
+                          solver="design_opt", design_source=build_projective_plane(5))
+    seen = _table_l_stars_checked(monkeypatch, spec)
     assert len(seen) == 300 and min(seen) < 5
+
+
+def test_design_opt_cell_at_the_table_gate_reads_the_optimum(monkeypatch):
+    # the Fano plane at k=2, L=12: solve_design refuses rows of 6 distinct
+    # blocks (ConditionViolated), and the cell reads the optimum from the table
+    spec = ExperimentSpec(policy="design", N=7, k=2, n=3, L_range=(ORACLE_TABLE_MAX_L,),
+                          trials=200, seed=1, solver="design_opt",
+                          design_source=build_projective_plane(2))
+    assert len(_table_l_stars_checked(monkeypatch, spec)) == 200
+    monkeypatch.setattr(ensemble, "_batch_solver", _per_instance_solver)
+    with pytest.raises(ConditionViolated):
+        run_ensemble(spec)
