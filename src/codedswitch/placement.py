@@ -19,8 +19,9 @@ cyclic arcs and design blocks are its rows, picked by one
 exactly, state included, on any bit generator: ``choice`` runs Floyd's
 algorithm on draws made by Lemire's method from the generator's 32-bit
 words, so a pass draws its words in one ``integers`` call and maps them to
-the same draws in bulk.  A pass in which numpy would have rejected a word,
-short requests, large n and N >= 2^32 call ``choice`` row by row.
+the same draws in bulk; a pass in which numpy would have rejected a word
+is drawn again by one ``integers`` call over its bounds.  Short requests,
+large n and N >= 2^32 call ``choice`` row by row.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -121,11 +122,10 @@ class BlockDesign:
         return cls(N=N, n=n, t=t, blocks=blocks, source="file")
 
 
-def _choice_rows(N: int, n: int, rows: int, gen, form: str = "packets") -> np.ndarray:
+def _choice_rows(N: int, n: int, rows: int, gen) -> np.ndarray:
     """``uniform_rows`` by one call of ``gen.choice`` per row."""
-    taken = np.array([np.sort(gen.choice(N, size=n, replace=False)) for _ in range(rows)],
-                     dtype=np.int64).reshape(rows, n)
-    return conditions.mu_masks(taken) if form == "masks" else taken
+    return np.array([np.sort(gen.choice(N, size=n, replace=False)) for _ in range(rows)],
+                    dtype=np.int64).reshape(rows, n)
 
 
 # Rows per pass of a batch.  Beside the rows it fills, a pass holds about 16n
@@ -148,18 +148,29 @@ _BATCH_MIN_ROWS = 24
 _BATCH_MAX_N = 32
 
 
-def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray | None:
-    """The Floyd draws of ``rows`` successive choice calls, from one draw of
-    their 32-bit words: an (n, rows) uint64 array whose row c holds the draws
-    in [0, N-n+c], or None, with ``gen`` left as it was, if numpy would have
-    rejected a word (N < 2^32).
+def _bounded_columns(highs: np.ndarray, n: int, rows: int,
+                     gen: np.random.Generator) -> np.ndarray:
+    """The Floyd draws of ``rows`` successive choice calls whose draws have
+    the bounds ``highs``, by one ``integers`` call over the tiled bounds:
+    numpy's bounded-integer routine, which choice calls once per draw, runs
+    once per bound in order, rejections and all.  An (n, rows) uint64 array,
+    as ``_floyd_columns``."""
+    draws = gen.integers(0, np.tile(highs, rows)).reshape(rows, -1)
+    return np.ascontiguousarray(draws[:, :n].T, dtype=np.uint64)
+
+
+def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """The Floyd draws of ``rows`` successive choice calls, N < 2^32: an (n,
+    rows) uint64 array whose row c holds the draws in [0, N-n+c].
 
     choice makes a draw in [0, j], 0 < j < 2^32 - 1, by Lemire's method on the
     next 32-bit word x of the generator: x is rejected, and the next word
     tried, if the low half of x(j+1) is below 2^32 mod (j+1), and else the
-    draw is the high half.  A draw in [0, 0] takes no word.  The shuffle's
-    words that follow each call's are checked and dropped, as a sorted row
-    or a mask does not depend on them."""
+    draw is the high half.  A draw in [0, 0] takes no word.  So the pass's
+    words are drawn in one call and mapped to the draws in bulk; the
+    shuffle's words that follow each call's are checked and dropped, as a
+    sorted row or a mask does not depend on them.  A pass in which numpy
+    would have rejected a word is rewound and drawn by ``_bounded_columns``."""
     # each call's bounds j+1 of its draws in [0, j]: Floyd's, then the shuffle's
     highs = np.concatenate([np.arange(N - n + 1, N + 1), np.arange(n, 1, -1)])
     state = gen.bit_generator.state
@@ -171,7 +182,7 @@ def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.nd
     words = np.ascontiguousarray(words.T)
     if ((words * highs.astype(np.uint32)[:, None]).min(axis=1) < 2**32 % highs).any():
         gen.bit_generator.state = state
-        return None
+        return _bounded_columns(highs, n, rows, gen)
     floyd = np.multiply(words[:n], highs[:n, None].astype(np.uint64), dtype=np.uint64)
     floyd >>= 32
     return floyd
@@ -213,26 +224,24 @@ def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator,
     next 32-bit word, so a pass draws its words in one
     ``Generator.integers`` call, on any bit generator, and maps them to the
     draws in bulk (``_floyd_columns``).  A pass in which numpy would have
-    rejected a word goes to ``choice`` row by row.  A mask pass runs Floyd's
-    test on the bits of the masks (``_floyd_mask_pass``).  Fewer rows,
-    larger n and N >= 2^32 go to ``choice`` row by row.
+    rejected a word is drawn again by one ``integers`` call over its bounds
+    (``_bounded_columns``).  A mask pass runs Floyd's test on the bits of the
+    masks (``_floyd_mask_pass``).  Fewer rows, larger n and N >= 2^32 go to
+    ``choice`` row by row.
     """
     if not (1 <= n <= N) or rows < 0:
         raise BadParams(f"need 1 <= n <= N and rows >= 0, got N={N}, n={n}, rows={rows}")
     _check_form("uniform", N, form)
     if rows < _BATCH_MIN_ROWS or n > _BATCH_MAX_N or N >= 2**32:
-        return _choice_rows(N, n, rows, gen, form)
+        taken = _choice_rows(N, n, rows, gen)
+        return conditions.mu_masks(taken) if form == "masks" else taken
     if form == "masks":
         out, fill = np.zeros(rows, dtype=np.uint64), _floyd_mask_pass
     else:
         out, fill = np.empty((rows, n), dtype=np.int64), _floyd_pass
     # equal passes, so that none holds fewer than _BATCH_MIN_ROWS rows
     for part in np.array_split(out, -(-rows // _PASS_ROWS)):
-        floyd = _floyd_columns(N, n, len(part), gen)
-        if floyd is None:
-            part[:] = _choice_rows(N, n, len(part), gen, form)
-        else:
-            fill(N, n, floyd, part)
+        fill(N, n, _floyd_columns(N, n, len(part), gen), part)
     return out
 
 

@@ -181,20 +181,21 @@ def _next_raw_output_zero(seed):
     return gen
 
 
-def _counted_choice_rows(monkeypatch):
-    """The row counts of the passes that go to ``placement._choice_rows``."""
+def _counted_fallbacks(monkeypatch):
+    """The row counts of the passes rewound and drawn bound by bound
+    (``placement._bounded_columns``)."""
     calls = []
-    choice_rows = placement._choice_rows
-    monkeypatch.setattr(placement, "_choice_rows",
-                        lambda N, n, rows, gen, form="packets":
-                        calls.append(rows) or choice_rows(N, n, rows, gen, form))
+    bounded_columns = placement._bounded_columns
+    monkeypatch.setattr(placement, "_bounded_columns",
+                        lambda highs, n, rows, gen:
+                        calls.append(rows) or bounded_columns(highs, n, rows, gen))
     return calls
 
 
 def test_uniform_rows_replay_a_rejected_draw(monkeypatch):
     assert _next_raw_output_zero(0).bit_generator.random_raw() == 0
     # the word 0 makes the first draw, in [0, 8], reject: 0 < 2^32 mod 9
-    fallbacks = _counted_choice_rows(monkeypatch)
+    fallbacks = _counted_fallbacks(monkeypatch)
     ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
     expect = _choice_rows(ref, 12, 4, 100)
     assert uniform_rows(12, 4, 100, gen).tolist() == expect
@@ -210,7 +211,7 @@ def test_uniform_rows_replay_a_rejected_shuffle_word_in_a_later_pass(monkeypatch
     rows = 2 * placement._PASS_ROWS
     m = (7 * placement._PASS_ROWS + 7 + 5) // 2
     for form in ("packets", "masks"):
-        fallbacks = _counted_choice_rows(monkeypatch)
+        fallbacks = _counted_fallbacks(monkeypatch)
         ref, gen = _next_raw_output_zero(0), _next_raw_output_zero(0)
         for g in (ref, gen):
             g.bit_generator.advance(2**128 - m)
