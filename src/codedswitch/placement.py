@@ -170,9 +170,19 @@ def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.nd
     words are drawn in one call and mapped to the draws in bulk; the
     shuffle's words that follow each call's are checked and dropped, as a
     sorted row or a mask does not depend on them.  A pass in which numpy
-    would have rejected a word is rewound and drawn by ``_bounded_columns``."""
+    would have rejected a word is rewound and drawn by ``_bounded_columns``,
+    and so at once is a pass that expects half a rejected word or more."""
     # each call's bounds j+1 of its draws in [0, j]: Floyd's, then the shuffle's
     highs = np.concatenate([np.arange(N - n + 1, N + 1), np.arange(n, 1, -1)])
+    rejected_below = 2**32 % highs
+    # A word rejects with probability rejected_below / 2^32, so rows * sum / 2^32
+    # words of a pass are expected to reject, and from about half a word on
+    # so many passes are drawn twice that drawing bound by bound is faster:
+    # at n = 6, 24,576 rows took 3.7-3.8 ms through the words and 4.0-4.1 ms
+    # bound by bound at N = 10^5 (0.33 expected), 4.2-4.6 against 4.0-4.1 at
+    # 2*10^5 (0.5) and 5.0-6.2 against 4.0-4.4 from 4*10^5 to 3*10^6 (1.1-11).
+    if 2 * rows * rejected_below.sum() >= 2**32:
+        return _bounded_columns(highs, n, rows, gen)
     state = gen.bit_generator.state
     words = gen.integers(0, 2**32, size=(rows, len(highs) - (N == n)), dtype=np.uint32)
     if N == n:
@@ -180,7 +190,7 @@ def _floyd_columns(N: int, n: int, rows: int, gen: np.random.Generator) -> np.nd
         words = np.pad(words, ((0, 0), (1, 0)))
     # one row per bound, so that each step works on contiguous words
     words = np.ascontiguousarray(words.T)
-    if ((words * highs.astype(np.uint32)[:, None]).min(axis=1) < 2**32 % highs).any():
+    if ((words * highs.astype(np.uint32)[:, None]).min(axis=1) < rejected_below).any():
         gen.bit_generator.state = state
         return _bounded_columns(highs, n, rows, gen)
     floyd = np.multiply(words[:n], highs[:n, None].astype(np.uint64), dtype=np.uint64)

@@ -117,11 +117,12 @@ def _masks_replay(N, n, rows, gen, packets, ref):
 
 
 # (10001, 5) still runs Floyd's algorithm in choice; (12000, 241) shuffles the tail;
-# (2**32 - 1, 3) is the largest N batched; (2**33, 4) draws in [0, j] with
-# j >= 2^32; (64, 5) sets bit 63 of a mask
+# (10**6, 6) draws its two-pass row count bound by bound; (2**32 - 1, 3) is
+# the largest N batched; (2**33, 4) draws in [0, j] with j >= 2^32; (64, 5)
+# sets bit 63 of a mask
 @pytest.mark.parametrize("N,n", [(12, 3), (12, 4), (12, 5), (12, 6), (7, 3), (17, 5), (5, 5),
                                  (9, 1), (64, 5), (64, 33), (10001, 5), (12000, 241),
-                                 (2**32 - 1, 3), (2**33, 4)])
+                                 (10**6, 6), (2**32 - 1, 3), (2**33, 4)])
 def test_uniform_rows_replay_choice(N, n):
     # fewer than _BATCH_MIN_ROWS rows, n > 32 or N >= 2^32 are drawn by
     # choice itself; _PASS_ROWS + 1 rows take two passes; each row count is
@@ -140,7 +141,7 @@ def test_uniform_rows_replay_choice(N, n):
 
 @pytest.mark.parametrize("N,n", [(12, 5), (5, 5), (17, 5)])
 def test_uniform_rows_replay_choice_across_passes(N, n):
-    # three equal passes of 683 or 684 rows
+    # three equal passes
     rows = 2 * placement._PASS_ROWS + n + 1
     ref, gen, masked = (PlacementRng(8, N).generator() for _ in range(3))
     expect = _choice_rows(ref, N, n, rows)
@@ -182,7 +183,7 @@ def _next_raw_output_zero(seed):
 
 
 def _counted_fallbacks(monkeypatch):
-    """The row counts of the passes rewound and drawn bound by bound
+    """The row counts of the passes drawn bound by bound
     (``placement._bounded_columns``)."""
     calls = []
     bounded_columns = placement._bounded_columns
@@ -222,6 +223,30 @@ def test_uniform_rows_replay_a_rejected_shuffle_word_in_a_later_pass(monkeypatch
         assert got.tolist() == expect
         assert gen.bit_generator.state == ref.bit_generator.state
         assert fallbacks == [placement._PASS_ROWS]
+
+
+class _WordCountingGenerator(np.random.Generator):
+    """A generator that counts its ``integers`` calls for 32-bit words."""
+
+    word_draws = 0
+
+    def integers(self, *args, **kwargs):
+        self.word_draws += kwargs.get("dtype") is np.uint32
+        return super().integers(*args, **kwargs)
+
+
+def test_uniform_rows_draw_bound_by_bound_where_rejections_are_expected(monkeypatch):
+    # at n = 6 a pass of _PASS_ROWS rows expects 5.6 rejected words at N = 10^6
+    # (1.4 at 1024 rows), so it draws bound by bound without drawing words
+    # first; at N = 12 it expects 2.7e-5 and draws its words
+    for N, word_draws, bounded in ((10**6, 0, [placement._PASS_ROWS]), (12, 1, [])):
+        fallbacks = _counted_fallbacks(monkeypatch)
+        ref = PlacementRng(7).generator()
+        gen = _WordCountingGenerator(PlacementRng(7).generator().bit_generator)
+        expect = _choice_rows(ref, N, 6, placement._PASS_ROWS)
+        assert uniform_rows(N, 6, placement._PASS_ROWS, gen).tolist() == expect
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert (gen.word_draws, fallbacks) == (word_draws, bounded)
 
 
 def test_uniform_rows_other_bit_generators_use_choice():
