@@ -19,9 +19,10 @@ cyclic arcs and design blocks are its rows, picked by one
 exactly, state included, on any bit generator: ``choice`` runs Floyd's
 algorithm on draws made by Lemire's method from the generator's 32-bit
 words, so a pass draws its words in one ``integers`` call and maps them to
-the same draws in bulk; a pass in which numpy would have rejected a word
-is drawn again by one ``integers`` call over its bounds.  Short requests,
-large n and N >= 2^32 call ``choice`` row by row.
+the same draws in bulk; a pass in which numpy would have rejected a word,
+or would expect to reject half a word or more, is drawn by one
+``integers`` call over its bounds.  Short requests, large n and N >= 2^32
+call ``choice`` row by row.
 
 Design substrates come from projective planes (Steiner 2-designs) or from
 a greedy lexicographic scan equivalent to constant-weight-code packings
@@ -234,9 +235,10 @@ def uniform_rows(N: int, n: int, rows: int, gen: np.random.Generator,
     next 32-bit word, so a pass draws its words in one
     ``Generator.integers`` call, on any bit generator, and maps them to the
     draws in bulk (``_floyd_columns``).  A pass in which numpy would have
-    rejected a word is drawn again by one ``integers`` call over its bounds
-    (``_bounded_columns``).  A mask pass runs Floyd's test on the bits of the
-    masks (``_floyd_mask_pass``).  Fewer rows, larger n and N >= 2^32 go to
+    rejected a word, or would expect to reject half a word or more, is
+    drawn by one ``integers`` call over its bounds (``_bounded_columns``).
+    A mask pass runs Floyd's test on the bits of the masks
+    (``_floyd_mask_pass``).  Fewer rows, larger n and N >= 2^32 go to
     ``choice`` row by row.
     """
     if not (1 <= n <= N) or rows < 0:
