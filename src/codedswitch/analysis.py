@@ -278,8 +278,7 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     them, to a bool array and must not depend on the packet order.  The
     walk builds the ``packet_table`` in that form once and gathers each
     slice's rows by index; Monte Carlo draws each batch in that form.
-    Rows of arc starts reach ``test`` sorted: walked rows are, and each
-    drawn batch is sorted once.
+    Rows of arc starts reach ``test`` ascending, as walked and as drawn.
 
     Exact when the walk over multisets of ``packet_table`` rows visits at
     most ``cap`` rows: C(s+r-1, r) for s table rows and r free packets.  All
@@ -303,8 +302,6 @@ def _probability(policy: str, N: int, n: int, L: int, design: BlockDesign | None
     good = 0
     for lo in range(0, samples, BATCH):
         rows = draw_rows(policy, N, n, L, min(BATCH, samples - lo), gen, design, form)
-        if form == "starts":
-            rows.sort(axis=1)
         good += int(np.count_nonzero(test(rows)))
     p = good / samples
     return ProbabilityEstimate(p, MONTE_CARLO, sqrt(max(p * (1 - p), 1e-300) / samples))

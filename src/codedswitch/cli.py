@@ -98,10 +98,7 @@ def _finite_float(text: str) -> float:
 
 
 def _manifest_path(first_output: Path) -> Path:
-    p = Path(first_output)
-    if p.is_dir():
-        return p / "manifest.json"
-    return p.with_suffix(p.suffix + ".manifest.json")
+    return first_output.with_suffix(first_output.suffix + ".manifest.json")
 
 
 # -- subcommand implementations ----------------------------------------------

@@ -11,7 +11,9 @@ Three write-path policies decide which n MUs hold a packet's chunks:
 policy in one call, on the stream of as many ``draw`` calls, in one of
 three forms (``FORMS``): a (size, L, n) packet array, the (size, L) uint64
 MU masks of those packets (N <= 64), or the (size, L) arc starts of cyclic
-packets.  The form changes what is built from the draws, never the draws.
+packets, each row ascending.  The form changes what is built from the
+draws, never the draws.  Only this module orders starts: every reader of
+the starts form takes its rows as given.
 ``packet_table`` lists every packet a policy can place, in any form;
 cyclic arcs and design blocks are its rows, picked by one
 ``Generator.integers`` call, and uniform n-subsets come from
@@ -333,19 +335,19 @@ def draw(policy: str, N: int, n: int, k: int, L: int, rng,
 
     The design policy draws from ``design``, which must be on (N, n).
     """
+    check_cell(policy, N, n, k)
     if policy == "uniform":
         inst = draw_uniform(N, n, L, rng)
     elif policy == "cyclic":
         inst = draw_cyclic(N, n, L, rng)
-    elif policy == "design":
+    else:
         check_design(design, N, n)
         inst = draw_design(design, L, rng)
-    else:
-        raise BadParams(f"unknown policy {policy!r}")
     return with_k(inst, k)
 
 
-# what a row of L drawn packets is handed over as (``draw_rows``)
+# what a row of L drawn packets is handed over as (``draw_rows``); a row of
+# starts is ascending
 FORMS = ("packets", "masks", "starts")
 
 
@@ -389,15 +391,18 @@ def draw_rows(policy: str, N: int, n: int, L: int, size: int, gen: np.random.Gen
     the (size, L) masks or arc starts of its packets (``FORMS``).  Cyclic and
     design packets are rows of ``packet_table`` in that form, picked by one
     ``Generator.integers`` call (row s is the arc that starts at s, so
-    cyclic starts are the picks themselves); uniform ones come from
-    ``uniform_rows``, sorted or as masks.  The packets are those of the
-    ``draw`` calls, and the form leaves the draws and the state of ``gen``
-    as they are."""
+    cyclic starts are the picks themselves, then sorted in each row);
+    uniform ones come from ``uniform_rows``, sorted or as masks.  The
+    packets are those of the ``draw`` calls, and the form leaves the draws
+    and the state of ``gen`` as they are."""
     if policy == "uniform":
         rows = uniform_rows(N, n, size * L, gen, form)
         return rows.reshape(size, L, *rows.shape[1:])
     table = packet_table(policy, N, n, design, form)
-    return table[gen.integers(0, len(table), size=(size, L))]
+    rows = table[gen.integers(0, len(table), size=(size, L))]
+    if form == "starts":
+        rows.sort(axis=1)
+    return rows
 
 
 def is_prime(q: int) -> bool:

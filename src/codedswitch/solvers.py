@@ -48,7 +48,7 @@ from .errors import (
     UnequalCardinality,
     WrongParams,
 )
-from .model import Instance, Solution, arc_start, empty_solution, mu_bits
+from .model import Instance, Solution, arc_start, mu_bits
 from .placement import BlockDesign, _as_generator
 
 DEFAULT_ORACLE_CAP = 24
@@ -70,8 +70,6 @@ def solve_oracle(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> Solution:
     L, n, k = inst.L, inst.n, inst.k
     if L * n > cap:
         raise TooLarge(f"L*n = {L * n} exceeds the oracle cap {cap}")
-    if L == 0:
-        return empty_solution(inst)
 
     # per packet: list of (mask, mus) in lexicographic order
     options = [[(mu_bits(sub), sub) for sub in combinations(p, k)] for p in inst.packets]
@@ -412,10 +410,10 @@ _ARC_BLOCK_ENTRIES = 2**20
 
 
 def cyclic_rows(starts, N: int, n: int, k: int) -> np.ndarray:
-    """``solve_cyclic``'s L* of each row of a (B, L) array of arc starts
-    (``draw_rows``' ``starts`` form), as an int64 array.
+    """``solve_cyclic``'s L* of each row of a (B, L) array of arc starts,
+    each row ascending (``draw_rows``' ``starts`` form), as an int64 array.
 
-    Each sorted start in turn anchors a sweep of all L arcs clockwise from
+    Each start in turn anchors a sweep of all L arcs clockwise from
     it.  Measured from the anchor, an arc at r is served at the frontier
     max(r, f) if k MUs from there stay inside the arc and below N, and the
     frontier moves past them, so every count is a feasible read.  A start
@@ -435,7 +433,7 @@ def cyclic_rows(starts, N: int, n: int, k: int) -> np.ndarray:
     run's end, zeroed where the arc is not served.
     """
     # every position lies in [0, 2N + n): the smallest unsigned type holds it
-    s = np.sort(starts, axis=1).T.astype(np.min_scalar_type(2 * N + n), order="C")
+    s = np.asarray(starts).T.astype(np.min_scalar_type(2 * N + n), order="C")
     L, B = s.shape
     best = np.zeros(B, dtype=np.int64)
     if L == 0 or B == 0:
@@ -582,8 +580,6 @@ def solve_design(inst: Instance, design: BlockDesign) -> Solution:
 
     Lp = len(sub)
     assignments: list = [None] * inst.L
-    if Lp == 0:
-        return Solution(assignments=tuple(assignments))
 
     if Lp >= 2:
         bound = floor(t_max(inst.n, inst.k, Lp))

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from codedswitch import Instance, Solution, validate_instance
+from codedswitch.analysis import p_cover_uniform
 from codedswitch.cli import _build_parser, main
 from codedswitch.solvers import CLI_NAMES, SOLVERS
 from codedswitch.placement import POLICIES
@@ -121,6 +122,13 @@ def test_analyze_csv_row(capsys):
     value, method, stderr = out.split(",")
     assert float(value) == pytest.approx(30 / 49)
     assert method == "closed_form" and float(stderr) == 0.0
+
+
+def test_analyze_cover_uniform_prints_p_cover_uniform(capsys):
+    assert main(["analyze", "--what", "cover-uni", "--N", "12", "--n", "4",
+                 "--k", "3", "--L", "3"]) == 0
+    est = p_cover_uniform(12, 4, 3, 3)
+    assert capsys.readouterr().out == f"{est.value:.12g},{est.method},{est.stderr:.6g}\n"
 
 
 def test_analyze_pair_cyclic_default_threshold(capsys):

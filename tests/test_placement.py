@@ -330,6 +330,18 @@ def test_cyclic_bad_params():
         draw_cyclic(5, 5, 1, PlacementRng(0).generator())
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_draw_rejects_k_outside_1_to_n_before_drawing(fano, policy):
+    # k = 0 would place packets that need no chunk, k = n + 1 ones no read serves
+    n = 3
+    for k in (0, n + 1):
+        gen = PlacementRng(4).generator()
+        state = gen.bit_generator.state
+        with pytest.raises(BadParams):
+            placement.draw(policy, 7, n, k, 4, gen, fano)
+        assert gen.bit_generator.state == state
+
+
 @pytest.mark.parametrize("N,n,L", [(12, 3, 1), (12, 4, 4), (12, 5, 6), (13, 4, 5), (7, 3, 3)])
 def test_batched_cyclic_draws_match_per_instance_draws(N, n, L):
     # the ensemble draws a batch of starts in one call; its reports depend on
@@ -390,7 +402,8 @@ def _check_draw_rows(policy, N, n, k, L, size, bit_generator, design):
         assert masks.dtype == np.uint64 and masks.tolist() == mu_masks(rows).tolist()
     if policy == "cyclic":
         starts = placement.draw_rows(policy, N, n, L, size, gens["starts"], design, "starts")
-        assert starts.tolist() == [[arc_start(p, n, N) for p in packets]
+        assert (np.diff(starts, axis=1) >= 0).all()
+        assert starts.tolist() == [sorted(arc_start(p, n, N) for p in packets)
                                    for packets in rows.tolist()]
     else:
         with pytest.raises(BadParams):
@@ -423,10 +436,10 @@ def test_plane_q3(q3_plane):
 
 
 def test_plane_rejects_composite_and_prime_power():
-    with pytest.raises(NotPrime):
-        build_projective_plane(6)
-    with pytest.raises(NotPrime):
-        build_projective_plane(4)
+    # 0 and 1 are below the first prime; 9, 15 and 25 are odd composites
+    for q in (6, 4, 0, 1, 9, 15, 25):
+        with pytest.raises(NotPrime):
+            build_projective_plane(q)
 
 
 # -- lexicographic packings ----------------------------------------------------------

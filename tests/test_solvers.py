@@ -12,7 +12,9 @@ from codedswitch import (
     BlockDesign,
     Instance,
     PlacementRng,
+    Solution,
     balanced_orientation,
+    build_lexicographic_packing,
     cyclic_anchor_order,
     draw_cyclic,
     draw_design,
@@ -36,12 +38,19 @@ from codedswitch.errors import (
     UnequalCardinality,
     WrongParams,
 )
+from codedswitch.solvers import SOLVERS
 
 from conftest import CONTENTION_PACKETS, brute_force_l_star
 
 
 def _contention(k):
     return Instance(N=5, k=k, n=3, packets=CONTENTION_PACKETS)
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_every_solver_serves_nothing_on_an_empty_instance(fano, name):
+    inst = Instance(N=7, k=1 if name == "matching_k1" else 2, n=2, packets=())
+    assert SOLVERS[name](inst, fano, PlacementRng(0).generator()) == Solution(())
 
 
 # -- oracle ---------------------------------------------------------------------
@@ -523,6 +532,16 @@ def test_design_single_packet():
     inst = Instance(N=7, k=2, n=3, packets=(WORKED_BLOCKS[0],), placement="design")
     sol = solve_design(inst, WORKED_DESIGN)
     assert sol.assignments == ((1, 2),)
+
+
+def test_design_splits_an_even_shared_pool():
+    # the blocks share MUs 0 and 1: each packet takes one of them
+    d = build_lexicographic_packing(8, 4, 2)
+    inst = Instance(N=8, k=2, n=4, packets=((0, 1, 2, 3), (0, 1, 4, 5)), placement="design")
+    sol = solve_design(inst, d)
+    validate_solution(inst, sol)
+    assert sol.assignments == ((0, 2), (1, 4))
+    assert sol.l_star == solve_oracle(inst).l_star
 
 
 def test_design_disjoint_blocks():
